@@ -11,10 +11,14 @@
 //                           common mitigation)
 //  * ConcurrentClockCache — lock-free hit path (striped atomic index + one
 //                           relaxed RMW on a reference counter); misses
-//                           batch behind one eviction mutex
+//                           batch behind hash-selected eviction-domain
+//                           mutexes
 //  * ConcurrentS3FifoCache— same hit path over S3-FIFO's two queues + ghost
 //  * ConcurrentQdLpFifo   — QD-LP-FIFO (probationary FIFO + ghost + 2-bit
 //                           CLOCK main) as a concurrent cache
+//
+// The last three are one skeleton, DomainCache<Regions>
+// (eviction_domains.h), each supplying only its queues.
 //
 // Get() is get-or-admit: returns true on hit, and on miss admits the id
 // (evicting if needed), mirroring EvictionPolicy::Access.

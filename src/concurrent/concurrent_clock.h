@@ -7,38 +7,56 @@
 // update, no locking" property of Lazy Promotion (§3, §4) made literal.
 //
 // Misses go through sharded eviction domains (eviction_domains.h): the
-// CLOCK ring is partitioned into S hash-selected regions, each with its
-// own mutex, hand, bump allocator, and BP-Wrapper insert buffers. A
-// missing thread try-locks its id's home domain; on failure it buffers
-// the id in that domain's MPSC rings and returns; the next holder drains
-// the batch under its single acquisition, then makes one helping pass
-// over backlogged foreign domains. Misses to different domains admit and
-// evict fully in parallel.
+// CLOCK ring (clock_ring.h) is partitioned into S hash-selected regions,
+// each with its own mutex, hand, bump allocator, free list, and BP-Wrapper
+// insert buffers. A missing thread try-locks its id's home domain; on
+// failure it buffers the id in that domain's MPSC rings and returns; the
+// next holder drains the batch under its single acquisition, then makes
+// one helping pass over backlogged foreign domains. Misses to different
+// domains admit and evict fully in parallel. DomainCache implements that
+// protocol; ClockRegions below is only the ring.
 //
 // Driven from a single thread with num_shards == 1 (the default) the
 // behavior is exactly the sequential CLOCK spec (the try_lock always
 // succeeds, so admissions are never deferred); the oracle differential
-// tests pin this against RefClock. With more shards each domain is an
-// independent CLOCK over its hash partition — still deterministic
-// single-threaded, pinned against per-shard sequential references.
+// tests pin this against RefClock, and against ClockPolicy with removals.
+// With more shards each domain is an independent CLOCK over its hash
+// partition — still deterministic single-threaded, pinned against
+// per-shard sequential references.
 
 #ifndef QDLP_SRC_CONCURRENT_CONCURRENT_CLOCK_H_
 #define QDLP_SRC_CONCURRENT_CONCURRENT_CLOCK_H_
 
-#include <atomic>
 #include <cstdint>
-#include <mutex>
 #include <string_view>
-#include <vector>
 
-#include "src/concurrent/concurrent_cache.h"
+#include "src/concurrent/clock_ring.h"
 #include "src/concurrent/eviction_domains.h"
-#include "src/concurrent/striped_index.h"
-#include "src/obs/concurrent_counters.h"
 
 namespace qdlp {
 
-class ConcurrentClockCache : public ConcurrentCache {
+// The whole cache is one CLOCK ring; index values are global ring slots.
+class ClockRegions {
+ public:
+  ClockRegions(DomainCore& core, int bits);
+
+  void Touch(uint32_t slot) { ring_.Touch(slot); }
+  void AdmitLocked(size_t s, ObjectId id);
+  void UnlinkLocked(size_t s, uint32_t slot) { ring_.Free(s, slot); }
+  // Sequential CLOCK reports no per-region occupancy; neither does this.
+  void FillOccupancy(size_t, CacheStats*) const {}
+  size_t CheckShardLocked(size_t s) const;
+  void CheckSharedLocked() const {}
+  size_t MemoryBytes() const { return ring_.MemoryBytes(); }
+
+ private:
+  DomainCore& core_;
+  ClockRing ring_;
+};
+
+extern template class DomainCache<ClockRegions>;
+
+class ConcurrentClockCache : public DomainCache<ClockRegions> {
  public:
   // `num_shards` eviction domains (rounded/clamped by EvictionDomains);
   // the index gets max(num_stripes, shard count) stripes so every domain
@@ -46,73 +64,7 @@ class ConcurrentClockCache : public ConcurrentCache {
   ConcurrentClockCache(size_t capacity, int bits = 1, size_t num_stripes = 16,
                        size_t num_shards = 1);
 
-  bool Get(ObjectId id) override;
-  // Like Get(), but a miss blocks on the home-domain mutex instead of
-  // deferring to the insert buffers: admission is guaranteed on return.
-  bool Admit(ObjectId id) override;
-  // Unlinks `id` under its home-domain mutex (blocking — removal is a
-  // control operation, not a hot-path Get). Counts as an eviction.
-  bool Remove(ObjectId id) override;
-  size_t capacity() const override { return capacity_; }
   std::string_view name() const override { return "concurrent-clock"; }
-
-  // Flow counters come from striped thread-exclusive cells (lock-free to
-  // read); the occupancy field reads the index size (atomic). Safe
-  // concurrently with Get().
-  CacheStats Stats() const override;
-
-  size_t num_shards() const { return domains_.num_shards(); }
-  size_t ShardOf(ObjectId id) const { return domains_.ShardOf(id); }
-  // The shard's slice of the CLOCK ring (its capacity share).
-  size_t shard_capacity(size_t s) const { return domains_.shard(s).capacity; }
-
-  // Slot/index agreement and occupancy accounting under all shard mutexes.
-  void CheckInvariants() override;
-
-  size_t ApproxMetadataBytes() const override;
-
- private:
-  // Ring slot. Only `counter` is touched by concurrent readers (the
-  // lock-free hit path); id/occupied are written solely under the owning
-  // shard's mutex, and readers never look at them.
-  struct Slot {
-    ObjectId id = 0;
-    std::atomic<uint8_t> counter{0};
-    bool occupied = false;
-  };
-
-  // Per-shard miss-path state, guarded by the shard's mutex. Slots_[base,
-  // base + capacity) is the shard's ring region; `hand` and `used` are
-  // offsets within it. Padded so neighboring shards' hand churn never
-  // shares a line.
-  struct alignas(64) ShardState {
-    size_t used = 0;  // bump allocator over the shard's region
-    size_t hand = 0;
-  };
-
-  // All of the below run under the shard's mutex.
-  // Admits `id` (evicting if needed). Returns false if the id turned out
-  // to be already resident (raced admission).
-  bool AdmitLocked(size_t s, ObjectId id);
-  // Drains shard s's insert buffers; `helping` marks a cross-shard drain.
-  void DrainShardLocked(size_t s, bool helping);
-  // Finds the victim slot via the shard's clock hand; erases it from the
-  // index. Returns a global slot position.
-  size_t EvictOneLocked(size_t s);
-
-  // One thread-ordinal-affine pass over the other shards: try-lock and
-  // drain any domain whose buffered backlog crossed the help threshold.
-  void HelpDrainOthers(size_t miss_shard);
-
-  const size_t capacity_;
-  const uint8_t max_counter_;
-
-  StripedAtomicIndex index_;  // id -> global ring slot
-  std::vector<Slot> slots_;   // the clock ring, partitioned by shard
-
-  EvictionDomains domains_;
-  std::vector<ShardState> shard_state_;
-  ConcurrentStatsCounters counters_;
 };
 
 }  // namespace qdlp

@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <mutex>
 
 #include "src/util/check.h"
-#include "src/util/thread_ordinal.h"
 
 namespace qdlp {
 
@@ -20,130 +20,97 @@ size_t ProbationCapacity(size_t capacity) {
   return std::min(probation, capacity - 1);
 }
 
+std::vector<size_t> MainCapacities(const EvictionDomains& domains) {
+  std::vector<size_t> capacities(domains.num_shards());
+  for (size_t s = 0; s < capacities.size(); ++s) {
+    const size_t share = domains.shard(s).capacity;
+    capacities[s] = share - ProbationCapacity(share);
+  }
+  return capacities;
+}
+
 }  // namespace
 
-ConcurrentQdLpFifo::ConcurrentQdLpFifo(size_t capacity, size_t num_stripes,
-                                       size_t num_shards,
-                                       QdlpValueOptions value_options)
-    : capacity_(capacity),
-      // Stripes >= shards: each eviction domain owns a disjoint stripe set
-      // (see eviction_domains.h).
-      index_(capacity, std::max(num_stripes, num_shards)),
-      // Every shard needs a probation slot and a main slot, so shares must
-      // be at least 2; EvictionDomains halves the shard count until so.
-      domains_(capacity, num_shards, /*min_capacity_per_shard=*/2),
-      shard_state_(domains_.num_shards()) {
-  QDLP_CHECK(capacity >= 2);  // need at least one slot in each region
-  QDLP_CHECK(capacity <= 0x7FFFFFFFu);  // index values carry a 1-bit tag
-  QDLP_CHECK(index_.num_stripes() >= domains_.num_shards());
-  for (size_t s = 0; s < domains_.num_shards(); ++s) {
-    const size_t share = domains_.shard(s).capacity;
-    ShardState& state = shard_state_[s];
-    state.probation_base = probation_capacity_;
-    state.probation_capacity = ProbationCapacity(share);
-    state.main_base = main_capacity_;
-    state.main_capacity = share - state.probation_capacity;
-    state.ghost =
-        std::make_unique<ShardedGhost>(state.main_capacity);  // factor 1.0
-    probation_capacity_ += state.probation_capacity;
-    main_capacity_ += state.main_capacity;
-    ghost_capacity_ += state.main_capacity;
+QdLpRegions::QdLpRegions(DomainCore& core,
+                         const QdlpValueOptions& value_options)
+    : core_(core), main_(MainCapacities(core.domains), kMaxCounter) {
+  const size_t shards = core.domains.num_shards();
+  size_t probation_total = 0;
+  shards_.reserve(shards);
+  for (size_t s = 0; s < shards; ++s) {
+    const size_t share = core.domains.shard(s).capacity;
+    const size_t probation = ProbationCapacity(share);
+    // The ghost is as large as the main region (factor 1.0).
+    shards_.emplace_back(probation_total, probation, share - probation);
+    probation_total += probation;
+    main_capacity_ += share - probation;
   }
-  probation_ = std::vector<ProbationSlot>(probation_capacity_);
-  main_ = std::vector<MainSlot>(main_capacity_);
+  probation_ = std::vector<ProbationSlot>(probation_total);
   if (value_options.arena_bytes > 0) {
     // One cell per metadata location (probation positions then main
     // slots), one arena per eviction domain so eviction frees value bytes
     // under the mutex it already holds.
-    store_ = std::make_unique<SlabStore>(
-        probation_capacity_ + main_capacity_, domains_.num_shards(),
-        value_options.arena_bytes / domains_.num_shards(),
-        value_options.max_value_len);
+    store_ = std::make_unique<SlabStore>(core.domains.capacity(), shards,
+                                         value_options.arena_bytes / shards,
+                                         value_options.max_value_len);
   }
 }
 
-void ConcurrentQdLpFifo::CheckInvariants() {
-  // Settle buffered misses, then hold every shard lock for the global
-  // checks. Blocking is safe: the miss path only ever try-locks.
-  for (size_t s = 0; s < domains_.num_shards(); ++s) {
-    domains_.shard(s).mu.lock();
-    DrainShardLocked(s, /*helping=*/false);
-  }
-  size_t total_probation = 0;
-  size_t total_main = 0;
-  for (size_t s = 0; s < domains_.num_shards(); ++s) {
-    const ShardState& state = shard_state_[s];
-    QDLP_CHECK(state.probation_count <= state.probation_capacity);
-    QDLP_CHECK(state.probation_head < state.probation_capacity);
-    QDLP_CHECK(state.main_used <= state.main_capacity);
-    QDLP_CHECK(state.main_hand < state.main_capacity);
-    // Probation ring entries are indexed at their global position.
-    for (size_t i = 0; i < state.probation_count; ++i) {
-      const size_t pos =
-          state.probation_base +
-          (state.probation_head + i) % state.probation_capacity;
-      uint32_t value;
-      QDLP_CHECK(domains_.ShardOf(probation_[pos].id) == s);
-      QDLP_CHECK(index_.Find(probation_[pos].id, &value));
-      QDLP_CHECK(value == static_cast<uint32_t>(pos));
-    }
-    // Main ring occupancy matches the bump allocator and the index.
-    size_t main_occupied = 0;
-    for (size_t i = 0; i < state.main_capacity; ++i) {
-      const size_t slot = state.main_base + i;
-      if (i >= state.main_used) {
-        QDLP_CHECK(!main_[slot].occupied);
-        continue;
-      }
-      if (!main_[slot].occupied) {
-        continue;
-      }
-      ++main_occupied;
-      QDLP_CHECK(main_[slot].counter.load(std::memory_order_relaxed) <=
-                 kMaxCounter);
-      uint32_t value;
-      QDLP_CHECK(domains_.ShardOf(main_[slot].id) == s);
-      QDLP_CHECK(index_.Find(main_[slot].id, &value));
-      QDLP_CHECK(value == (kMainBit | static_cast<uint32_t>(slot)));
-    }
-    QDLP_CHECK(main_occupied == state.main_count);
-    // An object holds space in exactly one region; the tags above prove
-    // probation/main disjointness (one index entry per id). Ghost entries
-    // are history, never resident.
-    state.ghost->ForEachLive(
-        [&](ObjectId id) { QDLP_CHECK(!index_.Contains(id)); });
-    QDLP_CHECK(state.ghost->live_size() <= state.ghost->capacity());
-    state.ghost->CheckInvariants();
-    total_probation += state.probation_count;
-    total_main += main_occupied;
-  }
-  const size_t resident = resident_.load(std::memory_order_relaxed);
-  QDLP_CHECK(resident == total_probation + total_main);
-  QDLP_CHECK(resident <= capacity_);
-  QDLP_CHECK(index_.size() == resident);
-  index_.CheckInvariants();
-  if (store_) {
-    // Every resident id owns its paired value cell (stamped at admission,
-    // moved with every metadata move), so a read is never stale here.
-    std::string scratch;
-    index_.ForEach([&](ObjectId id, uint32_t value) {
-      QDLP_CHECK(store_->Read(CellOf(value), id, /*now_s=*/0, &scratch) !=
-                 SlabStore::ReadResult::kStale);
-    });
-    store_->CheckInvariants();
-  }
-  for (size_t s = domains_.num_shards(); s-- > 0;) {
-    domains_.shard(s).mu.unlock();
-  }
+void QdLpRegions::FillOccupancy(size_t s, CacheStats* stats) const {
+  const Shard& shard = shards_[s];
+  stats->probation_size += shard.probation_count;
+  stats->main_size += main_.count(s);
+  stats->ghost_size += shard.ghost.size();
 }
 
-size_t ConcurrentQdLpFifo::ApproxMetadataBytes() const {
-  size_t bytes = index_.MemoryBytes() +
-                 probation_.capacity() * sizeof(ProbationSlot) +
-                 main_.capacity() * sizeof(MainSlot) +
-                 domains_.MemoryBytes() + counters_.MemoryBytes();
-  for (const ShardState& state : shard_state_) {
-    bytes += state.ghost->ApproxMetadataBytes();
+size_t QdLpRegions::CheckShardLocked(size_t s) const {
+  const Shard& shard = shards_[s];
+  QDLP_CHECK(shard.probation_count <= shard.probation_capacity);
+  QDLP_CHECK(shard.probation_head < shard.probation_capacity);
+  // Probation ring entries are indexed at their global position.
+  for (size_t i = 0; i < shard.probation_count; ++i) {
+    const size_t pos = shard.probation_base +
+                       (shard.probation_head + i) % shard.probation_capacity;
+    uint32_t value;
+    QDLP_CHECK(core_.domains.ShardOf(probation_[pos].id) == s);
+    QDLP_CHECK(core_.index.Find(probation_[pos].id, &value));
+    QDLP_CHECK(value == static_cast<uint32_t>(pos));
+  }
+  // Main ring entries are indexed at their tagged slot.
+  const size_t main = main_.CheckRegion(s, [&](ObjectId id, uint32_t slot) {
+    uint32_t value;
+    QDLP_CHECK(core_.domains.ShardOf(id) == s);
+    QDLP_CHECK(core_.index.Find(id, &value));
+    QDLP_CHECK(value == (kMainBit | slot));
+  });
+  // An object holds space in exactly one region; the tags above prove
+  // probation/main disjointness (one index entry per id). Ghost entries
+  // are history, never resident.
+  shard.ghost.ForEachLive(
+      [&](ObjectId id) { QDLP_CHECK(!core_.index.Contains(id)); });
+  shard.ghost.CheckInvariants();
+  return shard.probation_count + main;
+}
+
+void QdLpRegions::CheckSharedLocked() const {
+  if (!store_) {
+    return;
+  }
+  // Every resident id owns its paired value cell (stamped at admission,
+  // moved with every metadata move), so a read is never stale here.
+  std::string scratch;
+  core_.index.ForEach([&](ObjectId id, uint32_t value) {
+    QDLP_CHECK(store_->Read(CellOf(value), id, /*now_s=*/0, &scratch) !=
+               SlabStore::ReadResult::kStale);
+  });
+  store_->CheckInvariants();
+}
+
+size_t QdLpRegions::MemoryBytes() const {
+  size_t bytes =
+      probation_.capacity() * sizeof(ProbationSlot) + main_.MemoryBytes();
+  for (const Shard& shard : shards_) {
+    bytes += sizeof(Shard) + shard.ghost.ApproxMetadataBytes();
   }
   if (store_) {
     bytes += store_->ApproxMetadataBytes();
@@ -151,145 +118,35 @@ size_t ConcurrentQdLpFifo::ApproxMetadataBytes() const {
   return bytes;
 }
 
-CacheStats ConcurrentQdLpFifo::Stats() const {
-  CacheStats stats = counters_.Snapshot();
-  for (size_t s = 0; s < domains_.num_shards(); ++s) {
-    std::lock_guard<std::mutex> lock(domains_.shard(s).mu);
-    const ShardState& state = shard_state_[s];
-    stats.probation_size += state.probation_count;
-    stats.main_size += state.main_count;
-    stats.ghost_size += state.ghost->live_size();
-  }
-  stats.size = stats.probation_size + stats.main_size;
-  return stats;
-}
-
-void ConcurrentQdLpFifo::TouchLocation(uint32_t value) {
-  if (value & kMainBit) {
-    std::atomic<uint8_t>& counter = main_[value & ~kMainBit].counter;
-    const uint8_t current = counter.load(std::memory_order_relaxed);
-    if (current < kMaxCounter) {
-      counter.store(current + 1, std::memory_order_relaxed);
-    }
-  } else {
-    // Racing with a quick demotion that recycles this probation slot, the
-    // bit can land on the slot's next occupant — one spurious promotion
-    // candidate, never a correctness issue.
-    probation_[value].accessed.store(1, std::memory_order_relaxed);
+void QdLpRegions::ClearCell(uint32_t cell) {
+  if (store_) {
+    store_->FreeChunk(store_->ClearCell(cell));
   }
 }
 
-bool ConcurrentQdLpFifo::Get(ObjectId id) {
-  // Hit path: one lock-free probe, then a single relaxed store (probation
-  // accessed bit) or relaxed saturating bump (main CLOCK counter). Global
-  // positions — the hit path never knows shards exist.
-  uint32_t value;
-  if (index_.Find(id, &value)) {
-    TouchLocation(value);
-    counters_.Add(ConcurrentStatsCounters::kHits);
-    return true;
-  }
-  // Miss path: batched BP-Wrapper admission against the id's home eviction
-  // domain, identical in shape to concurrent_clock. Counted where the
-  // outcome is known: the locked re-probe can find the object already
-  // admitted by another thread (or an earlier buffered copy of this miss),
-  // and that Get is a hit to its caller.
-  const size_t s = domains_.ShardOf(id);
-  EvictionDomain& domain = domains_.shard(s);
-  bool hit;
-  if (domain.mu.try_lock()) {
-    {
-      std::lock_guard<std::mutex> lock(domain.mu, std::adopt_lock);
-      counters_.Add(ConcurrentStatsCounters::kLockAcquisitions);
-      DrainShardLocked(s, /*helping=*/false);
-      hit = MissLocked(s, id);
-      counters_.Add(hit ? ConcurrentStatsCounters::kHits
-                        : ConcurrentStatsCounters::kMisses);
-    }
-    HelpDrainOthers(s);
-    return hit;
-  }
-  counters_.Add(ConcurrentStatsCounters::kLockFailures);
-  counters_.Add(ConcurrentStatsCounters::kMisses);
-  if (domain.buffers.TryPush(id)) {
-    domain.pending.fetch_add(1, std::memory_order_relaxed);
-    return false;
-  }
-  // Buffers full while the lock is held elsewhere (typically a preempted
-  // holder): drop the admission rather than convoy on the mutex. Admission
-  // is best-effort under overload; Get() never blocks.
-  counters_.Add(ConcurrentStatsCounters::kBufferDrops);
-  return false;
-}
-
-void ConcurrentQdLpFifo::DrainShardLocked(size_t s, bool helping) {
-  EvictionDomain& domain = domains_.shard(s);
-  domain.helper_drain = helping;
-  const size_t drained =
-      domain.buffers.Drain([&](uint64_t id) { MissLocked(s, id); });
-  domain.helper_drain = false;
-  domain.pending.store(0, std::memory_order_relaxed);
-  counters_.AddDrainBatch(drained);
-}
-
-void ConcurrentQdLpFifo::HelpDrainOthers(size_t miss_shard) {
-  const size_t shards = domains_.num_shards();
-  if (shards == 1) {
-    return;
-  }
-  const size_t start = ThreadOrdinal() & (shards - 1);
-  for (size_t i = 0; i < shards; ++i) {
-    const size_t t = (start + i) & (shards - 1);
-    if (t == miss_shard) {
-      continue;
-    }
-    EvictionDomain& domain = domains_.shard(t);
-    if (domain.pending.load(std::memory_order_relaxed) <
-        domains_.help_threshold()) {
-      continue;
-    }
-    if (!domain.mu.try_lock()) {
-      continue;
-    }
-    std::lock_guard<std::mutex> lock(domain.mu, std::adopt_lock);
-    counters_.Add(ConcurrentStatsCounters::kLockAcquisitions);
-    DrainShardLocked(t, /*helping=*/true);
-  }
-}
-
-bool ConcurrentQdLpFifo::MissLocked(size_t s, ObjectId id) {
-  if (index_.Contains(id)) {
-    return true;  // another thread (or an earlier buffered copy) admitted it
-  }
-  ShardState& state = shard_state_[s];
-  if (state.ghost->Consume(id)) {
+void QdLpRegions::AdmitLocked(size_t s, ObjectId id) {
+  if (shards_[s].ghost.Consume(id)) {
     // Quick-demoted once already: admit straight into the main cache.
-    counters_.Add(ConcurrentStatsCounters::kGhostHits);
+    core_.counters.Add(ConcurrentStatsCounters::kGhostHits);
     MainInsert(s, id, kNoCell);
-    resident_.fetch_add(1, std::memory_order_relaxed);
-    counters_.Add(ConcurrentStatsCounters::kInserts);
-    return false;
+  } else {
+    AdmitToProbation(s, id);
   }
-  AdmitToProbation(s, id);
-  resident_.fetch_add(1, std::memory_order_relaxed);
-  counters_.Add(ConcurrentStatsCounters::kInserts);
-  return false;
 }
 
-void ConcurrentQdLpFifo::AdmitToProbation(size_t s, ObjectId id) {
-  ShardState& state = shard_state_[s];
-  while (state.probation_count >= state.probation_capacity) {
+void QdLpRegions::AdmitToProbation(size_t s, ObjectId id) {
+  Shard& shard = shards_[s];
+  while (shard.probation_count >= shard.probation_capacity) {
     EvictFromProbation(s);
   }
-  const size_t pos =
-      state.probation_base +
-      (state.probation_head + state.probation_count) %
-          state.probation_capacity;
+  const size_t pos = shard.probation_base +
+                     (shard.probation_head + shard.probation_count) %
+                         shard.probation_capacity;
   ProbationSlot& slot = probation_[pos];
   slot.id = id;
   slot.accessed.store(0, std::memory_order_relaxed);
-  ++state.probation_count;
-  index_.Insert(id, static_cast<uint32_t>(pos));
+  ++shard.probation_count;
+  core_.index.Insert(id, static_cast<uint32_t>(pos));
   if (store_) {
     // Stamp cell ownership (no bytes yet): a GetValue between this
     // metadata-only admission and the first SetValue reads a clean
@@ -299,62 +156,44 @@ void ConcurrentQdLpFifo::AdmitToProbation(size_t s, ObjectId id) {
   }
 }
 
-void ConcurrentQdLpFifo::EvictFromProbation(size_t s) {
-  ShardState& state = shard_state_[s];
-  QDLP_DCHECK(state.probation_count > 0);
+void QdLpRegions::EvictFromProbation(size_t s) {
+  Shard& shard = shards_[s];
+  QDLP_DCHECK(shard.probation_count > 0);
   const uint32_t pos =
-      static_cast<uint32_t>(state.probation_base + state.probation_head);
+      static_cast<uint32_t>(shard.probation_base + shard.probation_head);
   ProbationSlot& slot = probation_[pos];
-  state.probation_head =
-      (state.probation_head + 1) % state.probation_capacity;
-  --state.probation_count;
+  shard.probation_head = (shard.probation_head + 1) % shard.probation_capacity;
+  --shard.probation_count;
   const ObjectId victim = slot.id;
-  const bool accessed =
-      slot.accessed.load(std::memory_order_relaxed) != 0;
+  const bool accessed = slot.accessed.load(std::memory_order_relaxed) != 0;
   // Erase before the slot can be recycled: readers stop finding the victim
   // first (a racing reader at worst sets the next occupant's accessed bit).
-  index_.Erase(victim);
+  core_.index.Erase(victim);
   if (accessed) {
     // Lazy promotion: re-accessed while on probation -> main cache. The
     // value cell moves with the metadata.
-    counters_.Add(ConcurrentStatsCounters::kPromotions);
+    core_.counters.Add(ConcurrentStatsCounters::kPromotions);
     MainInsert(s, victim, store_ ? pos : kNoCell);
-  } else {
-    // Quick demotion: one lap through the small FIFO was its only chance.
-    if (store_) {
-      store_->FreeChunk(store_->ClearCell(pos));
-    }
-    state.ghost->Insert(victim);
-    resident_.fetch_sub(1, std::memory_order_relaxed);
-    counters_.Add(ConcurrentStatsCounters::kDemotions);
-    counters_.Add(ConcurrentStatsCounters::kEvictions);
-    if (domains_.shard(s).helper_drain) {
-      counters_.Add(ConcurrentStatsCounters::kCrossShardDemotions);
-    }
+    return;
   }
+  // Quick demotion: one lap through the small FIFO was its only chance.
+  ClearCell(pos);
+  shard.ghost.Insert(victim);
+  core_.counters.Add(ConcurrentStatsCounters::kDemotions);
+  core_.CountEviction(s);
 }
 
-void ConcurrentQdLpFifo::MainInsert(size_t s, ObjectId id,
-                                    uint32_t from_cell) {
-  ShardState& state = shard_state_[s];
-  size_t slot_index;
-  if (state.main_used < state.main_capacity) {
-    slot_index = state.main_base + state.main_used++;
-  } else {
-    slot_index = MainEvictOneLocked(s);
+void QdLpRegions::MainInsert(size_t s, ObjectId id, uint32_t from_cell) {
+  if (main_.full(s)) {
+    EvictMain(s);
   }
-  MainSlot& slot = main_[slot_index];
-  slot.id = id;
-  slot.counter.store(0, std::memory_order_relaxed);
-  slot.occupied = true;
-  ++state.main_count;
-  index_.Insert(id, kMainBit | static_cast<uint32_t>(slot_index));
+  const uint32_t slot = main_.Take(s, id);
+  core_.index.Insert(id, kMainBit | slot);
   if (store_) {
-    // The eviction above already cleared the destination cell, so a
-    // promotion moves the value with the metadata; a fresh admission
-    // (ghost resurrection) stamps ownership with no bytes.
-    const uint32_t cell =
-        static_cast<uint32_t>(probation_capacity_ + slot_index);
+    // Every vacant main slot's cell is empty (eviction and removal clear
+    // it), so a promotion moves the value with the metadata; a fresh
+    // admission (ghost resurrection) stamps ownership with no bytes.
+    const uint32_t cell = CellOf(kMainBit | slot);
     if (from_cell != kNoCell) {
       store_->MoveCell(from_cell, cell);
     } else {
@@ -363,170 +202,107 @@ void ConcurrentQdLpFifo::MainInsert(size_t s, ObjectId id,
   }
 }
 
-size_t ConcurrentQdLpFifo::MainEvictOneLocked(size_t s) {
-  ShardState& state = shard_state_[s];
-  while (true) {
-    MainSlot& slot = main_[state.main_base + state.main_hand];
-    const size_t current = state.main_base + state.main_hand;
-    state.main_hand = (state.main_hand + 1) % state.main_capacity;
-    if (!slot.occupied) {
-      return current;
-    }
-    const uint8_t counter = slot.counter.load(std::memory_order_relaxed);
-    if (counter > 0) {
-      slot.counter.store(counter - 1, std::memory_order_relaxed);
-      continue;
-    }
-    // Main evictions are final: no ghost record (only quick demotions from
-    // probation feed the ghost), matching the sequential QdCache.
-    index_.Erase(slot.id);
-    if (store_) {
-      store_->FreeChunk(store_->ClearCell(
-          static_cast<uint32_t>(probation_capacity_ + current)));
-    }
-    slot.occupied = false;
-    --state.main_count;
-    resident_.fetch_sub(1, std::memory_order_relaxed);
-    counters_.Add(ConcurrentStatsCounters::kEvictions);
-    if (domains_.shard(s).helper_drain) {
-      counters_.Add(ConcurrentStatsCounters::kCrossShardDemotions);
-    }
-    return current;
-  }
+void QdLpRegions::EvictMain(size_t s) {
+  // Main CLOCK laps are internal, as in the sequential QdCache: not
+  // counted as promotions.
+  const uint32_t slot = main_.NextVictim(s, [] {});
+  core_.index.Erase(main_.id(slot));
+  ClearCell(CellOf(kMainBit | slot));
+  main_.Free(s, slot);
+  core_.CountEviction(s);
 }
 
-void ConcurrentQdLpFifo::EvictOneForSpace(size_t s) {
-  ShardState& state = shard_state_[s];
-  if (state.probation_count > 0) {
+bool QdLpRegions::EvictForSpaceLocked(size_t s) {
+  if (shards_[s].probation_count > 0) {
     // Quick demotion frees the victim's chunk directly; a lazy promotion
     // frees nothing itself but can cascade into a main eviction, and
     // probation strictly shrinks, so repeated calls make progress.
     EvictFromProbation(s);
-    return;
-  }
-  // MainEvictOneLocked can return an unoccupied slot (no eviction) or
-  // spend a pass decrementing CLOCK counters; loop until the occupancy
-  // actually drops. Terminates: counters and occupancy only decrease.
-  const size_t before = state.main_count;
-  while (state.main_count == before && state.main_count > 0) {
-    MainEvictOneLocked(s);
-  }
-}
-
-bool ConcurrentQdLpFifo::Admit(ObjectId id) {
-  // The hit path is Get()'s, lock-free. A miss takes the home-domain lock
-  // blocking (like Remove) rather than best-effort buffering, so the id is
-  // resident on return; uncontended this is byte-identical to Get().
-  uint32_t value;
-  if (index_.Find(id, &value)) {
-    TouchLocation(value);
-    counters_.Add(ConcurrentStatsCounters::kHits);
     return true;
   }
-  const size_t s = domains_.ShardOf(id);
-  EvictionDomain& domain = domains_.shard(s);
-  std::lock_guard<std::mutex> lock(domain.mu);
-  counters_.Add(ConcurrentStatsCounters::kLockAcquisitions);
-  DrainShardLocked(s, /*helping=*/false);
-  const bool hit = MissLocked(s, id);
-  counters_.Add(hit ? ConcurrentStatsCounters::kHits
-                    : ConcurrentStatsCounters::kMisses);
-  return hit;
-}
-
-bool ConcurrentQdLpFifo::Remove(ObjectId id) {
-  // Blocking lock, unlike the miss path's try_lock: removal is rare
-  // (invalidation, TTL reap, a DELETE request) and must not be best-effort.
-  // Safe to block — lock holders never wait on other locks.
-  const size_t s = domains_.ShardOf(id);
-  EvictionDomain& domain = domains_.shard(s);
-  std::lock_guard<std::mutex> lock(domain.mu);
-  counters_.Add(ConcurrentStatsCounters::kLockAcquisitions);
-  // Settle buffered misses first so a just-buffered admission of this very
-  // id cannot resurrect it right after we return.
-  DrainShardLocked(s, /*helping=*/false);
-  uint32_t value;
-  if (!index_.Find(id, &value)) {
+  if (main_.count(s) == 0) {
     return false;
   }
-  ShardState& state = shard_state_[s];
-  index_.Erase(id);
-  if (value & kMainBit) {
-    const size_t slot_index = value & ~kMainBit;
-    main_[slot_index].occupied = false;
-    --state.main_count;
-    if (store_) {
-      store_->FreeChunk(store_->ClearCell(CellOf(value)));
-    }
-  } else {
-    // Probation is a dense circular FIFO, so removal compacts from the
-    // head side: every entry between the head and the hole shifts one
-    // position toward the tail (preserving FIFO order), then the head
-    // advances over the vacated slot. At most one probation share of
-    // moves, each a slot copy + index update (+ cell move).
-    if (store_) {
-      store_->FreeChunk(store_->ClearCell(value));
-    }
-    const size_t local = value - state.probation_base;
-    const size_t dist =
-        (local + state.probation_capacity - state.probation_head) %
-        state.probation_capacity;
-    for (size_t i = dist; i > 0; --i) {
-      const size_t to =
-          state.probation_base +
-          (state.probation_head + i) % state.probation_capacity;
-      const size_t from =
-          state.probation_base +
-          (state.probation_head + i - 1) % state.probation_capacity;
-      probation_[to].id = probation_[from].id;
-      // A concurrent hit racing this move can drop its accessed bit or
-      // land it on the vacated slot — a lost reference bit, benign.
-      probation_[to].accessed.store(
-          probation_[from].accessed.load(std::memory_order_relaxed),
-          std::memory_order_relaxed);
-      index_.Update(probation_[to].id, static_cast<uint32_t>(to));
-      if (store_) {
-        store_->MoveCell(static_cast<uint32_t>(from),
-                         static_cast<uint32_t>(to));
-      }
-    }
-    state.probation_head =
-        (state.probation_head + 1) % state.probation_capacity;
-    --state.probation_count;
-  }
-  resident_.fetch_sub(1, std::memory_order_relaxed);
-  // Removal counts as an eviction (the object left cache space); no ghost
-  // trace — it was invalidated, it did not age out.
-  counters_.Add(ConcurrentStatsCounters::kEvictions);
+  // The freed slot goes on the main free list, so the next admission
+  // reuses it instead of evicting another object.
+  EvictMain(s);
   return true;
 }
 
+void QdLpRegions::UnlinkLocked(size_t s, uint32_t value) {
+  ClearCell(CellOf(value));
+  if (value & kMainBit) {
+    main_.Free(s, value & ~kMainBit);
+    return;
+  }
+  // Probation is a dense circular FIFO, so removal compacts from the head
+  // side: every entry between the head and the hole shifts one position
+  // toward the tail (preserving FIFO order), then the head advances over
+  // the vacated slot. At most one probation share of moves, each a slot
+  // copy + index update (+ cell move).
+  Shard& shard = shards_[s];
+  const size_t local = value - shard.probation_base;
+  const size_t dist =
+      (local + shard.probation_capacity - shard.probation_head) %
+      shard.probation_capacity;
+  for (size_t i = dist; i > 0; --i) {
+    const size_t to = shard.probation_base +
+                      (shard.probation_head + i) % shard.probation_capacity;
+    const size_t from =
+        shard.probation_base +
+        (shard.probation_head + i - 1) % shard.probation_capacity;
+    probation_[to].id = probation_[from].id;
+    // A concurrent hit racing this move can drop its accessed bit or
+    // land it on the vacated slot — a lost reference bit, benign.
+    probation_[to].accessed.store(
+        probation_[from].accessed.load(std::memory_order_relaxed),
+        std::memory_order_relaxed);
+    core_.index.Update(probation_[to].id, static_cast<uint32_t>(to));
+    if (store_) {
+      store_->MoveCell(static_cast<uint32_t>(from), static_cast<uint32_t>(to));
+    }
+  }
+  shard.probation_head = (shard.probation_head + 1) % shard.probation_capacity;
+  --shard.probation_count;
+}
+
+template class DomainCache<QdLpRegions>;
+
+ConcurrentQdLpFifo::ConcurrentQdLpFifo(size_t capacity, size_t num_stripes,
+                                       size_t num_shards,
+                                       QdlpValueOptions value_options)
+    // Every shard needs a probation slot and a main slot, so shares must
+    // be at least 2; EvictionDomains halves the shard count until so.
+    : DomainCache(capacity, num_stripes, num_shards,
+                  /*min_capacity_per_shard=*/2, value_options) {}
+
 bool ConcurrentQdLpFifo::GetValue(ObjectId id, uint64_t now_s,
                                   std::string* value) {
-  QDLP_CHECK(store_ != nullptr);
+  SlabStore* store = regions_.store();
+  QDLP_CHECK(store != nullptr);
   // Bounded re-probe loop: kStale means the object moved (promotion,
   // compaction) or was replaced between the index probe and the cell read.
   // Every resident id's cell is ownership-stamped at admission, so
   // staleness is transient; the cap is belt and braces.
   for (int attempt = 0; attempt < 8; ++attempt) {
     uint32_t pos;
-    if (!index_.Find(id, &pos)) {
+    if (!core_.index.Find(id, &pos)) {
       break;
     }
-    switch (store_->Read(CellOf(pos), id, now_s, value)) {
+    switch (store->Read(regions_.CellOf(pos), id, now_s, value)) {
       case SlabStore::ReadResult::kHit:
-        TouchLocation(pos);
-        counters_.Add(ConcurrentStatsCounters::kHits);
+        regions_.Touch(pos);
+        CountAccess(/*hit=*/true);
         return true;
       case SlabStore::ReadResult::kNoValue:
         // Metadata-resident but no bytes committed yet (admitted via the
         // metadata-only Get() path): a serving miss.
-        counters_.Add(ConcurrentStatsCounters::kMisses);
+        CountAccess(/*hit=*/false);
         return false;
       case SlabStore::ReadResult::kExpired:
         // Lazy TTL: first touch past expiry reaps the object.
         Remove(id);
-        counters_.Add(ConcurrentStatsCounters::kMisses);
+        CountAccess(/*hit=*/false);
         return false;
       case SlabStore::ReadResult::kStale:
         continue;
@@ -534,44 +310,39 @@ bool ConcurrentQdLpFifo::GetValue(ObjectId id, uint64_t now_s,
   }
   // A GET carries no bytes to store, so a miss never admits and never
   // touches the ghost — the client's SET does the admission.
-  counters_.Add(ConcurrentStatsCounters::kMisses);
+  CountAccess(/*hit=*/false);
   return false;
 }
 
 ConcurrentQdLpFifo::SetResult ConcurrentQdLpFifo::SetValue(
     ObjectId id, std::string_view value, uint64_t expiry_s) {
-  QDLP_CHECK(store_ != nullptr);
-  if (value.size() > store_->max_value_len()) {
+  SlabStore* store = regions_.store();
+  QDLP_CHECK(store != nullptr);
+  if (value.size() > store->max_value_len()) {
     return SetResult::kTooLarge;
   }
-  const size_t s = domains_.ShardOf(id);
-  EvictionDomain& domain = domains_.shard(s);
-  std::lock_guard<std::mutex> lock(domain.mu);
-  counters_.Add(ConcurrentStatsCounters::kLockAcquisitions);
-  DrainShardLocked(s, /*helping=*/false);
-  ShardState& state = shard_state_[s];
+  const size_t s = ShardOf(id);
+  const std::unique_lock<std::mutex> lock = LockShard(s);
   // Allocate before touching residency: arena-pressure evictions free
   // other objects' chunks, never this uncommitted one — but they may evict
   // this very id's metadata, so residency is (re)established after.
   SlabStore::ChunkRef chunk;
-  while ((chunk = store_->Allocate(s, value.size())) ==
-         SlabStore::kNullChunk) {
-    if (state.probation_count + state.main_count == 0) {
+  while ((chunk = store->Allocate(s, value.size())) == SlabStore::kNullChunk) {
+    if (!regions_.EvictForSpaceLocked(s)) {
       return SetResult::kNoSpace;  // arena can't hold it even when empty
     }
-    EvictOneForSpace(s);
   }
   uint32_t pos;
-  if (!index_.Find(id, &pos)) {
+  if (!core_.index.Find(id, &pos)) {
     // Admission follows the normal miss rules (ghost resurrection included)
     // and counts as an insert — never as a serving miss: the GET that
     // preceded this SET already counted it.
     MissLocked(s, id);
-    const bool resident = index_.Find(id, &pos);
+    const bool resident = core_.index.Find(id, &pos);
     QDLP_CHECK(resident);
   }
-  store_->WriteChunk(chunk, value.data(), value.size());
-  store_->FreeChunk(store_->Commit(CellOf(pos), id, chunk, expiry_s));
+  store->WriteChunk(chunk, value.data(), value.size());
+  store->FreeChunk(store->Commit(regions_.CellOf(pos), id, chunk, expiry_s));
   return SetResult::kOk;
 }
 

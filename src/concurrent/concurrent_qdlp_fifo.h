@@ -7,9 +7,11 @@
 //
 //   probation  — per shard, a small circular FIFO (10% of the shard's
 //                capacity share); a hit sets one per-entry accessed bit
-//   main       — per shard, a 2-bit CLOCK ring over the share's remainder
-//   ghost      — per shard, metadata-only memory of quick-demoted ids, as
-//                large as the shard's main region (sharded_ghost.h)
+//   main       — per shard, a region of the 2-bit CLOCK ring that
+//                ConcurrentClockCache also uses (clock_ring.h), over the
+//                share's remainder
+//   ghost      — per shard, a GhostQueue: metadata-only memory of
+//                quick-demoted ids, as large as the shard's main region
 //
 // One striped atomic index (striped_index.h) maps id -> tagged GLOBAL
 // location (probation position or main slot); a hit is one lock-free
@@ -17,9 +19,9 @@
 // (the CLOCK counter) — lazy promotion's "at most one metadata update, no
 // locking" made literal, and entirely shard-oblivious. Misses — admission,
 // quick demotion, ghost resurrection, CLOCK eviction — serialize behind
-// the id's home-domain mutex with BP-Wrapper-style MPSC buffering exactly
-// as in concurrent_clock.h, so misses to different domains admit and
-// evict fully in parallel.
+// the id's home-domain mutex with BP-Wrapper-style MPSC buffering, exactly
+// the DomainCache protocol the other lock-free caches share, so misses to
+// different domains admit and evict fully in parallel.
 //
 // Driven from a single thread with num_shards == 1 (the default) this
 // class is request-for-request identical to MakePolicy("qd-lp-fifo") —
@@ -33,16 +35,13 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <string_view>
 #include <vector>
 
-#include "src/concurrent/concurrent_cache.h"
+#include "src/concurrent/clock_ring.h"
 #include "src/concurrent/eviction_domains.h"
-#include "src/concurrent/sharded_ghost.h"
-#include "src/concurrent/striped_index.h"
-#include "src/obs/concurrent_counters.h"
+#include "src/core/ghost_queue.h"
 #include "src/store/slab_store.h"
 
 namespace qdlp {
@@ -57,7 +56,116 @@ struct QdlpValueOptions {
   size_t max_value_len = 4u << 20;
 };
 
-class ConcurrentQdLpFifo : public ConcurrentCache {
+// Probation FIFO, main CLOCK region and ghost per shard, plus the optional
+// value store whose cells ride the metadata locations. In Stats,
+// promotions counts probation->main lazy promotions and demotions
+// probation->ghost quick demotions (main CLOCK laps are internal, as in
+// the sequential QdCache).
+class QdLpRegions {
+ public:
+  // Index value tag: high bit = main region, low 31 bits = global slot.
+  static constexpr uint32_t kMainBit = 0x80000000u;
+
+  QdLpRegions(DomainCore& core, const QdlpValueOptions& value_options);
+
+  void Touch(uint32_t value) {
+    if (value & kMainBit) {
+      main_.Touch(value & ~kMainBit);
+    } else {
+      // Racing with a quick demotion that recycles this probation slot, the
+      // bit can land on the slot's next occupant — one spurious promotion
+      // candidate, never a correctness issue.
+      probation_[value].accessed.store(1, std::memory_order_relaxed);
+    }
+  }
+  void AdmitLocked(size_t s, ObjectId id);
+  // A probation removal compacts the ring from the head side (<= probation
+  // share moves); a main removal is O(1). Frees the value chunk.
+  void UnlinkLocked(size_t s, uint32_t value);
+  void FillOccupancy(size_t s, CacheStats* stats) const;
+  size_t CheckShardLocked(size_t s) const;
+  // With a value store: cell ownership and the arenas' own structure.
+  void CheckSharedLocked() const;
+  size_t MemoryBytes() const;
+
+  // Frees value-arena space by evicting one object from shard s (probation
+  // first); false if the shard holds nothing to evict.
+  bool EvictForSpaceLocked(size_t s);
+
+  // The value cell paired with an index value: probation positions map to
+  // themselves, main slot i to probation_capacity() + i — one cell per
+  // metadata location, [0, capacity).
+  uint32_t CellOf(uint32_t index_value) const {
+    return (index_value & kMainBit)
+               ? static_cast<uint32_t>(probation_.size()) +
+                     (index_value & ~kMainBit)
+               : index_value;
+  }
+
+  SlabStore* store() const { return store_.get(); }
+  size_t probation_capacity() const { return probation_.size(); }
+  size_t main_capacity() const { return main_capacity_; }
+
+ private:
+  static constexpr uint8_t kMaxCounter = 3;  // 2-bit CLOCK
+  // No prior value cell to move: the id is entering cache space fresh.
+  static constexpr uint32_t kNoCell = 0xFFFFFFFFu;
+
+  // Probation ring entry. Only `accessed` is touched by concurrent readers
+  // (the lock-free hit path); `id` is written solely under the owning
+  // shard's mutex.
+  struct ProbationSlot {
+    ObjectId id = 0;
+    std::atomic<uint8_t> accessed{0};
+  };
+
+  // Per-shard probation ring and ghost, guarded by the shard's mutex. The
+  // shard owns probation_[probation_base, probation_base +
+  // probation_capacity) and main region s; head is a local offset.
+  struct alignas(64) Shard {
+    Shard(size_t probation_base, size_t probation_capacity,
+          size_t ghost_capacity)
+        : probation_base(probation_base),
+          probation_capacity(probation_capacity),
+          ghost(ghost_capacity) {}
+
+    size_t probation_base;
+    size_t probation_capacity;
+    size_t probation_head = 0;  // oldest entry's local ring position
+    size_t probation_count = 0;
+    GhostQueue ghost;
+  };
+
+  // All of the below run under the shard's mutex.
+  // Pushes `id` into the shard's probation, quick-demoting / lazily
+  // promoting the oldest entries as needed to make room.
+  void AdmitToProbation(size_t s, ObjectId id);
+  // Evicts the shard's oldest probationary entry: accessed -> main (lazy
+  // promotion), untouched -> ghost (quick demotion).
+  void EvictFromProbation(size_t s);
+  // Inserts `id` into the shard's main CLOCK region, evicting if full.
+  // `from_cell` is the id's previous value cell (a lazy promotion moves
+  // the value with the metadata) or kNoCell for a fresh admission.
+  void MainInsert(size_t s, ObjectId id, uint32_t from_cell);
+  // Evicts the object under the main hand. Main evictions leave no ghost
+  // trace (only probation demotions do), matching the sequential QdCache.
+  void EvictMain(size_t s);
+  // Drops the value cell's chunk, if a store is attached.
+  void ClearCell(uint32_t cell);
+
+  DomainCore& core_;
+  std::vector<Shard> shards_;
+  std::vector<ProbationSlot> probation_;  // per-shard circular FIFOs
+  size_t main_capacity_ = 0;
+  ClockRing main_;  // region s is shard s's main CLOCK
+  // Value store (qdlpd): cells 1:1 with metadata locations, arenas 1:1
+  // with eviction domains. Null when metadata-only.
+  std::unique_ptr<SlabStore> store_;
+};
+
+extern template class DomainCache<QdLpRegions>;
+
+class ConcurrentQdLpFifo : public DomainCache<QdLpRegions> {
  public:
   enum class SetResult { kOk, kNoSpace, kTooLarge };
 
@@ -70,17 +178,6 @@ class ConcurrentQdLpFifo : public ConcurrentCache {
   explicit ConcurrentQdLpFifo(size_t capacity, size_t num_stripes = 16,
                               size_t num_shards = 1,
                               QdlpValueOptions value_options = {});
-
-  bool Get(ObjectId id) override;
-  // Like Get(), but a miss blocks on the home-domain mutex instead of
-  // deferring to the insert buffers: admission is guaranteed on return.
-  bool Admit(ObjectId id) override;
-  // Unlinks `id` under its home-domain mutex (blocking — removal is a
-  // control operation, not a hot-path Get), freeing its value chunk when a
-  // store is attached. A probation removal compacts the ring from the head
-  // side (<= probation share moves); a main removal is O(1). Counts as an
-  // eviction; leaves no ghost trace.
-  bool Remove(ObjectId id) override;
 
   // ---- Value path (requires QdlpValueOptions::arena_bytes > 0). ----
   //
@@ -99,128 +196,13 @@ class ConcurrentQdLpFifo : public ConcurrentCache {
   SetResult SetValue(ObjectId id, std::string_view value, uint64_t expiry_s);
 
   // The attached value store, or nullptr when metadata-only.
-  SlabStore* value_store() { return store_.get(); }
+  SlabStore* value_store() { return regions_.store(); }
 
-  size_t capacity() const override { return capacity_; }
   std::string_view name() const override { return "concurrent-qdlp-fifo"; }
 
-  // Resident object count (approximate under concurrency).
-  size_t size() const { return resident_.load(std::memory_order_relaxed); }
-
-  // Flow counters from striped thread-exclusive cells; per-region occupancy
-  // (probation/main/ghost) summed under the shard mutexes. promotions
-  // counts probation->main lazy promotions and demotions probation->ghost
-  // quick demotions (main CLOCK laps are internal, as in the sequential
-  // QdCache).
-  CacheStats Stats() const override;
-
   // Aggregate region capacities (sums over shards).
-  size_t probation_capacity() const { return probation_capacity_; }
-  size_t main_capacity() const { return main_capacity_; }
-
-  size_t num_shards() const { return domains_.num_shards(); }
-  size_t ShardOf(ObjectId id) const { return domains_.ShardOf(id); }
-  // The shard's total capacity share (probation + main regions).
-  size_t shard_capacity(size_t s) const { return domains_.shard(s).capacity; }
-
-  // Region accounting, index/region agreement, probation/main/ghost
-  // disjointness, under all shard mutexes (buffered misses drained first).
-  void CheckInvariants() override;
-
-  size_t ApproxMetadataBytes() const override;
-
- private:
-  static constexpr uint8_t kMaxCounter = 3;  // 2-bit CLOCK
-  // Index value tag: high bit = main region, low 31 bits = global slot.
-  static constexpr uint32_t kMainBit = 0x80000000u;
-
-  // Probation ring entry. Only `accessed` is touched by concurrent readers
-  // (the lock-free hit path); `id` is written solely under the owning
-  // shard's mutex.
-  struct ProbationSlot {
-    ObjectId id = 0;
-    std::atomic<uint8_t> accessed{0};
-  };
-
-  // Main CLOCK ring slot, identical to concurrent_clock.h's.
-  struct MainSlot {
-    ObjectId id = 0;
-    std::atomic<uint8_t> counter{0};
-    bool occupied = false;
-  };
-
-  // Per-shard region state, guarded by the shard's mutex. The shard owns
-  // probation_[probation_base, probation_base + probation_capacity) and
-  // main_[main_base, main_base + main_capacity); head/hand/used are local
-  // offsets within those regions.
-  struct alignas(64) ShardState {
-    size_t probation_base = 0;
-    size_t probation_capacity = 0;
-    size_t probation_head = 0;   // oldest entry's local ring position
-    size_t probation_count = 0;
-    size_t main_base = 0;
-    size_t main_capacity = 0;
-    size_t main_used = 0;        // bump allocator over the main region
-    size_t main_hand = 0;
-    size_t main_count = 0;       // occupied main slots
-    std::unique_ptr<ShardedGhost> ghost;
-  };
-
-  // No prior value cell to move: the id is entering cache space fresh.
-  static constexpr uint32_t kNoCell = 0xFFFFFFFFu;
-
-  // The value cell paired with an index value: probation positions map to
-  // themselves, main slot i to probation_capacity_ + i — one cell per
-  // metadata location, [0, capacity).
-  uint32_t CellOf(uint32_t index_value) const {
-    return (index_value & kMainBit)
-               ? static_cast<uint32_t>(probation_capacity_) +
-                     (index_value & ~kMainBit)
-               : index_value;
-  }
-
-  // The lock-free lazy-promotion touch shared by Get() and GetValue():
-  // probation accessed bit or main CLOCK counter bump.
-  void TouchLocation(uint32_t index_value);
-
-  // All of the below run under the shard's mutex.
-  // Admits `id` unless already resident; returns true on (raced) hit.
-  bool MissLocked(size_t s, ObjectId id);
-  void DrainShardLocked(size_t s, bool helping);
-  // Pushes `id` into the shard's probation, quick-demoting / lazily
-  // promoting the oldest entries as needed to make room.
-  void AdmitToProbation(size_t s, ObjectId id);
-  // Evicts the shard's oldest probationary entry: accessed -> main (lazy
-  // promotion), untouched -> ghost (quick demotion).
-  void EvictFromProbation(size_t s);
-  // Inserts `id` into the shard's main CLOCK ring, evicting if full. Main
-  // evictions leave no ghost trace (only probation demotions do).
-  // `from_cell` is the id's previous value cell (a lazy promotion moves
-  // the value with the metadata) or kNoCell for a fresh admission.
-  void MainInsert(size_t s, ObjectId id, uint32_t from_cell);
-  size_t MainEvictOneLocked(size_t s);
-  // Frees value-arena space by evicting one object from the shard
-  // (probation first). Guaranteed progress while the shard is non-empty.
-  void EvictOneForSpace(size_t s);
-
-  void HelpDrainOthers(size_t miss_shard);
-
-  const size_t capacity_;
-  size_t probation_capacity_ = 0;  // sum over shards
-  size_t main_capacity_ = 0;       // sum over shards
-  size_t ghost_capacity_ = 0;      // sum over shards
-
-  StripedAtomicIndex index_;  // id -> kMainBit-tagged global slot
-  std::vector<ProbationSlot> probation_;  // per-shard circular FIFOs
-  std::vector<MainSlot> main_;            // per-shard CLOCK rings
-
-  alignas(64) std::atomic<size_t> resident_{0};
-  EvictionDomains domains_;
-  std::vector<ShardState> shard_state_;
-  ConcurrentStatsCounters counters_;
-  // Value store (qdlpd): cells 1:1 with metadata locations, arenas 1:1
-  // with eviction domains. Null when metadata-only.
-  std::unique_ptr<SlabStore> store_;
+  size_t probation_capacity() const { return regions_.probation_capacity(); }
+  size_t main_capacity() const { return regions_.main_capacity(); }
 };
 
 }  // namespace qdlp

@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "src/util/check.h"
-#include "src/util/thread_ordinal.h"
 
 namespace qdlp {
 
@@ -27,115 +26,73 @@ size_t GhostCapacityFor(size_t share, double ghost_factor) {
 
 }  // namespace
 
-ConcurrentS3FifoCache::ConcurrentS3FifoCache(size_t capacity,
-                                             double small_fraction,
-                                             double ghost_factor,
-                                             size_t num_stripes,
-                                             size_t num_shards)
-    : capacity_(capacity),
-      // Stripes >= shards: each eviction domain owns a disjoint stripe set
-      // (see eviction_domains.h).
-      index_(capacity, std::max(num_stripes, num_shards)),
-      slab_(capacity),
-      domains_(capacity, num_shards, /*min_capacity_per_shard=*/1),
-      shard_state_(domains_.num_shards()) {
-  QDLP_CHECK(capacity >= 1);
-  QDLP_CHECK(capacity <= 0x7FFFFFFFu);  // index values are 32-bit slab slots
+S3FifoRegions::S3FifoRegions(DomainCore& core, double small_fraction,
+                             double ghost_factor)
+    : core_(core), slab_(core.domains.capacity()) {
   QDLP_CHECK(small_fraction > 0.0 && small_fraction < 1.0);
-  QDLP_CHECK(num_stripes >= 1);
-  QDLP_CHECK(index_.num_stripes() >= domains_.num_shards());
-  for (size_t s = 0; s < domains_.num_shards(); ++s) {
-    const size_t share = domains_.shard(s).capacity;
-    ShardState& state = shard_state_[s];
-    state.small_capacity = SmallCapacityFor(share, small_fraction);
-    state.ghost = std::make_unique<ShardedGhost>(
-        GhostCapacityFor(share, ghost_factor));
+  shards_.reserve(core.domains.num_shards());
+  for (size_t s = 0; s < core.domains.num_shards(); ++s) {
+    const size_t share = core.domains.shard(s).capacity;
+    shards_.emplace_back(SmallCapacityFor(share, small_fraction),
+                         GhostCapacityFor(share, ghost_factor));
   }
 }
 
-void ConcurrentS3FifoCache::CheckInvariants() {
-  // Settle buffered misses, then hold every shard lock for the global
-  // checks. Blocking is safe: the miss path only ever try-locks.
-  for (size_t s = 0; s < domains_.num_shards(); ++s) {
-    domains_.shard(s).mu.lock();
-    DrainShardLocked(s, /*helping=*/false);
-  }
-  size_t total_resident = 0;
-  for (size_t s = 0; s < domains_.num_shards(); ++s) {
-    const EvictionDomain& domain = domains_.shard(s);
-    const ShardState& state = shard_state_[s];
-    QDLP_CHECK(state.resident <= domain.capacity);
-    QDLP_CHECK(state.small_fifo.count + state.main_fifo.count ==
-               state.resident);
-    QDLP_CHECK(state.slab_used <= domain.capacity);
-    // Walk both FIFOs: link structure must be consistent with the counts,
-    // tags, region bounds, and the index.
-    size_t walked = 0;
-    for (const Fifo* fifo : {&state.small_fifo, &state.main_fifo}) {
-      const Where expect =
-          fifo == &state.small_fifo ? Where::kSmall : Where::kMain;
-      size_t count = 0;
-      uint32_t slot = fifo->head;
-      uint32_t last = kNil;
-      while (slot != kNil) {
-        QDLP_CHECK(slot >= domain.base);
-        QDLP_CHECK(slot < domain.base + state.slab_used);
-        const Node& node = slab_[slot];
-        QDLP_CHECK(node.where == expect);
-        QDLP_CHECK(node.freq.load(std::memory_order_relaxed) <= kMaxFreq);
-        QDLP_CHECK(domains_.ShardOf(node.id) == s);
-        uint32_t indexed_slot;
-        QDLP_CHECK(index_.Find(node.id, &indexed_slot));
-        QDLP_CHECK(indexed_slot == slot);
-        last = slot;
-        slot = node.next;
-        ++count;
-        QDLP_CHECK(count <= state.resident);  // cycle guard
-      }
-      QDLP_CHECK(last == fifo->tail);
-      QDLP_CHECK(count == fifo->count);
-      walked += count;
+void S3FifoRegions::FillOccupancy(size_t s, CacheStats* stats) const {
+  const Shard& shard = shards_[s];
+  stats->probation_size += shard.small_fifo.count;
+  stats->main_size += shard.main_fifo.count;
+  stats->ghost_size += shard.ghost.size();
+}
+
+size_t S3FifoRegions::CheckShardLocked(size_t s) const {
+  const EvictionDomain& domain = core_.domains.shard(s);
+  const Shard& shard = shards_[s];
+  const size_t resident = shard.small_fifo.count + shard.main_fifo.count;
+  QDLP_CHECK(resident <= domain.capacity);
+  QDLP_CHECK(shard.slab_used <= domain.capacity);
+  // Walk both FIFOs: link structure must be consistent with the counts,
+  // tags, region bounds, and the index.
+  for (const Fifo* fifo : {&shard.small_fifo, &shard.main_fifo}) {
+    const Where expect =
+        fifo == &shard.small_fifo ? Where::kSmall : Where::kMain;
+    size_t count = 0;
+    uint32_t slot = fifo->head;
+    uint32_t last = kNil;
+    while (slot != kNil) {
+      QDLP_CHECK(slot >= domain.base);
+      QDLP_CHECK(slot < domain.base + shard.slab_used);
+      const Node& node = slab_[slot];
+      QDLP_CHECK(node.where == expect);
+      QDLP_CHECK(node.freq.load(std::memory_order_relaxed) <= kMaxFreq);
+      QDLP_CHECK(core_.domains.ShardOf(node.id) == s);
+      uint32_t indexed_slot;
+      QDLP_CHECK(core_.index.Find(node.id, &indexed_slot));
+      QDLP_CHECK(indexed_slot == slot);
+      last = slot;
+      slot = node.next;
+      ++count;
+      QDLP_CHECK(count <= resident);  // cycle guard
     }
-    QDLP_CHECK(walked == state.resident);
-    // Ghost entries are evicted history; none may still be resident.
-    state.ghost->ForEachLive(
-        [&](ObjectId id) { QDLP_CHECK(!index_.Contains(id)); });
-    QDLP_CHECK(state.ghost->live_size() <= state.ghost->capacity());
-    state.ghost->CheckInvariants();
-    total_resident += state.resident;
+    QDLP_CHECK(last == fifo->tail);
+    QDLP_CHECK(count == fifo->count);
   }
-  QDLP_CHECK(total_resident ==
-             resident_.load(std::memory_order_relaxed));
-  QDLP_CHECK(index_.size() == total_resident);
-  index_.CheckInvariants();
-  for (size_t s = domains_.num_shards(); s-- > 0;) {
-    domains_.shard(s).mu.unlock();
-  }
+  // Ghost entries are evicted history; none may still be resident.
+  shard.ghost.ForEachLive(
+      [&](ObjectId id) { QDLP_CHECK(!core_.index.Contains(id)); });
+  shard.ghost.CheckInvariants();
+  return resident;
 }
 
-size_t ConcurrentS3FifoCache::ApproxMetadataBytes() const {
-  size_t bytes = index_.MemoryBytes() + slab_.capacity() * sizeof(Node) +
-                 domains_.MemoryBytes() + counters_.MemoryBytes();
-  for (const ShardState& state : shard_state_) {
-    bytes += state.ghost->ApproxMetadataBytes();
+size_t S3FifoRegions::MemoryBytes() const {
+  size_t bytes = slab_.capacity() * sizeof(Node);
+  for (const Shard& shard : shards_) {
+    bytes += sizeof(Shard) + shard.ghost.ApproxMetadataBytes();
   }
   return bytes;
 }
 
-CacheStats ConcurrentS3FifoCache::Stats() const {
-  CacheStats stats = counters_.Snapshot();
-  for (size_t s = 0; s < domains_.num_shards(); ++s) {
-    std::lock_guard<std::mutex> lock(domains_.shard(s).mu);
-    const ShardState& state = shard_state_[s];
-    stats.probation_size += state.small_fifo.count;
-    stats.main_size += state.main_fifo.count;
-    stats.ghost_size += state.ghost->live_size();
-  }
-  stats.size = stats.probation_size + stats.main_size;
-  return stats;
-}
-
-void ConcurrentS3FifoCache::PushBack(Fifo& fifo, uint32_t slot) {
+void S3FifoRegions::PushBack(Fifo& fifo, uint32_t slot) {
   slab_[slot].next = kNil;
   if (fifo.tail == kNil) {
     fifo.head = slot;
@@ -146,7 +103,7 @@ void ConcurrentS3FifoCache::PushBack(Fifo& fifo, uint32_t slot) {
   ++fifo.count;
 }
 
-uint32_t ConcurrentS3FifoCache::PopFront(Fifo& fifo) {
+uint32_t S3FifoRegions::PopFront(Fifo& fifo) {
   QDLP_DCHECK(fifo.head != kNil);
   const uint32_t slot = fifo.head;
   fifo.head = slab_[slot].next;
@@ -157,7 +114,7 @@ uint32_t ConcurrentS3FifoCache::PopFront(Fifo& fifo) {
   return slot;
 }
 
-void ConcurrentS3FifoCache::Unlink(Fifo& fifo, uint32_t slot) {
+void S3FifoRegions::Unlink(Fifo& fifo, uint32_t slot) {
   uint32_t prev = kNil;
   uint32_t walk = fifo.head;
   while (walk != slot) {
@@ -176,139 +133,83 @@ void ConcurrentS3FifoCache::Unlink(Fifo& fifo, uint32_t slot) {
   --fifo.count;
 }
 
-bool ConcurrentS3FifoCache::Admit(ObjectId id) {
-  // The hit path is Get()'s, lock-free. A miss takes the home-domain lock
-  // blocking (like Remove) rather than best-effort buffering, so the id is
-  // resident on return; uncontended this is byte-identical to Get().
-  uint32_t slot;
-  if (index_.Find(id, &slot)) {
-    std::atomic<uint8_t>& freq = slab_[slot].freq;
-    const uint8_t current = freq.load(std::memory_order_relaxed);
-    if (current < kMaxFreq) {
-      freq.store(current + 1, std::memory_order_relaxed);
-    }
-    counters_.Add(ConcurrentStatsCounters::kHits);
-    return true;
-  }
-  const size_t s = domains_.ShardOf(id);
-  EvictionDomain& domain = domains_.shard(s);
-  std::lock_guard<std::mutex> lock(domain.mu);
-  counters_.Add(ConcurrentStatsCounters::kLockAcquisitions);
-  DrainShardLocked(s, /*helping=*/false);
-  const bool hit = MissLocked(s, id);
-  counters_.Add(hit ? ConcurrentStatsCounters::kHits
-                    : ConcurrentStatsCounters::kMisses);
-  return hit;
-}
-
-bool ConcurrentS3FifoCache::Remove(ObjectId id) {
-  // Blocking lock, unlike the miss path's try_lock: removal is rare and
-  // must not be best-effort. Lock holders never wait on other locks.
-  const size_t s = domains_.ShardOf(id);
-  EvictionDomain& domain = domains_.shard(s);
-  std::lock_guard<std::mutex> lock(domain.mu);
-  counters_.Add(ConcurrentStatsCounters::kLockAcquisitions);
-  // Settle buffered misses first so a just-buffered admission of this very
-  // id cannot resurrect it right after we return.
-  DrainShardLocked(s, /*helping=*/false);
-  uint32_t slot;
-  if (!index_.Find(id, &slot)) {
-    return false;
-  }
-  ShardState& state = shard_state_[s];
-  Node& node = slab_[slot];
-  Unlink(node.where == Where::kSmall ? state.small_fifo : state.main_fifo,
+void S3FifoRegions::UnlinkLocked(size_t s, uint32_t slot) {
+  Shard& shard = shards_[s];
+  Unlink(slab_[slot].where == Where::kSmall ? shard.small_fifo
+                                            : shard.main_fifo,
          slot);
-  // Erase before the slot can be recycled: readers stop finding the id
-  // first (same ordering argument as EvictSmall).
-  index_.Erase(id);
   FreeSlot(s, slot);
-  --state.resident;
-  resident_.fetch_sub(1, std::memory_order_relaxed);
-  counters_.Add(ConcurrentStatsCounters::kEvictions);
-  return true;
 }
 
-uint32_t ConcurrentS3FifoCache::AllocSlot(size_t s) {
-  ShardState& state = shard_state_[s];
-  if (state.free_head != kNil) {
-    const uint32_t slot = state.free_head;
-    state.free_head = slab_[slot].next;
+uint32_t S3FifoRegions::AllocSlot(size_t s) {
+  Shard& shard = shards_[s];
+  if (shard.free_head != kNil) {
+    const uint32_t slot = shard.free_head;
+    shard.free_head = slab_[slot].next;
     return slot;
   }
-  const EvictionDomain& domain = domains_.shard(s);
-  QDLP_DCHECK(state.slab_used < domain.capacity);
-  return static_cast<uint32_t>(domain.base + state.slab_used++);
+  const EvictionDomain& domain = core_.domains.shard(s);
+  QDLP_DCHECK(shard.slab_used < domain.capacity);
+  return static_cast<uint32_t>(domain.base + shard.slab_used++);
 }
 
-void ConcurrentS3FifoCache::FreeSlot(size_t s, uint32_t slot) {
-  ShardState& state = shard_state_[s];
-  slab_[slot].next = state.free_head;
-  state.free_head = slot;
+void S3FifoRegions::FreeSlot(size_t s, uint32_t slot) {
+  Shard& shard = shards_[s];
+  slab_[slot].next = shard.free_head;
+  shard.free_head = slot;
 }
 
-void ConcurrentS3FifoCache::EvictSmall(size_t s) {
-  ShardState& state = shard_state_[s];
-  const uint32_t slot = PopFront(state.small_fifo);
+void S3FifoRegions::EvictSmall(size_t s) {
+  Shard& shard = shards_[s];
+  const uint32_t slot = PopFront(shard.small_fifo);
   Node& node = slab_[slot];
   if (node.freq.load(std::memory_order_relaxed) >= 1) {
     // Quick-demotion survivor: promote to main with frequency reset. The
     // index maps id -> slab slot, which does not change — no index write.
     node.where = Where::kMain;
     node.freq.store(0, std::memory_order_relaxed);
-    PushBack(state.main_fifo, slot);
-    counters_.Add(ConcurrentStatsCounters::kPromotions);
+    PushBack(shard.main_fifo, slot);
+    core_.counters.Add(ConcurrentStatsCounters::kPromotions);
     return;
   }
-  const ObjectId victim = node.id;
   // Erase from the index before recycling the slot: readers stop finding
   // the victim first. A racing reader that already fetched the slot at
   // worst bumps the successor's frequency once — benign.
-  index_.Erase(victim);
-  state.ghost->Insert(victim);
+  core_.index.Erase(node.id);
+  shard.ghost.Insert(node.id);
   FreeSlot(s, slot);
-  --state.resident;
-  resident_.fetch_sub(1, std::memory_order_relaxed);
-  counters_.Add(ConcurrentStatsCounters::kDemotions);
-  counters_.Add(ConcurrentStatsCounters::kEvictions);
-  if (domains_.shard(s).helper_drain) {
-    counters_.Add(ConcurrentStatsCounters::kCrossShardDemotions);
-  }
+  core_.counters.Add(ConcurrentStatsCounters::kDemotions);
+  core_.CountEviction(s);
 }
 
-void ConcurrentS3FifoCache::EvictMain(size_t s) {
-  ShardState& state = shard_state_[s];
+void S3FifoRegions::EvictMain(size_t s) {
+  Shard& shard = shards_[s];
   while (true) {
-    const uint32_t slot = PopFront(state.main_fifo);
+    const uint32_t slot = PopFront(shard.main_fifo);
     Node& node = slab_[slot];
     const uint8_t freq = node.freq.load(std::memory_order_relaxed);
     if (freq > 0) {
       node.freq.store(freq - 1, std::memory_order_relaxed);
-      PushBack(state.main_fifo, slot);
-      counters_.Add(ConcurrentStatsCounters::kPromotions);
+      PushBack(shard.main_fifo, slot);
+      core_.counters.Add(ConcurrentStatsCounters::kPromotions);
       continue;
     }
-    index_.Erase(node.id);
+    core_.index.Erase(node.id);
     FreeSlot(s, slot);
-    --state.resident;
-    resident_.fetch_sub(1, std::memory_order_relaxed);
-    counters_.Add(ConcurrentStatsCounters::kEvictions);
-    if (domains_.shard(s).helper_drain) {
-      counters_.Add(ConcurrentStatsCounters::kCrossShardDemotions);
-    }
+    core_.CountEviction(s);
     return;
   }
 }
 
-void ConcurrentS3FifoCache::MakeRoom(size_t s) {
-  const EvictionDomain& domain = domains_.shard(s);
-  ShardState& state = shard_state_[s];
+void S3FifoRegions::MakeRoom(size_t s) {
+  const EvictionDomain& domain = core_.domains.shard(s);
+  Shard& shard = shards_[s];
   // The shard overflows its capacity share, never the global capacity:
   // remainder-distributed shares sum exactly to it (eviction_domains.h).
-  while (state.resident >= domain.capacity) {
-    if (state.small_fifo.count > 0 &&
-        (state.small_fifo.count >= state.small_capacity ||
-         state.main_fifo.count == 0)) {
+  while (shard.small_fifo.count + shard.main_fifo.count >= domain.capacity) {
+    if (shard.small_fifo.count > 0 &&
+        (shard.small_fifo.count >= shard.small_capacity ||
+         shard.main_fifo.count == 0)) {
       EvictSmall(s);
     } else {
       EvictMain(s);
@@ -316,109 +217,33 @@ void ConcurrentS3FifoCache::MakeRoom(size_t s) {
   }
 }
 
-bool ConcurrentS3FifoCache::MissLocked(size_t s, ObjectId id) {
-  if (index_.Contains(id)) {
-    return true;  // another thread (or an earlier buffered copy) admitted it
-  }
-  ShardState& state = shard_state_[s];
+void S3FifoRegions::AdmitLocked(size_t s, ObjectId id) {
+  Shard& shard = shards_[s];
   MakeRoom(s);
   const uint32_t slot = AllocSlot(s);
   Node& node = slab_[slot];
   node.id = id;
   node.freq.store(0, std::memory_order_relaxed);
-  if (state.ghost->Consume(id)) {
+  if (shard.ghost.Consume(id)) {
     node.where = Where::kMain;
-    PushBack(state.main_fifo, slot);
-    counters_.Add(ConcurrentStatsCounters::kGhostHits);
+    PushBack(shard.main_fifo, slot);
+    core_.counters.Add(ConcurrentStatsCounters::kGhostHits);
   } else {
     node.where = Where::kSmall;
-    PushBack(state.small_fifo, slot);
+    PushBack(shard.small_fifo, slot);
   }
-  ++state.resident;
-  resident_.fetch_add(1, std::memory_order_relaxed);
-  index_.Insert(id, slot);
-  counters_.Add(ConcurrentStatsCounters::kInserts);
-  return false;
+  core_.index.Insert(id, slot);
 }
 
-void ConcurrentS3FifoCache::DrainShardLocked(size_t s, bool helping) {
-  EvictionDomain& domain = domains_.shard(s);
-  domain.helper_drain = helping;
-  const size_t drained =
-      domain.buffers.Drain([&](uint64_t id) { MissLocked(s, id); });
-  domain.helper_drain = false;
-  domain.pending.store(0, std::memory_order_relaxed);
-  counters_.AddDrainBatch(drained);
-}
+template class DomainCache<S3FifoRegions>;
 
-void ConcurrentS3FifoCache::HelpDrainOthers(size_t miss_shard) {
-  const size_t shards = domains_.num_shards();
-  if (shards == 1) {
-    return;
-  }
-  const size_t start = ThreadOrdinal() & (shards - 1);
-  for (size_t i = 0; i < shards; ++i) {
-    const size_t t = (start + i) & (shards - 1);
-    if (t == miss_shard) {
-      continue;
-    }
-    EvictionDomain& domain = domains_.shard(t);
-    if (domain.pending.load(std::memory_order_relaxed) <
-        domains_.help_threshold()) {
-      continue;
-    }
-    if (!domain.mu.try_lock()) {
-      continue;
-    }
-    std::lock_guard<std::mutex> lock(domain.mu, std::adopt_lock);
-    counters_.Add(ConcurrentStatsCounters::kLockAcquisitions);
-    DrainShardLocked(t, /*helping=*/true);
-  }
-}
-
-bool ConcurrentS3FifoCache::Get(ObjectId id) {
-  // Hit path: one probe plus one relaxed saturating increment — lock-free.
-  uint32_t slot;
-  if (index_.Find(id, &slot)) {
-    std::atomic<uint8_t>& freq = slab_[slot].freq;
-    const uint8_t current = freq.load(std::memory_order_relaxed);
-    if (current < kMaxFreq) {
-      freq.store(current + 1, std::memory_order_relaxed);
-    }
-    counters_.Add(ConcurrentStatsCounters::kHits);
-    return true;
-  }
-  // Miss path: batched BP-Wrapper admission against the id's home eviction
-  // domain, identical in shape to concurrent_clock. Counted where the
-  // outcome is known: the locked re-probe can find the object already
-  // admitted by another thread (or an earlier buffered copy of this miss),
-  // and that Get is a hit to its caller.
-  const size_t s = domains_.ShardOf(id);
-  EvictionDomain& domain = domains_.shard(s);
-  bool hit;
-  if (domain.mu.try_lock()) {
-    {
-      std::lock_guard<std::mutex> lock(domain.mu, std::adopt_lock);
-      counters_.Add(ConcurrentStatsCounters::kLockAcquisitions);
-      DrainShardLocked(s, /*helping=*/false);
-      hit = MissLocked(s, id);
-      counters_.Add(hit ? ConcurrentStatsCounters::kHits
-                        : ConcurrentStatsCounters::kMisses);
-    }
-    HelpDrainOthers(s);
-    return hit;
-  }
-  counters_.Add(ConcurrentStatsCounters::kLockFailures);
-  counters_.Add(ConcurrentStatsCounters::kMisses);
-  if (domain.buffers.TryPush(id)) {
-    domain.pending.fetch_add(1, std::memory_order_relaxed);
-    return false;
-  }
-  // Buffers full while the lock is held elsewhere (typically a preempted
-  // holder): drop the admission rather than convoy on the mutex. Admission
-  // is best-effort under overload; Get() never blocks.
-  counters_.Add(ConcurrentStatsCounters::kBufferDrops);
-  return false;
-}
+ConcurrentS3FifoCache::ConcurrentS3FifoCache(size_t capacity,
+                                             double small_fraction,
+                                             double ghost_factor,
+                                             size_t num_stripes,
+                                             size_t num_shards)
+    : DomainCache(capacity, num_stripes, num_shards,
+                  /*min_capacity_per_shard=*/1, small_fraction,
+                  ghost_factor) {}
 
 }  // namespace qdlp

@@ -11,6 +11,7 @@
 // Contended misses buffer their id into the home domain's MPSC rings and
 // return; the next holder drains the batch under its single acquisition,
 // then makes one helping pass over backlogged foreign domains.
+// DomainCache implements that protocol; S3FifoRegions below is the queues.
 //
 // Storage is one fixed slab of nodes (no per-object allocation),
 // partitioned by shard: the FIFOs are intrusive singly-linked lists
@@ -30,59 +31,34 @@
 
 #include <atomic>
 #include <cstdint>
-#include <memory>
-#include <mutex>
 #include <string_view>
 #include <vector>
 
-#include "src/concurrent/concurrent_cache.h"
 #include "src/concurrent/eviction_domains.h"
-#include "src/concurrent/sharded_ghost.h"
-#include "src/concurrent/striped_index.h"
-#include "src/obs/concurrent_counters.h"
+#include "src/core/ghost_queue.h"
 
 namespace qdlp {
 
-class ConcurrentS3FifoCache : public ConcurrentCache {
+// Small and main FIFOs plus a ghost per shard; index values are global
+// slab slots.
+class S3FifoRegions {
  public:
-  // `num_stripes` sizes the lock-free index's striping; `num_shards` the
-  // eviction domains (rounded/clamped by EvictionDomains). The index gets
-  // max(num_stripes, shard count) stripes so every domain owns a disjoint
-  // stripe set (see eviction_domains.h).
-  ConcurrentS3FifoCache(size_t capacity, double small_fraction = 0.10,
-                        double ghost_factor = 0.9, size_t num_stripes = 16,
-                        size_t num_shards = 1);
+  S3FifoRegions(DomainCore& core, double small_fraction, double ghost_factor);
 
-  bool Get(ObjectId id) override;
-  // Like Get(), but a miss blocks on the home-domain mutex instead of
-  // deferring to the insert buffers: admission is guaranteed on return.
-  bool Admit(ObjectId id) override;
-  // Unlinks `id` from its queue under the home-domain mutex (blocking —
-  // removal is a control operation, not a hot-path Get). O(queue length)
-  // for the singly-linked FIFO walk. Counts as an eviction; leaves no
-  // ghost trace (the object did not age out, it was invalidated).
-  bool Remove(ObjectId id) override;
-  size_t capacity() const override { return capacity_; }
-  std::string_view name() const override { return "concurrent-s3fifo"; }
-
-  // Resident object count (approximate under concurrency).
-  size_t size() const { return resident_.load(std::memory_order_relaxed); }
-
-  // Flow counters from striped thread-exclusive cells; per-queue occupancy
-  // (small/main/ghost) summed under the shard mutexes. Safe concurrently
-  // with Get().
-  CacheStats Stats() const override;
-
-  size_t num_shards() const { return domains_.num_shards(); }
-  size_t ShardOf(ObjectId id) const { return domains_.ShardOf(id); }
-  // The shard's slab-region size (its capacity share).
-  size_t shard_capacity(size_t s) const { return domains_.shard(s).capacity; }
-
-  // Queue accounting, index/slab agreement, and ghost/resident
-  // disjointness, under all shard mutexes (buffered misses drained first).
-  void CheckInvariants() override;
-
-  size_t ApproxMetadataBytes() const override;
+  void Touch(uint32_t slot) {
+    std::atomic<uint8_t>& freq = slab_[slot].freq;
+    const uint8_t current = freq.load(std::memory_order_relaxed);
+    if (current < kMaxFreq) {
+      freq.store(current + 1, std::memory_order_relaxed);
+    }
+  }
+  void AdmitLocked(size_t s, ObjectId id);
+  // O(queue length) for the singly-linked FIFO walk.
+  void UnlinkLocked(size_t s, uint32_t slot);
+  void FillOccupancy(size_t s, CacheStats* stats) const;
+  size_t CheckShardLocked(size_t s) const;
+  void CheckSharedLocked() const {}
+  size_t MemoryBytes() const;
 
  private:
   static constexpr uint8_t kMaxFreq = 3;
@@ -108,16 +84,19 @@ class ConcurrentS3FifoCache : public ConcurrentCache {
   };
 
   // Per-shard queue state, guarded by the shard's mutex. The shard's slab
-  // region is slab_[base, base + capacity); `slab_used` is a local bump
-  // offset within it and `free_head` a freelist of recycled region slots.
-  struct alignas(64) ShardState {
+  // region is its EvictionDomain's slab_[base, base + capacity);
+  // `slab_used` is a local bump offset within it and `free_head` a
+  // freelist of recycled region slots.
+  struct alignas(64) Shard {
+    Shard(size_t small_capacity, size_t ghost_capacity)
+        : small_capacity(small_capacity), ghost(ghost_capacity) {}
+
     Fifo small_fifo;
     Fifo main_fifo;
     uint32_t free_head = kNil;
     size_t slab_used = 0;
-    size_t resident = 0;         // small + main occupancy
-    size_t small_capacity = 0;   // small-queue target within the share
-    std::unique_ptr<ShardedGhost> ghost;
+    size_t small_capacity;  // small-queue target within the share
+    GhostQueue ghost;
   };
 
   void PushBack(Fifo& fifo, uint32_t slot);
@@ -131,21 +110,25 @@ class ConcurrentS3FifoCache : public ConcurrentCache {
   void EvictSmall(size_t s);
   void EvictMain(size_t s);
   void MakeRoom(size_t s);
-  // Admits `id` unless already resident; returns true on (raced) hit.
-  bool MissLocked(size_t s, ObjectId id);
-  void DrainShardLocked(size_t s, bool helping);
 
-  void HelpDrainOthers(size_t miss_shard);
+  DomainCore& core_;
+  std::vector<Node> slab_;  // fixed node storage, partitioned by shard
+  std::vector<Shard> shards_;
+};
 
-  const size_t capacity_;
+extern template class DomainCache<S3FifoRegions>;
 
-  StripedAtomicIndex index_;  // id -> global slab slot
-  std::vector<Node> slab_;    // fixed node storage, partitioned by shard
+class ConcurrentS3FifoCache : public DomainCache<S3FifoRegions> {
+ public:
+  // `num_stripes` sizes the lock-free index's striping; `num_shards` the
+  // eviction domains (rounded/clamped by EvictionDomains). The index gets
+  // max(num_stripes, shard count) stripes so every domain owns a disjoint
+  // stripe set (see eviction_domains.h).
+  ConcurrentS3FifoCache(size_t capacity, double small_fraction = 0.10,
+                        double ghost_factor = 0.9, size_t num_stripes = 16,
+                        size_t num_shards = 1);
 
-  alignas(64) std::atomic<size_t> resident_{0};
-  EvictionDomains domains_;
-  std::vector<ShardState> shard_state_;
-  ConcurrentStatsCounters counters_;
+  std::string_view name() const override { return "concurrent-s3fifo"; }
 };
 
 }  // namespace qdlp

@@ -1,5 +1,6 @@
 // Sharded eviction domains: the miss-path backbone that lets the
-// concurrent caches scale past the single eviction mutex.
+// concurrent caches scale past the single eviction mutex, and
+// DomainCache, the one implementation of the protocol over them.
 //
 // Each cache partitions its queue storage into S independent domains
 // selected by id hash; a domain owns a slab region, one mutex, one bank of
@@ -24,7 +25,7 @@
 // split into regions), so tiny caches degrade to fewer shards instead of
 // failing.
 //
-// Drain protocol (implemented by the caches, supported here):
+// Drain protocol (implemented by DomainCache below):
 //   * A missing thread try-locks its id's home domain; on success it
 //     drains that domain's buffers and admits inline.
 //   * On failure it buffers the id in the home domain's rings (bumping
@@ -47,14 +48,20 @@
 #include <algorithm>
 #include <atomic>
 #include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <mutex>
+#include <utility>
 #include <vector>
 
+#include "src/concurrent/concurrent_cache.h"
 #include "src/concurrent/mpsc_ring.h"
+#include "src/concurrent/striped_index.h"
+#include "src/obs/concurrent_counters.h"
 #include "src/trace/trace.h"
 #include "src/util/check.h"
 #include "src/util/flat_map.h"
+#include "src/util/thread_ordinal.h"
 
 namespace qdlp {
 
@@ -161,6 +168,287 @@ class EvictionDomains {
   size_t mask_ = 0;
   size_t help_threshold_ = 1;
   std::vector<std::unique_ptr<EvictionDomain>> shards_;
+};
+
+// What DomainCache shares with its Regions: the id index (whose values are
+// the Regions' own location encoding), the domains and the flow counters.
+struct DomainCore {
+  DomainCore(size_t capacity, size_t num_stripes, size_t num_shards,
+             size_t min_capacity_per_shard)
+      // Stripes >= shards so every eviction domain owns a disjoint stripe
+      // set and the index's per-stripe writer serialization holds under
+      // the per-shard mutexes.
+      : index(capacity, std::max(num_stripes, num_shards)),
+        domains(capacity, num_shards, min_capacity_per_shard) {
+    // Index values are 32-bit locations, and QD-LP-FIFO spends one bit on
+    // a region tag.
+    QDLP_CHECK(capacity <= 0x7FFFFFFFu);
+    QDLP_CHECK(index.num_stripes() >= domains.num_shards());
+  }
+
+  // Counts an eviction from shard s. Evictions performed while draining
+  // for another shard's miss (the helping pass) are also cross-shard
+  // demotions.
+  void CountEviction(size_t s) {
+    counters.Add(ConcurrentStatsCounters::kEvictions);
+    if (domains.shard(s).helper_drain) {
+      counters.Add(ConcurrentStatsCounters::kCrossShardDemotions);
+    }
+  }
+
+  StripedAtomicIndex index;
+  EvictionDomains domains;
+  ConcurrentStatsCounters counters;
+};
+
+// The eviction-domain protocol of the lock-free caches, written once: the
+// lock-free hit path, the miss path's try-lock / buffer / drain / help
+// sequence, blocking Admit and Remove, Stats and the invariant sweep. Each
+// design (concurrent_clock.h, concurrent_s3fifo.h, concurrent_qdlp_fifo.h)
+// is a Regions type that supplies only its shard-local queue logic,
+// composed at compile time so a hit stays one index probe plus one relaxed
+// store or RMW:
+//
+//   Regions(DomainCore& core, ...)     extra arguments come from the cache
+//   void Touch(uint32_t value)         lock-free hit at an index value
+//   void AdmitLocked(size_t s, ObjectId id)
+//       admits a non-resident id into shard s and indexes it; any victim
+//       is unindexed before its location is reused, and counted with
+//       core.CountEviction(s)
+//   void UnlinkLocked(size_t s, uint32_t value)
+//       drops the queue state of an object Remove() just unindexed
+//   void FillOccupancy(size_t s, CacheStats* stats) const
+//   size_t CheckShardLocked(size_t s) const
+//       checks shard s's queues and their index entries; returns the
+//       shard's resident count
+//   void CheckSharedLocked() const
+//       checks state no single shard owns
+//   size_t MemoryBytes() const
+//
+// "Locked" methods run under shard s's mutex; the two checks run under
+// every shard's.
+template <typename Regions>
+class DomainCache : public ConcurrentCache {
+ public:
+  bool Get(ObjectId id) override {
+    if (TouchIfResident(id)) {
+      return true;
+    }
+    // Miss path. Uncontended (and always, single-threaded): take the home
+    // domain's lock, drain its buffered misses, admit. Contended: buffer the
+    // id for the current holder to admit and return without blocking.
+    // Hit/miss is counted where the outcome is known: the locked re-probe
+    // can discover the object was admitted by another thread (or an earlier
+    // buffered copy of this miss) after the lock-free probe above failed,
+    // and that Get is a hit to its caller.
+    const size_t s = ShardOf(id);
+    EvictionDomain& domain = core_.domains.shard(s);
+    if (domain.mu.try_lock()) {
+      bool hit;
+      {
+        std::lock_guard<std::mutex> lock(domain.mu, std::adopt_lock);
+        core_.counters.Add(ConcurrentStatsCounters::kLockAcquisitions);
+        DrainShardLocked(s, /*helping=*/false);
+        hit = MissLocked(s, id);
+        CountAccess(hit);
+      }
+      // With the home domain settled (and its lock released), one pass over
+      // backlogged foreign domains; no-op when num_shards == 1.
+      HelpDrainOthers(s);
+      return hit;
+    }
+    core_.counters.Add(ConcurrentStatsCounters::kLockFailures);
+    core_.counters.Add(ConcurrentStatsCounters::kMisses);
+    if (domain.buffers.TryPush(id)) {
+      domain.pending.fetch_add(1, std::memory_order_relaxed);
+      return false;
+    }
+    // Buffers full while the lock is held elsewhere — on an oversubscribed
+    // machine that usually means the lock holder was preempted mid-drain.
+    // Blocking here would convoy every missing thread behind the sleeping
+    // holder, so admission is best-effort instead: drop this one (the object
+    // is buffered or admitted on its next miss) and keep Get() non-blocking.
+    core_.counters.Add(ConcurrentStatsCounters::kBufferDrops);
+    return false;
+  }
+
+  // Like Get(), but a miss blocks on the home-domain mutex instead of
+  // deferring to the insert buffers: admission is guaranteed on return.
+  // Uncontended this is byte-identical to Get().
+  bool Admit(ObjectId id) override {
+    if (TouchIfResident(id)) {
+      return true;
+    }
+    const size_t s = ShardOf(id);
+    const std::unique_lock<std::mutex> lock = LockShard(s);
+    const bool hit = MissLocked(s, id);
+    CountAccess(hit);
+    return hit;
+  }
+
+  // Unlinks `id` under its home-domain mutex. Blocking, unlike the miss
+  // path's try_lock: removal is rare (invalidation, TTL reap, a DELETE
+  // request) and must not be best-effort. Safe to block — lock holders
+  // never wait on other locks. Counts as an eviction; leaves no ghost
+  // trace (the object was invalidated, it did not age out).
+  bool Remove(ObjectId id) override {
+    const size_t s = ShardOf(id);
+    const std::unique_lock<std::mutex> lock = LockShard(s);
+    uint32_t value;
+    if (!core_.index.Find(id, &value)) {
+      return false;
+    }
+    // Erase before the location can be recycled: readers stop finding the
+    // id first.
+    core_.index.Erase(id);
+    regions_.UnlinkLocked(s, value);
+    core_.counters.Add(ConcurrentStatsCounters::kEvictions);
+    return true;
+  }
+
+  // Flow counters from striped thread-exclusive cells (lock-free to read);
+  // per-region occupancy summed under the shard mutexes one at a time; the
+  // resident count from the index. Safe concurrently with Get().
+  CacheStats Stats() const override {
+    CacheStats stats = core_.counters.Snapshot();
+    for (size_t s = 0; s < num_shards(); ++s) {
+      std::lock_guard<std::mutex> lock(core_.domains.shard(s).mu);
+      regions_.FillOccupancy(s, &stats);
+    }
+    stats.size = core_.index.size();
+    return stats;
+  }
+
+  // Region structure and index agreement under all shard mutexes, buffered
+  // misses drained first. Blocking is safe: the miss path only ever
+  // try-locks, so no lock-order cycle exists. Not counted as acquisitions.
+  void CheckInvariants() override {
+    std::vector<std::unique_lock<std::mutex>> locks;
+    for (size_t s = 0; s < num_shards(); ++s) {
+      locks.emplace_back(core_.domains.shard(s).mu);
+      DrainShardLocked(s, /*helping=*/false);
+    }
+    size_t resident = 0;
+    for (size_t s = 0; s < num_shards(); ++s) {
+      resident += regions_.CheckShardLocked(s);
+    }
+    // Every resident is indexed at its location (checked per shard), so
+    // equal counts mean the index holds nothing else.
+    QDLP_CHECK(core_.index.size() == resident);
+    QDLP_CHECK(resident <= capacity());
+    core_.index.CheckInvariants();
+    regions_.CheckSharedLocked();
+  }
+
+  size_t ApproxMetadataBytes() const override {
+    return core_.index.MemoryBytes() + core_.domains.MemoryBytes() +
+           core_.counters.MemoryBytes() + regions_.MemoryBytes();
+  }
+
+  size_t capacity() const override { return core_.domains.capacity(); }
+
+  // Resident object count (approximate under concurrency).
+  size_t size() const { return core_.index.size(); }
+
+  size_t num_shards() const { return core_.domains.num_shards(); }
+  size_t ShardOf(ObjectId id) const { return core_.domains.ShardOf(id); }
+  // The shard's capacity share.
+  size_t shard_capacity(size_t s) const {
+    return core_.domains.shard(s).capacity;
+  }
+
+ protected:
+  // `num_shards` eviction domains (rounded/clamped by EvictionDomains, so
+  // every share is >= min_capacity_per_shard); the index gets
+  // max(num_stripes, shard count) stripes.
+  template <typename... RegionsArgs>
+  DomainCache(size_t capacity, size_t num_stripes, size_t num_shards,
+              size_t min_capacity_per_shard, RegionsArgs&&... regions_args)
+      : core_(capacity, num_stripes, num_shards, min_capacity_per_shard),
+        regions_(core_, std::forward<RegionsArgs>(regions_args)...) {}
+
+  // The lock-free hit path: one probe, one Touch, one counter bump.
+  bool TouchIfResident(ObjectId id) {
+    uint32_t value;
+    if (!core_.index.Find(id, &value)) {
+      return false;
+    }
+    regions_.Touch(value);
+    core_.counters.Add(ConcurrentStatsCounters::kHits);
+    return true;
+  }
+
+  // Blocking acquisition of shard s for a write or control operation:
+  // counted, with the domain's buffered misses settled first so none of
+  // them lands after the caller's operation.
+  std::unique_lock<std::mutex> LockShard(size_t s) {
+    std::unique_lock<std::mutex> lock(core_.domains.shard(s).mu);
+    core_.counters.Add(ConcurrentStatsCounters::kLockAcquisitions);
+    DrainShardLocked(s, /*helping=*/false);
+    return lock;
+  }
+
+  // Under shard s's mutex: admits `id` unless it is already resident;
+  // returns true on that raced hit. Counts the insert, not the access.
+  bool MissLocked(size_t s, ObjectId id) {
+    if (core_.index.Contains(id)) {
+      return true;  // another thread (or an earlier buffered copy) admitted it
+    }
+    regions_.AdmitLocked(s, id);
+    core_.counters.Add(ConcurrentStatsCounters::kInserts);
+    return false;
+  }
+
+  void CountAccess(bool hit) {
+    core_.counters.Add(hit ? ConcurrentStatsCounters::kHits
+                           : ConcurrentStatsCounters::kMisses);
+  }
+
+  DomainCore core_;
+  Regions regions_;
+
+ private:
+  // Drains shard s's insert buffers; `helping` marks a cross-shard drain.
+  void DrainShardLocked(size_t s, bool helping) {
+    EvictionDomain& domain = core_.domains.shard(s);
+    domain.helper_drain = helping;
+    const size_t drained =
+        domain.buffers.Drain([&](uint64_t id) { MissLocked(s, id); });
+    domain.helper_drain = false;
+    // Reset, not subtract: a push racing this store is under-counted, which
+    // only delays the next best-effort helping pass.
+    domain.pending.store(0, std::memory_order_relaxed);
+    core_.counters.AddDrainBatch(drained);
+  }
+
+  // One thread-ordinal-affine pass over the other shards: try-lock and
+  // drain any domain whose buffered backlog crossed the help threshold.
+  void HelpDrainOthers(size_t miss_shard) {
+    const size_t shards = num_shards();
+    if (shards == 1) {
+      return;
+    }
+    // Thread-ordinal affinity: each thread starts its scan at "its" shard so
+    // concurrent helpers fan out instead of convoying on the same backlog.
+    const size_t start = ThreadOrdinal() & (shards - 1);
+    for (size_t i = 0; i < shards; ++i) {
+      const size_t t = (start + i) & (shards - 1);
+      if (t == miss_shard) {
+        continue;
+      }
+      EvictionDomain& domain = core_.domains.shard(t);
+      if (domain.pending.load(std::memory_order_relaxed) <
+          core_.domains.help_threshold()) {
+        continue;
+      }
+      if (!domain.mu.try_lock()) {
+        continue;
+      }
+      std::lock_guard<std::mutex> lock(domain.mu, std::adopt_lock);
+      core_.counters.Add(ConcurrentStatsCounters::kLockAcquisitions);
+      DrainShardLocked(t, /*helping=*/true);
+    }
+  }
 };
 
 }  // namespace qdlp

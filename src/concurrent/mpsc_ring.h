@@ -1,13 +1,14 @@
 // Bounded multi-producer ring buffers for batched (BP-Wrapper-style)
 // insert buffering on the miss path.
 //
-// The concurrent caches serialize all structural mutation behind one
-// eviction mutex. Without buffering, every missing thread queues on that
-// mutex and the miss path convoys. With buffering, a thread that fails a
-// try_lock instead pushes the missed id into a small per-thread-striped
-// MPSC ring and returns immediately; whichever thread next holds the mutex
-// drains all rings and performs the batched admissions/evictions under the
-// single acquisition. Lock hold time is amortized over the whole batch and
+// The lock-free caches serialize all structural mutation behind the
+// mutex of the id's eviction domain (eviction_domains.h). Without
+// buffering, every missing thread queues on that mutex and the miss path
+// convoys. With buffering, a thread that fails a try_lock instead pushes
+// the missed id into a small per-thread-striped MPSC ring and returns
+// immediately; whichever thread next holds the mutex drains all rings and
+// performs the batched admissions/evictions under the single
+// acquisition. Lock hold time is amortized over the whole batch and
 // Get() never blocks: when the rings are full AND the lock is held (which
 // on an oversubscribed machine means the holder was preempted mid-drain),
 // the admission is dropped rather than queued behind the sleeping holder —
@@ -108,8 +109,8 @@ class MpscRing {
 class InsertBuffers {
  public:
   // Ring capacity is sized so a lock-holder preempted for a scheduler
-  // timeslice does not overflow the buffers and force everyone else onto
-  // the blocking-lock fallback: 8 x 256 absorbs ~2k misses.
+  // timeslice does not overflow the buffers and force everyone else's
+  // admissions to drop: 8 x 256 absorbs ~2k misses.
   explicit InsertBuffers(size_t num_rings = 8, size_t ring_capacity = 256) {
     QDLP_CHECK(num_rings >= 1);
     rings_.reserve(num_rings);
@@ -118,8 +119,8 @@ class InsertBuffers {
     }
   }
 
-  // Producer side: buffer a missed id. False when the stripe ring is full
-  // (caller should fall back to a blocking drain).
+  // Producer side: buffer a missed id. False when the stripe ring is full;
+  // the caller then drops the admission rather than block.
   bool TryPush(uint64_t id) {
     return rings_[ThreadOrdinal() % rings_.size()]->TryPush(id);
   }

@@ -104,8 +104,13 @@ class StripedAtomicIndex {
     const Stripe& stripe = stripes_[(hash >> 32) & stripe_mask_];
     while (true) {
       const uint64_t v1 = stripe.version.load(std::memory_order_acquire);
-      const Slot* slots = stripe.slots.load(std::memory_order_acquire);
+      // Mask before slots: a rebuild publishes its array before its mask and
+      // never shrinks a stripe, so an array loaded after a mask holds at
+      // least mask + 1 slots. The other order can pair an old array with a
+      // grown mask and read past its end before the version check rejects
+      // the probe.
       const uint64_t mask = stripe.mask.load(std::memory_order_acquire);
+      const Slot* slots = stripe.slots.load(std::memory_order_acquire);
       size_t index = hash & mask;
       bool found = false;
       uint32_t found_value = 0;

@@ -129,6 +129,45 @@ TEST(ConcurrentQdLpFifoTest, LazyPromotionKeepsReaccessedObjects) {
   cache.CheckInvariants();
 }
 
+// A slot freed by Remove() in the main CLOCK is the next main admission's,
+// as in the sequential QdCache's CLOCK: nothing live is evicted while it
+// is free.
+TEST(ConcurrentQdLpFifoTest, RemovedMainSlotIsReusedBeforeEvicting) {
+  ConcurrentQdLpFifo cache(20);  // probation 2, main 18, ghost 18
+  for (ObjectId id = 0; id < 40; ++id) {
+    cache.Get(id);  // 20..37 end up in the ghost, 38 and 39 on probation
+  }
+  for (ObjectId id = 20; id < 38; ++id) {
+    cache.Get(id);  // ghost hits: main fills with 20..37
+  }
+  ASSERT_TRUE(cache.Remove(30));
+  for (ObjectId id = 100; id < 104; ++id) {
+    cache.Get(id);  // quick-demotes 38, 39, 100 and 101 into the ghost
+  }
+  EXPECT_FALSE(cache.Get(38));  // ghost hit: admitted into main
+  EXPECT_EQ(cache.Stats().size, 20u);
+  EXPECT_TRUE(cache.Get(20));
+  cache.CheckInvariants();
+}
+
+// The ghost remembers at most its capacity of ids, however many it has
+// recorded and consumed: on a key set just above the cache size, where
+// ghost hits keep the ghost below capacity, metadata stays flat.
+TEST(ConcurrentQdLpFifoTest, GhostMemoryStaysBounded) {
+  ConcurrentQdLpFifo cache(100);
+  Rng rng(0x6405);
+  size_t bytes_at_100k = 0;
+  for (int i = 1; i <= 1000000; ++i) {
+    cache.Get(rng.NextBounded(150));
+    if (i == 100000) {
+      bytes_at_100k = cache.ApproxMetadataBytes();
+    }
+  }
+  EXPECT_GT(cache.Stats().ghost_hits, 0u);
+  EXPECT_LE(cache.ApproxMetadataBytes(), bytes_at_100k * 11 / 10);
+  cache.CheckInvariants();
+}
+
 TEST(ConcurrentQdLpFifoTest, ReportsMetadataBytes) {
   ConcurrentQdLpFifo cache(1000);
   EXPECT_GT(cache.ApproxMetadataBytes(), 0u);

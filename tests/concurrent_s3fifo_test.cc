@@ -84,6 +84,23 @@ TEST(ConcurrentS3FifoTest, HitRatioSaneUnderThreads) {
   EXPECT_LT(hit_ratio, 0.99);
 }
 
+// The ghost remembers at most its capacity of ids, however many it has
+// recorded and consumed: on a loop just longer than the cache, where ghost
+// hits keep the ghost below capacity, metadata stays flat.
+TEST(ConcurrentS3FifoTest, GhostMemoryStaysBounded) {
+  ConcurrentS3FifoCache cache(100);
+  size_t bytes_at_100k = 0;
+  for (int i = 1; i <= 1000000; ++i) {
+    cache.Get(static_cast<ObjectId>(i % 105));
+    if (i == 100000) {
+      bytes_at_100k = cache.ApproxMetadataBytes();
+    }
+  }
+  EXPECT_GT(cache.Stats().ghost_hits, 0u);
+  EXPECT_LE(cache.ApproxMetadataBytes(), bytes_at_100k * 11 / 10);
+  cache.CheckInvariants();
+}
+
 TEST(ConcurrentS3FifoTest, GhostPathWorks) {
   ConcurrentS3FifoCache cache(20, 0.10, 0.9, 2);
   cache.Get(1);

@@ -213,9 +213,10 @@ TEST(TsanStressTest, TwoHotShardsContention) {
 // racing the best-effort Get miss path and Remove across four eviction
 // domains: Admit's blocking lock must interleave safely with try_lock
 // misses, MPSC-buffer drains, and removals, and both access kinds must
-// still count exactly one hit-or-miss each at quiescence.
-TEST(TsanStressTest, AdmitVsGetVsRemoveStorm) {
-  ConcurrentQdLpFifo cache(512, /*num_stripes=*/8, /*num_shards=*/4);
+// still count exactly one hit-or-miss each at quiescence. Remove and the
+// slot reuse after it run in the shared DomainCache and CLOCK ring, so the
+// storm covers every engine built on them.
+void AdmitGetRemoveStorm(ConcurrentCache& cache) {
   std::atomic<uint64_t> total_accesses{0};
   std::atomic<bool> stop_stats{false};
   std::thread stats_reader([&] {
@@ -258,8 +259,20 @@ TEST(TsanStressTest, AdmitVsGetVsRemoveStorm) {
   stats_reader.join();
 
   const CacheStats stats = cache.Stats();
-  EXPECT_EQ(stats.requests, total_accesses.load());
-  EXPECT_EQ(stats.hits + stats.misses, stats.requests);
+  EXPECT_EQ(stats.requests, total_accesses.load()) << cache.name();
+  EXPECT_EQ(stats.hits + stats.misses, stats.requests) << cache.name();
+}
+
+TEST(TsanStressTest, AdmitVsGetVsRemoveStorm) {
+  ConcurrentQdLpFifo qdlp(512, /*num_stripes=*/8, /*num_shards=*/4);
+  AdmitGetRemoveStorm(qdlp);
+  ConcurrentClockCache clock(512, /*bits=*/2, /*num_stripes=*/8,
+                             /*num_shards=*/4);
+  AdmitGetRemoveStorm(clock);
+  ConcurrentS3FifoCache s3fifo(512, /*small_fraction=*/0.10,
+                               /*ghost_factor=*/0.9, /*num_stripes=*/8,
+                               /*num_shards=*/4);
+  AdmitGetRemoveStorm(s3fifo);
 }
 
 // The value-serving storm (ISSUE acceptance): threads mix GetValue /
