@@ -4,7 +4,8 @@
 // Writes the Fig-2-scale registry to QDT1 files in a temp directory, then
 // runs the same (trace x fraction x policy) grid through RunSweep over the
 // materialized traces and RunSweepStreamed over the files, verifying the
-// two grids are bit-identical before publishing any number. A third pass
+// two grids are bit-identical on every pass and reporting each engine's
+// median (TimeEngines in bench_common.h). A third pass
 // times the streamed replay with an in-pass exact (rate 1.0) SHARDS
 // profiler and checks its LRU miss-ratio curve against the simulated LRU
 // points. Output is BENCH_ingest.json (QDLP_BENCH_JSON overrides; schema
@@ -100,38 +101,23 @@ int Run() {
                           static_cast<double>(config.policies.size()) *
                           static_cast<double>(config.size_fractions.size());
 
-  std::fprintf(stderr, "[qdlp] in-memory batched engine...\n");
-  config.engine = SweepEngine::kBatched;
-  const auto inmem_start = std::chrono::steady_clock::now();
-  const auto inmem_points = RunSweep(traces, config);
-  const double inmem_seconds = SecondsSince(inmem_start);
-
-  std::fprintf(stderr, "[qdlp] streamed engine...\n");
-  const auto streamed_start = std::chrono::steady_clock::now();
-  const auto streamed_points = RunSweepStreamed(specs, config);
-  const double streamed_seconds = SecondsSince(streamed_start);
-
-  // The ratio is only meaningful if both engines did the same work; the
-  // equivalence is pinned in detail by tests, but re-check here so a bad
-  // bench run can never publish a number for a divergent computation.
-  if (streamed_points.size() != inmem_points.size()) {
-    std::fprintf(stderr, "[qdlp] FAIL: engines disagree on grid size\n");
+  std::fprintf(stderr, "[qdlp] in-memory vs streamed engine, %d passes...\n",
+               kEnginePasses);
+  std::vector<SweepPoint> inmem_points;
+  double seconds[2];
+  if (!TimeEngines(
+          [&](int engine) {
+            if (engine == 1) {
+              return RunSweepStreamed(specs, config);
+            }
+            inmem_points = RunSweep(traces, config);
+            return inmem_points;
+          },
+          seconds)) {
     return 1;
   }
-  for (size_t i = 0; i < streamed_points.size(); ++i) {
-    if (streamed_points[i].miss_ratio != inmem_points[i].miss_ratio ||
-        streamed_points[i].policy != inmem_points[i].policy ||
-        streamed_points[i].trace != inmem_points[i].trace ||
-        streamed_points[i].cache_size != inmem_points[i].cache_size) {
-      std::fprintf(stderr,
-                   "[qdlp] FAIL: engines diverge at point %zu (%s, %s): "
-                   "%.17g vs %.17g\n",
-                   i, streamed_points[i].trace.c_str(),
-                   streamed_points[i].policy.c_str(),
-                   streamed_points[i].miss_ratio, inmem_points[i].miss_ratio);
-      return 1;
-    }
-  }
+  const double inmem_seconds = seconds[0];
+  const double streamed_seconds = seconds[1];
 
   // SHARDS pass: the first (largest) trace, streamed once more with the
   // exact Mattson profiler recording every request alongside an LRU cell.
@@ -140,7 +126,6 @@ int Run() {
   std::fprintf(stderr, "[qdlp] streamed SHARDS pass...\n");
   const StreamTraceSpec& mrc_spec = specs[0];
   StreamReplayOptions mrc_options;
-  mrc_options.chunk_size = config.stream_chunk_size;
   mrc_options.mem_budget_bytes = config.stream_mem_budget_bytes;
   mrc_options.dense_universe = mrc_spec.num_objects;
   mrc_options.shards_sample_rate = 1.0;

@@ -1,10 +1,12 @@
 // Sweep engine throughput: batched single-pass replay vs per-cell replay.
 //
 // Runs the same Fig-2-scale grid — the paper's core LP/QD comparison set
-// over the generated registry at two cache sizes — through both RunSweep
-// engines, verifies the outputs are bit-identical, and reports wall-clock
-// throughput for each. Output is BENCH_sweep.json (QDLP_BENCH_JSON
-// overrides; schema in docs/TESTING.md):
+// over the generated registry at two cache sizes — through RunSweep and
+// through a per-cell baseline (one full SimulatePolicy replay per cell,
+// kept here as the bench's reference), verifies the outputs are
+// bit-identical on every pass, and reports each engine's median wall-clock
+// throughput (TimeEngines in bench_common.h). Output is BENCH_sweep.json
+// (QDLP_BENCH_JSON overrides; schema in docs/TESTING.md):
 //
 //   sweep/per_cell — replayed requests/s, one full trace pass per cell
 //   sweep/batched  — replayed requests/s, one dense pass drives all cells
@@ -22,23 +24,52 @@
 //
 // Scale knobs: QDLP_SCALE (registry size multiplier), QDLP_THREADS.
 
-#include <chrono>
 #include <cstdio>
 #include <string>
 #include <vector>
 
 #include "bench/bench_common.h"
 #include "bench/bench_json.h"
+#include "src/sim/simulator.h"
 #include "src/sim/sweep.h"
 #include "src/util/env.h"
+#include "src/util/thread_pool.h"
 
 namespace qdlp {
 namespace {
 
-double SecondsSince(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                       start)
-      .count();
+// The per-cell baseline: the same points as RunSweep, each cell a full
+// replay of the original trace. One task per (trace, fraction): a
+// whole-trace task would make the longest trace times the whole fraction
+// sweep the critical path.
+std::vector<SweepPoint> RunPerCellSweep(const std::vector<Trace>& traces,
+                                        const SweepConfig& config) {
+  const size_t per_trace = config.size_fractions.size() * config.policies.size();
+  std::vector<SweepPoint> points(traces.size() * per_trace);
+  ThreadPool pool(config.num_threads);
+  for (size_t t = 0; t < traces.size(); ++t) {
+    for (size_t f = 0; f < config.size_fractions.size(); ++f) {
+      pool.Submit([&, t, f] {
+        const Trace& trace = traces[t];
+        const size_t cache_size =
+            CacheSizeForFraction(trace, config.size_fractions[f]);
+        size_t slot = t * per_trace + f * config.policies.size();
+        for (const std::string& policy : config.policies) {
+          SweepPoint& point = points[slot++];
+          point.trace = trace.name;
+          point.dataset = trace.dataset;
+          point.cls = trace.cls;
+          point.size_fraction = config.size_fractions[f];
+          point.cache_size = cache_size;
+          point.policy = policy;
+          point.miss_ratio =
+              SimulatePolicy(policy, trace, cache_size).miss_ratio();
+        }
+      });
+    }
+  }
+  pool.Wait();
+  return points;
 }
 
 int Run() {
@@ -59,38 +90,19 @@ int Run() {
                           static_cast<double>(config.policies.size()) *
                           static_cast<double>(config.size_fractions.size());
 
-  std::fprintf(stderr, "[qdlp] per-cell engine...\n");
-  config.engine = SweepEngine::kPerCell;
-  const auto per_cell_start = std::chrono::steady_clock::now();
-  const auto per_cell_points = RunSweep(traces, config);
-  const double per_cell_seconds = SecondsSince(per_cell_start);
-
-  std::fprintf(stderr, "[qdlp] batched engine...\n");
-  config.engine = SweepEngine::kBatched;
-  const auto batched_start = std::chrono::steady_clock::now();
-  const auto batched_points = RunSweep(traces, config);
-  const double batched_seconds = SecondsSince(batched_start);
-
-  // The speedup is only meaningful if both engines did the same work; the
-  // equivalence is pinned in detail by tests, but re-check here so a bad
-  // bench run can never publish a number for a divergent computation.
-  if (batched_points.size() != per_cell_points.size()) {
-    std::fprintf(stderr, "[qdlp] FAIL: engines disagree on grid size\n");
+  std::fprintf(stderr, "[qdlp] per-cell vs batched engine, %d passes...\n",
+               kEnginePasses);
+  double seconds[2];
+  if (!TimeEngines(
+          [&](int engine) {
+            return engine == 0 ? RunPerCellSweep(traces, config)
+                               : RunSweep(traces, config);
+          },
+          seconds)) {
     return 1;
   }
-  for (size_t i = 0; i < batched_points.size(); ++i) {
-    if (batched_points[i].miss_ratio != per_cell_points[i].miss_ratio ||
-        batched_points[i].policy != per_cell_points[i].policy ||
-        batched_points[i].trace != per_cell_points[i].trace) {
-      std::fprintf(stderr,
-                   "[qdlp] FAIL: engines diverge at point %zu (%s, %s): "
-                   "%.17g vs %.17g\n",
-                   i, batched_points[i].trace.c_str(),
-                   batched_points[i].policy.c_str(),
-                   batched_points[i].miss_ratio, per_cell_points[i].miss_ratio);
-      return 1;
-    }
-  }
+  const double per_cell_seconds = seconds[0];
+  const double batched_seconds = seconds[1];
 
   const double per_cell_ops = replayed / per_cell_seconds;
   const double batched_ops = replayed / batched_seconds;

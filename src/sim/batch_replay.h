@@ -3,27 +3,23 @@
 //
 // The per-cell replay (simulator.h) re-reads the trace from DRAM once per
 // cell; a Fig-2 grid touches each trace policies x fractions times. Here
-// the cells advance through the stream together in request batches, so a
-// batch is fetched once and stays cache-hot while every cell consumes it:
+// the cells advance through the stream together in request chunks, so a
+// chunk is fetched once and stays cache-hot while every cell consumes it:
 //
-//   for each batch of ~1024 requests:
-//     translate the batch to original ids once (shared by original-id cells)
-//     for each cell: cell.policy consumes the batch
+//   for each chunk of `chunk_size` requests:
+//     translate the chunk to original ids once (shared by original-id cells)
+//     for each cell: cell.policy consumes the chunk
 //
-// Cells fall into three lanes, chosen per policy:
-//  * dense index + dense ids — remap-invariant policy, universe small
-//    enough: direct-indexed slot arrays, u32 stream, prefetch pipeline.
-//  * flat index + dense ids — remap-invariant policy, universe above
-//    `max_dense_universe`: still reads the halved-width stream, skips the
-//    translation, keeps the prefetch pipeline over the hash index.
-//  * flat index + original ids — policies whose decisions depend on id
-//    values/hash order (random sampling, sketches) and Belady: fed the
-//    exact original sequence so results match the per-cell replay bit for
-//    bit.
+// This is the in-memory front end of the replay engine; StreamReplayTrace
+// (stream_replay.h) is the other. Both feed the same cell driver
+// (replay_engine.cc), which picks each cell's lane: dense index + dense
+// ids, flat index + dense ids, or flat index + original ids for policies
+// whose decisions depend on id values/hash order, and for Belady.
 //
 // All three lanes produce miss ratios byte-identical to ReplayTrace on the
 // original trace (the differential test in tests/batch_replay_test.cc pins
-// this across every serial policy).
+// this across every serial policy). BatchReplayTrace never remaps ids: the
+// DenseTrace's own numbering is what the dense lanes read.
 
 #ifndef QDLP_SRC_SIM_BATCH_REPLAY_H_
 #define QDLP_SRC_SIM_BATCH_REPLAY_H_
@@ -45,10 +41,13 @@ struct BatchCellSpec {
   size_t cache_size = 0;
 };
 
+// Replay-engine tuning, shared by both front ends (StreamReplayOptions
+// extends it).
 struct BatchReplayOptions {
-  // Requests per interleaved batch. The default keeps a u32 batch (4 KiB)
-  // comfortably inside L1 while amortizing the per-cell loop overhead.
-  size_t batch_size = 1024;
+  // Requests every cell consumes before the next chunk is fetched. A u32
+  // chunk of this size (16 KiB) stays cache-hot across the cells while
+  // amortizing the per-cell loop overhead. Never changes results.
+  size_t chunk_size = 4096;
   // A DenseIndex spends O(universe) slots per cell; above this many
   // distinct objects, remap-invariant policies fall back to the flat index
   // (still fed dense ids). 2^26 slots is ~0.5 GiB/cell at 8-byte values.

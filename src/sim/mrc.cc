@@ -1,21 +1,26 @@
 #include "src/sim/mrc.h"
 
+#include "src/sim/batch_replay.h"
 #include "src/sim/simulator.h"
+#include "src/trace/dense_trace.h"
 
 namespace qdlp {
 
 std::vector<MrcPoint> ComputeMrc(const std::string& policy_name,
                                  const Trace& trace,
                                  const std::vector<double>& fractions) {
+  std::vector<BatchCellSpec> cells;
+  cells.reserve(fractions.size());
+  for (const double fraction : fractions) {
+    cells.push_back({policy_name, CacheSizeForFraction(trace, fraction)});
+  }
+  const std::vector<SimResult> results =
+      BatchReplayTrace(DensifyTrace(trace), cells, {}, &trace.requests);
   std::vector<MrcPoint> curve;
   curve.reserve(fractions.size());
-  for (const double fraction : fractions) {
-    MrcPoint point;
-    point.size_fraction = fraction;
-    point.cache_size = CacheSizeForFraction(trace, fraction);
-    point.miss_ratio =
-        SimulatePolicy(policy_name, trace, point.cache_size).miss_ratio();
-    curve.push_back(point);
+  for (size_t i = 0; i < fractions.size(); ++i) {
+    curve.push_back(
+        {fractions[i], cells[i].cache_size, results[i].miss_ratio()});
   }
   return curve;
 }

@@ -17,8 +17,9 @@ struct MrcPoint {
   double miss_ratio = 0.0;
 };
 
-// Replays `policy_name` over `trace` once per fraction. Fractions are
-// relative to the trace's unique-object count.
+// Replays `policy_name` over `trace` at every fraction in one
+// BatchReplayTrace pass. Fractions are relative to the trace's
+// unique-object count.
 std::vector<MrcPoint> ComputeMrc(const std::string& policy_name,
                                  const Trace& trace,
                                  const std::vector<double>& fractions);

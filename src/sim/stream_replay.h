@@ -1,10 +1,10 @@
-// Streaming multi-configuration replay: the batched sweep engine's
-// interleaved (policy x cache size) pass, fed from a TraceSource chunk by
-// chunk instead of from a materialized in-memory trace.
+// Streaming multi-configuration replay: the replay engine's interleaved
+// (policy x cache size) pass, fed from a TraceSource chunk by chunk instead
+// of from a materialized in-memory trace.
 //
 // BatchReplayTrace needs the whole request stream resident (plus the dense
 // remap's O(universe) reverse map) before the first access runs. This
-// engine holds only one chunk of requests at a time, translating it to
+// front end holds only one chunk of requests at a time, translating it to
 // dense u32 ids on the fly:
 //
 //   for each chunk of `chunk_size` requests pulled from the source:
@@ -12,20 +12,22 @@
 //     profiler.Record(raw[i])                        // optional SHARDS MRC
 //     for each cell: consume dense[] or raw[]        // same three lanes
 //
-// Cells use the same lane split as batch_replay.h: remap-invariant
-// policies read the dense stream (over a direct-indexed slot array when
-// the distinct-id count is known upfront and small enough, the flat hash
-// index otherwise); sampling/sketch policies read the raw chunk, whose
-// original ids their decisions depend on. Belady is impossible here — it
-// needs the full future — and aborts with the factory's diagnostic.
+// Both front ends feed the same cell driver (replay_engine.cc), so cells use
+// the same lanes as BatchReplayTrace: remap-invariant policies read the
+// dense stream (over a direct-indexed slot array when the distinct-id
+// count is known upfront and small enough, the flat hash index otherwise);
+// sampling/sketch policies read the raw chunk, whose original ids their
+// decisions depend on. Belady is impossible here — it needs the full
+// future — and aborts with the factory's diagnostic.
 //
 // The id mapper is chosen by `mem_budget_bytes`: 0 keeps the plain
-// in-memory DenseIdMapper; a positive budget swaps in the spillable
-// out-of-core mapper (src/trace/spill_mapper.h), making peak memory
-// independent of the id universe. Either way the dense ids come out in
-// first-appearance order, so miss ratios are byte-identical to
-// materializing the trace and running BatchReplayTrace — pinned across
-// policies and chunk sizes in tests/stream_replay_test.cc.
+// in-memory DenseIdMapper, sized from the `dense_universe` hint when one is
+// given; a positive budget swaps in the spillable out-of-core mapper
+// (src/trace/spill_mapper.h), making peak memory independent of the id
+// universe. Either way the dense ids come out in first-appearance order,
+// so miss ratios are byte-identical to materializing the trace and running
+// BatchReplayTrace — pinned across policies and chunk sizes in
+// tests/stream_replay_test.cc.
 //
 // Setting `shards_sample_rate` > 0 additionally threads every original id
 // through a ShardsProfiler, so the same single pass that fills the cells
@@ -46,10 +48,9 @@
 
 namespace qdlp {
 
-struct StreamReplayOptions {
-  // Requests pulled and translated per chunk. Matches the batched engine's
-  // default batch: a u32 chunk of this size stays L1-resident.
-  size_t chunk_size = 4096;
+// The mapper, hint and SHARDS settings of a streamed replay; chunk_size and
+// max_dense_universe are the engine's shared BatchReplayOptions.
+struct StreamReplayOptions : BatchReplayOptions {
   // 0 = unbudgeted in-memory DenseIdMapper. Positive = spillable mapper
   // capped at this many resident bytes (see SpillMapperOptions).
   size_t mem_budget_bytes = 0;
@@ -58,12 +59,10 @@ struct StreamReplayOptions {
   // Exact distinct-id count of the stream, when known (from a counting
   // pre-pass or trace metadata). > 0 and <= max_dense_universe lets
   // remap-invariant cells use direct-indexed dense policies, matching the
-  // in-memory batched engine's fast lane. Must not undercount: the replay
+  // in-memory front end's fast lane. Must not undercount: the replay
   // aborts if the stream produces more distinct ids than promised. 0 =
   // unknown; dense cells run over the flat hash index (same results).
   uint64_t dense_universe = 0;
-  // Same guard as BatchReplayOptions::max_dense_universe.
-  uint64_t max_dense_universe = uint64_t{1} << 26;
   // > 0: record every original id into a ShardsProfiler at this sample
   // rate and emit the LRU miss-ratio curve at `mrc_sizes`.
   double shards_sample_rate = 0.0;
@@ -92,23 +91,12 @@ struct StreamReplayResult {
 // Replays every cell over the source's request stream in one pass.
 // `trace_name` fills SimResult::trace. Aborts (factory diagnostic) on
 // unknown policy names and on "belady", which cannot run on a stream.
+// With no cells this is a counting pass: num_requests and num_objects
+// without running any policy, e.g. to size fractional caches before a
+// replay over a re-opened source.
 StreamReplayResult StreamReplayTrace(TraceSource& source,
                                      const std::string& trace_name,
                                      const std::vector<BatchCellSpec>& cells,
-                                     const StreamReplayOptions& options = {});
-
-// Counting pre-pass: drains the source through the same (optionally
-// budgeted) id mapper, returning request/distinct-id counts without
-// running any policy. Used to size fractional caches before a streaming
-// sweep pass over a re-opened source.
-struct StreamCountResult {
-  uint64_t num_requests = 0;
-  uint64_t num_objects = 0;
-  size_t mapper_peak_bytes = 0;
-  bool ok = false;
-  std::string error;
-};
-StreamCountResult StreamCountObjects(TraceSource& source,
                                      const StreamReplayOptions& options = {});
 
 }  // namespace qdlp

@@ -1,6 +1,7 @@
 #include "src/sim/sweep.h"
 
 #include <cmath>
+#include <functional>
 #include <unordered_map>
 
 #include "src/sim/batch_replay.h"
@@ -15,187 +16,117 @@ namespace qdlp {
 
 namespace {
 
-// Per-cell engine: one task per (trace, size fraction), each cell a full
-// replay of the original trace. A whole-trace task would make the longest
-// trace times the whole fraction sweep the critical path; per-(trace,
-// fraction) tasks keep every core busy through the tail.
-void RunSweepPerCell(const std::vector<Trace>& traces,
-                     const SweepConfig& config, ThreadPool& pool,
-                     std::vector<SweepPoint>& points) {
-  const size_t per_trace = config.size_fractions.size() * config.policies.size();
-  for (size_t t = 0; t < traces.size(); ++t) {
-    for (size_t f = 0; f < config.size_fractions.size(); ++f) {
-      // per_trace by value: this helper returns before pool.Wait(), so its
-      // frame is gone by the time workers run; traces/config/points are the
-      // caller's and outlive the pool.
-      pool.Submit([&, t, f, per_trace] {
-        const Trace& trace = traces[t];
-        const double fraction = config.size_fractions[f];
-        const size_t cache_size = CacheSizeForFraction(trace, fraction);
-        size_t slot = t * per_trace + f * config.policies.size();
-        for (const std::string& policy : config.policies) {
-          const SimResult result = SimulatePolicy(policy, trace, cache_size);
-          SweepPoint& point = points[slot++];
-          point.trace = trace.name;
-          point.dataset = trace.dataset;
-          point.cls = trace.cls;
-          point.size_fraction = fraction;
-          point.cache_size = cache_size;
-          point.policy = policy;
-          point.miss_ratio = result.miss_ratio();
-        }
-      });
+// A trace's cells in (fraction, policy) nesting — the exact order of its
+// slots in the grid.
+std::vector<BatchCellSpec> LayOutCells(const SweepConfig& config,
+                                       uint64_t num_objects) {
+  std::vector<BatchCellSpec> cells;
+  cells.reserve(config.size_fractions.size() * config.policies.size());
+  for (const double fraction : config.size_fractions) {
+    const size_t cache_size = CacheSizeForCount(num_objects, fraction);
+    for (const std::string& policy : config.policies) {
+      cells.push_back(BatchCellSpec{policy, cache_size});
     }
+  }
+  return cells;
+}
+
+// Writes one trace's replayed cells into its slots, which start at `slot`.
+void FillPoints(const SweepConfig& config,
+                const std::vector<BatchCellSpec>& cells,
+                const std::vector<SimResult>& results,
+                const std::string& dataset, WorkloadClass cls,
+                SweepPoint* slot) {
+  for (size_t cell = 0; cell < cells.size(); ++cell, ++slot) {
+    slot->trace = results[cell].trace;
+    slot->dataset = dataset;
+    slot->cls = cls;
+    slot->size_fraction =
+        config.size_fractions[cell / config.policies.size()];
+    slot->cache_size = cells[cell].cache_size;
+    slot->policy = cells[cell].policy;
+    slot->miss_ratio = results[cell].miss_ratio();
   }
 }
 
-// Batched engine: one task per trace. The task densifies the trace once,
-// then a single interleaved pass drives every (fraction x policy) cell
-// (batch_replay.h). Coarser tasks than per-cell, but each task does its
-// work in one stream pass instead of cells-many, so the critical path
-// shrinks rather than grows.
-void RunSweepBatched(const std::vector<Trace>& traces,
-                     const SweepConfig& config, ThreadPool& pool,
-                     std::vector<SweepPoint>& points) {
+// Streams `path` through `cells`, aborting with a diagnostic if the file
+// cannot be opened or the stream fails mid-pass.
+StreamReplayResult ReplayFile(const std::string& path,
+                              const std::string& trace_name,
+                              const std::vector<BatchCellSpec>& cells,
+                              const StreamReplayOptions& options) {
+  std::string open_error;
+  auto source = OpenTraceSource(path, &open_error);
+  QDLP_CHECK_MSG(source != nullptr, open_error.c_str());
+  StreamReplayResult replay =
+      StreamReplayTrace(*source, trace_name, cells, options);
+  QDLP_CHECK_MSG(replay.ok, replay.error.c_str());
+  return replay;
+}
+
+// The grid over `num_traces` traces, one pool task per trace:
+// `sweep_trace(t, slot)` replays trace t and fills its points, which start
+// at `slot`. Output slots are preassigned so ordering is identical to the
+// sequential nesting (trace-major, then fraction, then policy) no matter
+// how the tasks were scheduled. Each task does its work in one stream pass
+// rather than one per cell, so coarse tasks shrink the critical path
+// rather than grow it.
+std::vector<SweepPoint> RunGrid(
+    size_t num_traces, const SweepConfig& config,
+    const std::function<void(size_t, SweepPoint*)>& sweep_trace) {
+  QDLP_CHECK(!config.policies.empty());
+  QDLP_CHECK(!config.size_fractions.empty());
   const size_t per_trace = config.size_fractions.size() * config.policies.size();
-  for (size_t t = 0; t < traces.size(); ++t) {
-    // Same lifetime rule as RunSweepPerCell: per_trace by value.
-    pool.Submit([&, t, per_trace] {
-      const Trace& trace = traces[t];
-      const DenseTrace dense = DensifyTrace(trace);
-      // Cells in (fraction, policy) nesting — the exact slot order.
-      std::vector<BatchCellSpec> cells;
-      cells.reserve(per_trace);
-      for (const double fraction : config.size_fractions) {
-        const size_t cache_size = CacheSizeForFraction(trace, fraction);
-        for (const std::string& policy : config.policies) {
-          cells.push_back(BatchCellSpec{policy, cache_size});
-        }
-      }
-      BatchReplayOptions options;
-      options.batch_size = config.batch_size;
-      options.max_dense_universe = config.max_dense_universe;
-      const std::vector<SimResult> results =
-          BatchReplayTrace(dense, cells, options, &trace.requests);
-      size_t slot = t * per_trace;
-      size_t cell = 0;
-      for (size_t f = 0; f < config.size_fractions.size(); ++f) {
-        for (const std::string& policy : config.policies) {
-          const SimResult& result = results[cell];
-          SweepPoint& point = points[slot];
-          point.trace = trace.name;
-          point.dataset = trace.dataset;
-          point.cls = trace.cls;
-          point.size_fraction = config.size_fractions[f];
-          point.cache_size = cells[cell].cache_size;
-          point.policy = policy;
-          point.miss_ratio = result.miss_ratio();
-          ++slot;
-          ++cell;
-        }
-      }
-    });
+  std::vector<SweepPoint> points(num_traces * per_trace);
+  ThreadPool pool(config.num_threads);
+  for (size_t t = 0; t < num_traces; ++t) {
+    pool.Submit([&, t] { sweep_trace(t, &points[t * per_trace]); });
   }
+  pool.Wait();
+  return points;
 }
 
 }  // namespace
 
 std::vector<SweepPoint> RunSweepStreamed(
     const std::vector<StreamTraceSpec>& specs, const SweepConfig& config) {
-  QDLP_CHECK(!config.policies.empty());
-  QDLP_CHECK(!config.size_fractions.empty());
-
-  const size_t per_trace = config.size_fractions.size() * config.policies.size();
-  std::vector<SweepPoint> points(specs.size() * per_trace);
-
-  // One task per trace, mirroring the batched engine's granularity; each
-  // task opens its own source(s), so tasks share no stream state.
-  ThreadPool pool(config.num_threads);
-  for (size_t t = 0; t < specs.size(); ++t) {
-    pool.Submit([&, t, per_trace] {
-      const StreamTraceSpec& spec = specs[t];
-      StreamReplayOptions replay_options;
-      replay_options.chunk_size = config.stream_chunk_size;
-      replay_options.mem_budget_bytes = config.stream_mem_budget_bytes;
-      replay_options.spill_dir = config.stream_spill_dir;
-      replay_options.max_dense_universe = config.max_dense_universe;
-
-      // Fractional cache sizes need the distinct-id count before the
-      // replay starts; discover it with a counting pre-pass unless the
-      // spec supplied it. Either way the count doubles as the
-      // dense-universe hint, so remap-invariant cells get the same
-      // direct-indexed lane the in-memory batched engine uses.
-      uint64_t num_objects = spec.num_objects;
-      if (num_objects == 0) {
-        std::string open_error;
-        auto counting = OpenTraceSource(spec.path, &open_error);
-        QDLP_CHECK_MSG(counting != nullptr, open_error.c_str());
-        const StreamCountResult counted =
-            StreamCountObjects(*counting, replay_options);
-        QDLP_CHECK_MSG(counted.ok, counted.error.c_str());
-        num_objects = counted.num_objects;
-      }
-      replay_options.dense_universe = num_objects;
-
-      std::vector<BatchCellSpec> cells;
-      cells.reserve(per_trace);
-      for (const double fraction : config.size_fractions) {
-        const size_t cache_size = CacheSizeForCount(num_objects, fraction);
-        for (const std::string& policy : config.policies) {
-          cells.push_back(BatchCellSpec{policy, cache_size});
-        }
-      }
-
-      std::string open_error;
-      auto source = OpenTraceSource(spec.path, &open_error);
-      QDLP_CHECK_MSG(source != nullptr, open_error.c_str());
-      const std::string trace_name = spec.name.empty() ? spec.path : spec.name;
-      const StreamReplayResult replay =
-          StreamReplayTrace(*source, trace_name, cells, replay_options);
-      QDLP_CHECK_MSG(replay.ok, replay.error.c_str());
-
-      size_t slot = t * per_trace;
-      size_t cell = 0;
-      for (size_t f = 0; f < config.size_fractions.size(); ++f) {
-        for (const std::string& policy : config.policies) {
-          const SimResult& result = replay.cells[cell];
-          SweepPoint& point = points[slot];
-          point.trace = trace_name;
-          point.dataset = spec.dataset;
-          point.cls = spec.cls;
-          point.size_fraction = config.size_fractions[f];
-          point.cache_size = cells[cell].cache_size;
-          point.policy = policy;
-          point.miss_ratio = result.miss_ratio();
-          ++slot;
-          ++cell;
-        }
-      }
-    });
-  }
-  pool.Wait();
-  return points;
+  // Each task opens its own source(s), so tasks share no stream state.
+  return RunGrid(specs.size(), config, [&](size_t t, SweepPoint* slot) {
+    const StreamTraceSpec& spec = specs[t];
+    const std::string trace_name = spec.name.empty() ? spec.path : spec.name;
+    StreamReplayOptions options;
+    options.mem_budget_bytes = config.stream_mem_budget_bytes;
+    options.spill_dir = config.stream_spill_dir;
+    // Fractional cache sizes need the distinct-id count before the replay
+    // starts; discover it with a counting pre-pass (a replay with no
+    // cells) unless the spec supplied it. Either way the count doubles as
+    // the dense-universe hint, so remap-invariant cells get the same
+    // direct-indexed lane RunSweep uses.
+    uint64_t num_objects = spec.num_objects;
+    if (num_objects == 0) {
+      num_objects = ReplayFile(spec.path, trace_name, {}, options).num_objects;
+    }
+    options.dense_universe = num_objects;
+    const std::vector<BatchCellSpec> cells = LayOutCells(config, num_objects);
+    FillPoints(config, cells,
+               ReplayFile(spec.path, trace_name, cells, options).cells,
+               spec.dataset, spec.cls, slot);
+  });
 }
 
 std::vector<SweepPoint> RunSweep(const std::vector<Trace>& traces,
                                  const SweepConfig& config) {
-  QDLP_CHECK(!config.policies.empty());
-  QDLP_CHECK(!config.size_fractions.empty());
-
-  const size_t per_trace = config.size_fractions.size() * config.policies.size();
-  std::vector<SweepPoint> points(traces.size() * per_trace);
-
-  // Output slots are preassigned so ordering is identical to the
-  // sequential nesting (trace-major, then fraction, then policy) no matter
-  // which engine ran or how its tasks were scheduled.
-  ThreadPool pool(config.num_threads);
-  if (config.engine == SweepEngine::kBatched) {
-    RunSweepBatched(traces, config, pool, points);
-  } else {
-    RunSweepPerCell(traces, config, pool, points);
-  }
-  pool.Wait();
-  return points;
+  // Each task densifies its trace once, then a single interleaved pass
+  // drives every (fraction x policy) cell.
+  return RunGrid(traces.size(), config, [&](size_t t, SweepPoint* slot) {
+    const Trace& trace = traces[t];
+    const std::vector<BatchCellSpec> cells =
+        LayOutCells(config, trace.num_objects);
+    FillPoints(config, cells,
+               BatchReplayTrace(DensifyTrace(trace), cells, {},
+                                &trace.requests),
+               trace.dataset, trace.cls, slot);
+  });
 }
 
 namespace {

@@ -1,6 +1,10 @@
 // Parallel experiment sweeps: (trace × cache-size fraction × policy) grids
-// replayed across a thread pool. This is the workhorse behind the Fig 2 and
-// Fig 5 harnesses.
+// replayed across a thread pool, one task per trace. This is the workhorse
+// behind the Fig 2 and Fig 5 harnesses. Both entry points lay out a trace's
+// cells and fill its points the same way and differ only in the replay
+// engine's front end: RunSweep densifies each trace and calls
+// BatchReplayTrace, RunSweepStreamed counts each file and calls
+// StreamReplayTrace.
 
 #ifndef QDLP_SRC_SIM_SWEEP_H_
 #define QDLP_SRC_SIM_SWEEP_H_
@@ -23,38 +27,22 @@ struct SweepPoint {
   double miss_ratio = 0.0;
 };
 
-// How the grid is executed. Both engines produce the same SweepPoints in
-// the same order with bit-identical miss ratios (pinned by tests); they
-// differ only in speed.
-enum class SweepEngine {
-  // One pass over each trace's dense-id stream drives all of its
-  // (fraction x policy) cells in interleaved batches (batch_replay.h).
-  // Pays one remap per trace, then reads the halved-width stream once.
-  kBatched,
-  // One full replay of the original trace per cell (simulator.h). Kept as
-  // the differential reference and the bench baseline.
-  kPerCell,
-};
-
 struct SweepConfig {
   std::vector<std::string> policies;
   // Cache sizes as fractions of each trace's unique-object count.
   std::vector<double> size_fractions = {0.001, 0.10};
   // 0 = hardware concurrency.
   size_t num_threads = 0;
-  SweepEngine engine = SweepEngine::kBatched;
-  // Batched engine tuning; see BatchReplayOptions for semantics.
-  size_t batch_size = 1024;
-  uint64_t max_dense_universe = uint64_t{1} << 26;
-  // Streaming-engine tuning (RunSweepStreamed only); see
-  // StreamReplayOptions for semantics.
-  size_t stream_chunk_size = 4096;
+  // RunSweepStreamed's id mapper; see StreamReplayOptions for semantics.
   size_t stream_mem_budget_bytes = 0;
   std::string stream_spill_dir;
 };
 
-// Runs the full grid. Results are in deterministic order (trace-major,
-// fraction, policy) regardless of thread scheduling or engine choice.
+// Runs the full grid: one task per trace densifies it and drives all of its
+// (fraction x policy) cells in one BatchReplayTrace pass. Results are in
+// deterministic order (trace-major, fraction, policy) regardless of thread
+// scheduling, with miss ratios bit-identical to a per-cell SimulatePolicy
+// replay (pinned by tests).
 std::vector<SweepPoint> RunSweep(const std::vector<Trace>& traces,
                                  const SweepConfig& config);
 

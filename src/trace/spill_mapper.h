@@ -28,7 +28,8 @@
 // Dense ids are identical to DenseIdMapper's for the same stream (pinned
 // in tests/spill_mapper_test.cc). No reverse to_original mapping is kept —
 // that is itself O(universe); streaming consumers that need original ids
-// keep the raw chunk instead (src/sim/stream_replay.cc). Not thread-safe.
+// keep the raw chunk instead (StreamReplayTrace in
+// src/sim/replay_engine.cc). Not thread-safe.
 
 #ifndef QDLP_SRC_TRACE_SPILL_MAPPER_H_
 #define QDLP_SRC_TRACE_SPILL_MAPPER_H_

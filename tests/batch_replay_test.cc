@@ -1,9 +1,9 @@
-// Batched sweep engine differential: one interleaved pass over the dense
+// Batched replay differential: one interleaved pass over the dense
 // stream must be observationally identical to replaying each cell alone
 // over the original trace — bit-identical hit counts, hence bit-identical
 // miss ratios, for every serial policy across every lane of the engine
 // (dense index + dense ids, flat index + dense ids, flat index + original
-// ids). RunSweep's two engines are likewise pinned against each other,
+// ids). RunSweep is likewise pinned against per-cell SimulatePolicy,
 // points compared field by field in order.
 
 #include <gtest/gtest.h>
@@ -136,7 +136,7 @@ TEST(BatchReplayTest, FlatIndexLaneMatchesDenseIndexLane) {
   }
 }
 
-// Odd batch sizes exercise the tail-batch handling.
+// Odd chunk sizes exercise the tail-chunk handling.
 TEST(BatchReplayTest, BatchSizeDoesNotChangeResults) {
   HighReuseKvConfig config;
   config.num_requests = 10000 / kScale;
@@ -149,14 +149,14 @@ TEST(BatchReplayTest, BatchSizeDoesNotChangeResults) {
                                             {"belady", cache_size}};
   std::vector<SimResult> reference =
       BatchReplayTrace(dense, cells, {}, &trace.requests);
-  for (const size_t batch_size : {size_t{1}, size_t{7}, size_t{100000}}) {
+  for (const size_t chunk_size : {size_t{1}, size_t{7}, size_t{100000}}) {
     BatchReplayOptions options;
-    options.batch_size = batch_size;
+    options.chunk_size = chunk_size;
     const std::vector<SimResult> results =
         BatchReplayTrace(dense, cells, options, &trace.requests);
     for (size_t i = 0; i < cells.size(); ++i) {
       EXPECT_EQ(results[i].hits, reference[i].hits)
-          << cells[i].policy << " batch " << batch_size;
+          << cells[i].policy << " chunk " << chunk_size;
     }
   }
 }
@@ -193,33 +193,41 @@ TEST(BatchReplayTest, DensePolicyVariantsMatchFlatDirectly) {
   }
 }
 
-// The two RunSweep engines must emit the same points in the same order —
-// every field, miss ratios compared as exact doubles.
-TEST(BatchReplayTest, SweepEnginesProduceIdenticalPoints) {
+// RunSweep must emit exactly the points of a per-cell SimulatePolicy
+// replay, in (trace, fraction, policy) order — every field, miss ratios
+// compared as exact doubles. Belady keeps RunSweep's pass-through of the
+// original stream covered.
+TEST(BatchReplayTest, RunSweepMatchesPerCellSimulatePolicy) {
   const std::vector<Trace> traces = TestTraces();
   SweepConfig config;
-  config.policies = {"fifo", "lru",    "clock2",     "sieve",
-                     "s3fifo", "random", "qd-lp-fifo", "arc"};
+  config.policies = {"fifo",   "lru",        "clock2", "sieve", "s3fifo",
+                     "random", "qd-lp-fifo", "arc",    "belady"};
   config.size_fractions = {0.001, 0.01, 0.10};
   config.num_threads = 2;
+  const std::vector<SweepPoint> points = RunSweep(traces, config);
 
-  config.engine = SweepEngine::kBatched;
-  const std::vector<SweepPoint> batched = RunSweep(traces, config);
-  config.engine = SweepEngine::kPerCell;
-  const std::vector<SweepPoint> per_cell = RunSweep(traces, config);
-
-  ASSERT_EQ(batched.size(), per_cell.size());
-  for (size_t i = 0; i < batched.size(); ++i) {
-    EXPECT_EQ(batched[i].trace, per_cell[i].trace) << i;
-    EXPECT_EQ(batched[i].dataset, per_cell[i].dataset) << i;
-    EXPECT_EQ(batched[i].cls, per_cell[i].cls) << i;
-    EXPECT_EQ(batched[i].size_fraction, per_cell[i].size_fraction) << i;
-    EXPECT_EQ(batched[i].cache_size, per_cell[i].cache_size) << i;
-    EXPECT_EQ(batched[i].policy, per_cell[i].policy) << i;
-    // Bit-identical, not approximately equal: both engines accumulate
-    // integer hit counts and divide once.
-    EXPECT_EQ(batched[i].miss_ratio, per_cell[i].miss_ratio)
-        << batched[i].trace << " " << batched[i].policy;
+  ASSERT_EQ(points.size(), traces.size() * config.size_fractions.size() *
+                               config.policies.size());
+  size_t i = 0;
+  for (const Trace& trace : traces) {
+    for (const double fraction : config.size_fractions) {
+      const size_t cache_size = CacheSizeForFraction(trace, fraction);
+      for (const std::string& policy : config.policies) {
+        const SweepPoint& point = points[i];
+        EXPECT_EQ(point.trace, trace.name) << i;
+        EXPECT_EQ(point.dataset, trace.dataset) << i;
+        EXPECT_EQ(point.cls, trace.cls) << i;
+        EXPECT_EQ(point.size_fraction, fraction) << i;
+        EXPECT_EQ(point.cache_size, cache_size) << i;
+        EXPECT_EQ(point.policy, policy) << i;
+        // Bit-identical, not approximately equal: both sides accumulate
+        // integer hit counts and divide once.
+        EXPECT_EQ(point.miss_ratio,
+                  SimulatePolicy(policy, trace, cache_size).miss_ratio())
+            << trace.name << " " << policy;
+        ++i;
+      }
+    }
   }
 }
 

@@ -247,10 +247,19 @@ TEST(ResidencyTest, BeladySpendsLessOnUnpopularThanLru) {
 
 TEST(MrcTest, CurveHasRequestedPoints) {
   const Trace trace = SmallZipfTrace(311);
-  const auto curve = ComputeMrc("lru", trace, {0.01, 0.05, 0.2});
+  const std::vector<double> fractions = {0.01, 0.05, 0.2};
+  const auto curve = ComputeMrc("lru", trace, fractions);
   ASSERT_EQ(curve.size(), 3u);
   EXPECT_LT(curve[2].miss_ratio, curve[0].miss_ratio + 1e-12);
   EXPECT_GT(curve[2].cache_size, curve[0].cache_size);
+  // Each point is exactly a per-fraction replay.
+  for (size_t i = 0; i < curve.size(); ++i) {
+    EXPECT_EQ(curve[i].size_fraction, fractions[i]);
+    EXPECT_EQ(curve[i].cache_size, CacheSizeForFraction(trace, fractions[i]));
+    EXPECT_EQ(curve[i].miss_ratio,
+              SimulatePolicy("lru", trace, curve[i].cache_size).miss_ratio())
+        << fractions[i];
+  }
 }
 
 TEST(MrcTest, DefaultFractionsAreSorted) {

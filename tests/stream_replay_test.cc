@@ -213,13 +213,44 @@ TEST(StreamReplayTest, SourceErrorSurfacesInResult) {
   std::remove(path.c_str());
 }
 
+// A replay with no cells is the counting pre-pass.
 TEST(StreamCountTest, CountsMatchTraceMetadata) {
   const Trace trace = TestTrace(7);
   VectorTraceSource source(trace.requests);
-  const StreamCountResult counted = StreamCountObjects(source, {});
+  const StreamReplayResult counted =
+      StreamReplayTrace(source, trace.name, {}, {});
   ASSERT_TRUE(counted.ok);
+  EXPECT_TRUE(counted.cells.empty());
   EXPECT_EQ(counted.num_requests, trace.requests.size());
   EXPECT_EQ(counted.num_objects, trace.num_objects);
+}
+
+// The dense-index cells are sized from the dense_universe hint, so a hint
+// one below the true count must abort rather than index past them.
+TEST(StreamReplayDeathTest, UndercountedHintAborts) {
+  const Trace trace = TestTrace(9, 5000, 500);
+  StreamReplayOptions options;
+  options.dense_universe = trace.num_objects - 1;
+  const std::vector<BatchCellSpec> cells = {{"lru", 50}};
+  EXPECT_DEATH(
+      {
+        VectorTraceSource source(trace.requests);
+        StreamReplayTrace(source, trace.name, cells, options);
+      },
+      "more distinct ids than the dense_universe hint promised");
+}
+
+// Belady is built from the whole future request stream, which a stream
+// replay does not have.
+TEST(StreamReplayDeathTest, BeladyCellAborts) {
+  const Trace trace = TestTrace(9, 5000, 500);
+  const std::vector<BatchCellSpec> cells = {{"lru", 50}, {"belady", 50}};
+  EXPECT_DEATH(
+      {
+        VectorTraceSource source(trace.requests);
+        StreamReplayTrace(source, trace.name, cells, {});
+      },
+      "\"belady\" requires the request stream");
 }
 
 // --- streamed sweep vs in-memory sweep -------------------------------------

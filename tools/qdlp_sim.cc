@@ -195,7 +195,6 @@ int RunStreamed(const std::string& trace_path,
 
   StreamReplayOptions options;
   options.mem_budget_bytes = mem_budget_mb << 20;
-  options.shards_sample_rate = mrc_sample_rate;
 
   std::string error;
   auto counting = OpenTraceSource(trace_path, &error);
@@ -203,7 +202,8 @@ int RunStreamed(const std::string& trace_path,
     std::fprintf(stderr, "error: %s\n", error.c_str());
     return 1;
   }
-  const StreamCountResult counted = StreamCountObjects(*counting, options);
+  const StreamReplayResult counted =
+      StreamReplayTrace(*counting, trace_path, {}, options);
   if (!counted.ok || counted.num_requests == 0) {
     std::fprintf(stderr, "error: %s\n",
                  counted.ok ? "trace is empty" : counted.error.c_str());
@@ -221,6 +221,7 @@ int RunStreamed(const std::string& trace_path,
                         static_cast<double>(counted.num_objects));
   }
   options.dense_universe = counted.num_objects;
+  options.shards_sample_rate = mrc_sample_rate;
   std::vector<BatchCellSpec> cells;
   for (const double fraction : fractions) {
     const size_t cache_size = CacheSizeForCount(counted.num_objects, fraction);
