@@ -240,7 +240,11 @@ class DomainCache : public ConcurrentCache {
     // Hit/miss is counted where the outcome is known: the locked re-probe
     // can discover the object was admitted by another thread (or an earlier
     // buffered copy of this miss) after the lock-free probe above failed,
-    // and that Get is a hit to its caller.
+    // and that Get is a hit to its caller. The same re-probe absorbs the
+    // index's false misses (a probe that raced a backward shift,
+    // striped_index.h): under the home-domain lock no shift of the id's
+    // stripe can run. If the try-lock fails instead, the miss is counted
+    // and the buffered admission finds the id resident and admits nothing.
     const size_t s = ShardOf(id);
     EvictionDomain& domain = core_.domains.shard(s);
     if (domain.mu.try_lock()) {

@@ -12,34 +12,54 @@
 // Concurrency contract:
 //  * Readers (Find) are wait-free in the common case and never block.
 //  * Mutations (Insert/Update/Erase) must be serialized by the caller
-//    PER STRIPE. A stripe's writer bookkeeping (size/used/tombstones and
-//    the rebuild machinery) is plain data guarded by whatever lock the
-//    caller wraps around that stripe's mutations. Two valid shapes exist
-//    in the caches:
+//    PER STRIPE. A stripe's writer bookkeeping (its live count and the
+//    growth machinery) is guarded by whatever lock the caller wraps around
+//    that stripe's mutations. Two valid shapes exist in the caches:
 //      - one global eviction mutex (exactly one writer at a time), or
 //      - sharded eviction domains (eviction_domains.h): shard s serializes
 //        mutations for the disjoint stripe set {t : t & (S-1) == s}, so
 //        concurrent writers under different shard mutexes never touch the
 //        same stripe. Both selections mask the same (FlatMapHash >> 32)
-//        bits, which is what makes the ownership exact. The only cross-
-//        stripe writer state is the global size_, which is atomic.
+//        bits, which is what makes the ownership exact.
+//    No writer state is shared across stripes: each stripe keeps its own
+//    live count on a cache line of its own, and size() sums them. So no
+//    insert or erase writes a process-global line, and none writes the
+//    line that every Find of its stripe reads.
 //    Either way there is one writer per stripe, which is what makes the
 //    slot protocol simple enough to be obviously right:
-//      - Insert writes the value first, then publishes the key with a
-//        release store; a reader that observes the key (acquire) therefore
-//        observes a valid value.
-//      - Erase overwrites the key with the tombstone sentinel; a reader
-//        that raced and already matched the key linearizes before the
-//        erase.
-//  * Stripe rebuilds (tombstone cleanup / growth) swap in a fresh slot
-//    array under a seqlock: readers validate the stripe version around the
-//    probe and retry on change. Old slot arrays are retired, not freed —
-//    a stale reader probes stale-but-valid memory and then notices the
-//    version bump (no use-after-free, no hazard pointers, no epochs).
-//    Retired arrays of the current size are recycled into later rebuilds
-//    (reset + refilled inside the odd-version window), so steady-state
-//    churn ping-pongs between two arrays per stripe instead of retiring
-//    one per rebuild; only outgrown sizes stay resident until destruction.
+//      - A slot's key goes from empty to a key, from a key to the reserved
+//        tombstone key ~0-1, and from the tombstone to a key or back to
+//        empty; never from one key straight to another. Every value store
+//        is a release store, and an entry's value is stored before its key
+//        is published in a slot.
+//      - Insert writes the value first, then publishes the key; a reader
+//        that observes the key (acquire) therefore observes a valid value.
+//      - Erase tombstones the key's slot, then pulls the later entries of
+//        the probe run back into the hole (backward-shift deletion): each
+//        move publishes the entry into the hole like an Insert, then
+//        tombstones its old slot, which becomes the next hole. The last
+//        hole lies on no remaining entry's probe path and is emptied before
+//        Erase returns, so no tombstone outlives the call and a stripe
+//        never needs a rebuild to clean them out.
+//    A reader that matched key K re-checks the key after loading the
+//    value. If the value it loaded was written by a later shift, the slot
+//    was tombstoned before that release store, so the re-check sees a
+//    changed key and the reader probes again from K's home. (Only K's
+//    erase and re-insert into the same slot between the reader's two key
+//    loads defeats the re-check, a window tombstone reuse had as well.)
+//    Readers probe past tombstones, so at every instant each live key is
+//    reachable from its home, even while a writer is preempted mid-shift.
+//    A reader whose probe has already passed the hole when an entry moves
+//    back into it can still miss that entry: a false miss, never a wrong
+//    value. Callers tolerate false misses: the caches' miss path re-probes
+//    under the home-domain lock, and no shift of that stripe can run while
+//    it is held (eviction_domains.h).
+//  * Stripe growth swaps in a doubled slot array under a seqlock: readers
+//    validate the stripe version around the probe and retry on change. Old
+//    slot arrays are retired, not freed — a stale reader probes
+//    stale-but-valid memory and then notices the version bump (no
+//    use-after-free, no hazard pointers, no epochs). A stripe only grows,
+//    so its retired arrays together hold fewer slots than its current one.
 //
 // Keys are ObjectIds; the two top values (~0 and ~0-1) are reserved as
 // empty/tombstone sentinels. The read-side entry points (Find/Contains/
@@ -49,9 +69,9 @@
 // checks instead: admitting a reserved key is a caller bug (the server
 // rejects such keys at the wire, protocol.h).
 //
-// Striping bounds probe runs, keeps rebuilds O(stripe) instead of
-// O(table), and gives each stripe's mutable header its own cache line so
-// readers of different stripes never false-share.
+// Striping bounds probe runs, keeps growth O(stripe) instead of O(table),
+// and gives each stripe's header its own cache lines so readers of
+// different stripes never false-share.
 
 #ifndef QDLP_SRC_CONCURRENT_STRIPED_INDEX_H_
 #define QDLP_SRC_CONCURRENT_STRIPED_INDEX_H_
@@ -71,6 +91,7 @@ namespace qdlp {
 class StripedAtomicIndex {
  public:
   static constexpr uint64_t kEmptyKey = ~uint64_t{0};
+  // Only ever stored inside Erase (see the header comment).
   static constexpr uint64_t kTombstoneKey = ~uint64_t{0} - 1;
 
   // `max_entries` sizes each stripe so the whole table holds that many live
@@ -90,12 +111,15 @@ class StripedAtomicIndex {
     }
     stripes_ = std::vector<Stripe>(stripes);
     for (Stripe& stripe : stripes_) {
-      stripe.InstallFresh(slots);
+      stripe.current = std::make_unique<Slot[]>(slots);
+      stripe.slots.store(stripe.current.get(), std::memory_order_release);
+      stripe.mask.store(slots - 1, std::memory_order_release);
     }
   }
 
   // Lock-free. Returns true and stores the mapped value on success.
-  // Reserved (sentinel) keys are never present.
+  // Reserved (sentinel) keys are never present. May miss a key that a
+  // concurrent Erase shifts backward past this probe (a false miss).
   bool Find(ObjectId key, uint32_t* value) const {
     if (key >= kTombstoneKey) {
       return false;  // would match an empty/tombstone slot, not an entry
@@ -104,7 +128,7 @@ class StripedAtomicIndex {
     const Stripe& stripe = stripes_[(hash >> 32) & stripe_mask_];
     while (true) {
       const uint64_t v1 = stripe.version.load(std::memory_order_acquire);
-      // Mask before slots: a rebuild publishes its array before its mask and
+      // Mask before slots: growth publishes its array before its mask and
       // never shrinks a stripe, so an array loaded after a mask holds at
       // least mask + 1 slots. The other order can pair an old array with a
       // grown mask and read past its end before the version check rejects
@@ -112,43 +136,38 @@ class StripedAtomicIndex {
       const uint64_t mask = stripe.mask.load(std::memory_order_acquire);
       const Slot* slots = stripe.slots.load(std::memory_order_acquire);
       size_t index = hash & mask;
-      bool found = false;
-      uint32_t found_value = 0;
-      while (true) {
-        const uint64_t slot_key =
-            slots[index].key.load(std::memory_order_acquire);
-        if (slot_key == key) {
-          // Acquire on the value so the key re-check below cannot hoist
-          // above it; the re-check closes the slot-reuse window (erase of
-          // this key + insert of another key into the same slot between
-          // our two loads would otherwise pair our key with its value).
-          found_value = slots[index].value.load(std::memory_order_acquire);
-          found =
-              slots[index].key.load(std::memory_order_relaxed) == slot_key;
-          if (found) {
-            break;
-          }
-          continue;  // slot churned under us; re-probe from this slot
-        }
-        if (slot_key == kEmptyKey) {
-          break;
-        }
+      uint64_t slot_key;
+      while ((slot_key = slots[index].key.load(std::memory_order_acquire)) !=
+                 key &&
+             slot_key != kEmptyKey) {
         index = (index + 1) & mask;
       }
-      // Seqlock validation: an odd version means a rebuild is in flight; a
-      // changed version means the probe may have straddled one (and, since
-      // retired arrays are recycled into later rebuilds, may have read a
-      // slab mid-rewrite). The fence orders every probe load before the
-      // re-read, Boehm-style. Either way the probe re-runs against the
-      // (new) current array. Rebuilds are rare — steady state pays only
-      // these two version loads.
+      uint32_t found_value = 0;
+      if (slot_key == key) {
+        // Acquire on the value so the key re-check below cannot hoist
+        // above it; the re-check closes the slot-reuse window (erase or
+        // shift of this key + a shift or insert of another key into the
+        // same slot between our two loads would otherwise pair our key with
+        // its value). On a change the key may have moved back toward its
+        // home, so the probe restarts there.
+        found_value = slots[index].value.load(std::memory_order_acquire);
+        if (slots[index].key.load(std::memory_order_relaxed) != key) {
+          continue;
+        }
+      }
+      // Seqlock validation: an odd version means growth is in flight; a
+      // changed version means the probe may have straddled one and read an
+      // array writers no longer update. The fence orders every probe load
+      // before the re-read, Boehm-style. Either way the probe re-runs
+      // against the (new) current array. Growth is rare — steady state pays
+      // only these two version loads.
       std::atomic_thread_fence(std::memory_order_acquire);
       if (v1 == stripe.version.load(std::memory_order_acquire) &&
           (v1 & 1) == 0) {
-        if (found) {
+        if (slot_key == key) {
           *value = found_value;
         }
-        return found;
+        return slot_key == key;
       }
     }
   }
@@ -160,41 +179,28 @@ class StripedAtomicIndex {
 
   // Writer-side (externally serialized). Key must be absent and must not
   // be a reserved sentinel (hard check: a sentinel insert would alias an
-  // empty/tombstone slot and corrupt the table).
+  // empty slot and corrupt the table).
   void Insert(ObjectId key, uint32_t value) {
     QDLP_CHECK(key < kTombstoneKey);
     const uint64_t hash = FlatMapHash(key);
     Stripe& stripe = stripes_[(hash >> 32) & stripe_mask_];
-    MaybeRebuild(stripe);
+    const size_t live = stripe.live.load(std::memory_order_relaxed) + 1;
+    MaybeGrow(stripe, live);
     Slot* slots = stripe.slots.load(std::memory_order_relaxed);
     const uint64_t mask = stripe.mask.load(std::memory_order_relaxed);
     size_t index = hash & mask;
-    size_t first_tombstone = kNpos;
     while (true) {
       const uint64_t slot_key =
           slots[index].key.load(std::memory_order_relaxed);
       QDLP_DCHECK(slot_key != key);
       if (slot_key == kEmptyKey) {
-        size_t target = index;
-        if (first_tombstone != kNpos) {
-          target = first_tombstone;
-          --stripe.tombstones;
-        } else {
-          ++stripe.used;
-        }
-        // Publish order: value first, key last with release, so a reader
-        // that acquires the key sees the value.
-        slots[target].value.store(value, std::memory_order_relaxed);
-        slots[target].key.store(key, std::memory_order_release);
-        ++stripe.size;
-        size_.fetch_add(1, std::memory_order_relaxed);
-        return;
-      }
-      if (slot_key == kTombstoneKey && first_tombstone == kNpos) {
-        first_tombstone = index;
+        break;
       }
       index = (index + 1) & mask;
     }
+    Publish(slots[index], key, value);
+    // One writer per stripe: a relaxed load and store, no lock prefix.
+    stripe.live.store(live, std::memory_order_relaxed);
   }
 
   // Writer-side. Returns false if the key is absent.
@@ -208,8 +214,8 @@ class StripedAtomicIndex {
   }
 
   // Writer-side. Returns true if the key was present and is now removed.
-  // Reserved keys are never present: erasing one is a no-op, not a
-  // tombstoning of whatever empty slot the probe happens to hit first.
+  // Reserved keys are never present: erasing one is a no-op, not an
+  // emptying of whatever empty slot the probe happens to hit first.
   bool Erase(ObjectId key) {
     if (key >= kTombstoneKey) {
       return false;
@@ -218,43 +224,53 @@ class StripedAtomicIndex {
     Stripe& stripe = stripes_[(hash >> 32) & stripe_mask_];
     Slot* slots = stripe.slots.load(std::memory_order_relaxed);
     const uint64_t mask = stripe.mask.load(std::memory_order_relaxed);
-    size_t index = hash & mask;
+    size_t hole = hash & mask;
     while (true) {
-      const uint64_t slot_key =
-          slots[index].key.load(std::memory_order_relaxed);
+      const uint64_t slot_key = slots[hole].key.load(std::memory_order_relaxed);
       if (slot_key == key) {
         break;
       }
       if (slot_key == kEmptyKey) {
         return false;
       }
-      index = (index + 1) & mask;
+      hole = (hole + 1) & mask;
     }
-    slots[index].key.store(kTombstoneKey, std::memory_order_release);
-    --stripe.size;
-    size_.fetch_sub(1, std::memory_order_relaxed);
-    ++stripe.tombstones;
-    // Prune: a tombstone run that borders an empty slot terminates no live
-    // key's probe path (any such path would cross the empty slot too), so
-    // the run can revert to empty — safe against concurrent readers, who
-    // at worst stop one slot earlier with the same not-found answer.
-    if (slots[(index + 1) & mask].key.load(std::memory_order_relaxed) ==
-        kEmptyKey) {
-      size_t runner = index;
-      while (slots[runner].key.load(std::memory_order_relaxed) ==
-             kTombstoneKey) {
-        slots[runner].key.store(kEmptyKey, std::memory_order_release);
-        --stripe.used;
-        --stripe.tombstones;
-        runner = (runner - 1) & mask;
+    // Backward shift. The hole holds a tombstone, which readers probe past,
+    // until nothing is left to move into it: an entry of the rest of the run
+    // whose home is not in (hole, next] probes through the hole, so it is
+    // published there and its old slot becomes the hole. The last hole
+    // lies on no remaining entry's probe path and is emptied.
+    slots[hole].key.store(kTombstoneKey, std::memory_order_release);
+    for (size_t next = (hole + 1) & mask;; next = (next + 1) & mask) {
+      const uint64_t moved = slots[next].key.load(std::memory_order_relaxed);
+      if (moved == kEmptyKey) {
+        break;
       }
+      const size_t home = FlatMapHash(moved) & mask;
+      if (((next - home) & mask) < ((next - hole) & mask)) {
+        continue;  // home lies after the hole: the entry stays reachable
+      }
+      Publish(slots[hole], moved,
+              slots[next].value.load(std::memory_order_relaxed));
+      slots[next].key.store(kTombstoneKey, std::memory_order_release);
+      hole = next;
     }
+    slots[hole].key.store(kEmptyKey, std::memory_order_release);
+    stripe.live.store(stripe.live.load(std::memory_order_relaxed) - 1,
+                      std::memory_order_relaxed);
     return true;
   }
 
-  // Live-entry count. Relaxed: exact once the writers are quiescent, a
-  // point-in-time approximation while sharded writers are mutating.
-  size_t size() const { return size_.load(std::memory_order_relaxed); }
+  // Live-entry count, summed over the stripes. Relaxed: exact once the
+  // writers are quiescent, a point-in-time approximation while sharded
+  // writers are mutating.
+  size_t size() const {
+    size_t total = 0;
+    for (const Stripe& stripe : stripes_) {
+      total += stripe.live.load(std::memory_order_relaxed);
+    }
+    return total;
+  }
 
   // Writer-quiescent iteration (used by invariant checks under the caches'
   // eviction lock): fn(ObjectId, uint32_t).
@@ -265,7 +281,7 @@ class StripedAtomicIndex {
       const uint64_t mask = stripe.mask.load(std::memory_order_relaxed);
       for (size_t i = 0; i <= mask; ++i) {
         const uint64_t key = slots[i].key.load(std::memory_order_acquire);
-        if (key < kTombstoneKey) {
+        if (key != kEmptyKey) {
           fn(key, slots[i].value.load(std::memory_order_relaxed));
         }
       }
@@ -274,48 +290,40 @@ class StripedAtomicIndex {
 
   // Writer-quiescent structural self-check.
   void CheckInvariants() const {
-    size_t total = 0;
     for (const Stripe& stripe : stripes_) {
       QDLP_CHECK((stripe.version.load(std::memory_order_acquire) & 1) == 0);
       const Slot* slots = stripe.slots.load(std::memory_order_acquire);
       const uint64_t mask = stripe.mask.load(std::memory_order_relaxed);
       QDLP_CHECK(((mask + 1) & mask) == 0);
       size_t live = 0;
-      size_t tombstones = 0;
       for (size_t i = 0; i <= mask; ++i) {
         const uint64_t key = slots[i].key.load(std::memory_order_acquire);
-        if (key == kTombstoneKey) {
-          ++tombstones;
-        } else if (key != kEmptyKey) {
-          ++live;
-          // Reachability: the probe path from the key's home slot to its
-          // position crosses no empty slot.
-          uint32_t value;
-          QDLP_CHECK(Find(key, &value));
+        if (key == kEmptyKey) {
+          continue;
         }
+        // Erase shifts entries back instead of leaving tombstones.
+        QDLP_CHECK(key != kTombstoneKey);
+        ++live;
+        // Reachability: the probe path from the key's home slot to its
+        // position crosses no empty slot, and ends at this slot.
+        uint32_t value;
+        QDLP_CHECK(Find(key, &value));
+        QDLP_CHECK(value == slots[i].value.load(std::memory_order_relaxed));
       }
-      QDLP_CHECK(live == stripe.size);
-      QDLP_CHECK(tombstones == stripe.tombstones);
-      QDLP_CHECK(live + tombstones == stripe.used);
-      QDLP_CHECK(stripe.used * kMaxLoadDen <= (mask + 1) * kMaxLoadNum);
-      total += live;
+      QDLP_CHECK(live == stripe.live.load(std::memory_order_relaxed));
+      QDLP_CHECK(live * kMaxLoadDen <= (mask + 1) * kMaxLoadNum);
     }
-    QDLP_CHECK(total == size_.load(std::memory_order_relaxed));
   }
 
-  // Bytes held by the live slot arrays plus retired ones (resident until
-  // recycled by a same-size rebuild or destruction), for bytes/object
-  // accounting.
+  // Bytes held by the live slot arrays plus outgrown ones (resident until
+  // destruction), for bytes/object accounting.
   size_t MemoryBytes() const {
-    size_t bytes = 0;
+    size_t slots = 0;
     for (const Stripe& stripe : stripes_) {
-      bytes += (stripe.mask.load(std::memory_order_relaxed) + 1) *
-               sizeof(Slot);
-      for (const auto& retired : stripe.retired) {
-        bytes += retired.slot_count * sizeof(Slot);
-      }
+      slots += stripe.mask.load(std::memory_order_relaxed) + 1 +
+               stripe.retired_slots;
     }
-    return bytes;
+    return slots * sizeof(Slot);
   }
 
   size_t num_stripes() const { return stripes_.size(); }
@@ -326,39 +334,32 @@ class StripedAtomicIndex {
     std::atomic<uint32_t> value{0};
   };
 
-  struct RetiredSlab {
-    std::unique_ptr<Slot[]> slots;
-    size_t slot_count = 0;
-  };
-
-  // Mutable per-stripe header on its own cache line: readers of one stripe
-  // never invalidate another stripe's header line.
-  struct alignas(64) Stripe {
-    std::atomic<uint64_t> version{0};
+  struct Stripe {
+    // Read by every Find of this stripe; written only when it grows.
+    alignas(64) std::atomic<uint64_t> version{0};
     std::atomic<Slot*> slots{nullptr};
     std::atomic<uint64_t> mask{0};
-    // Writer-only bookkeeping (guarded by the external writer lock).
-    size_t size = 0;
-    size_t used = 0;  // live + tombstones
-    size_t tombstones = 0;
+    // Writer-only bookkeeping (guarded by the external writer lock), on a
+    // line of its own so inserts and erases never invalidate the line
+    // above. `live` is atomic only so that size() may sum it concurrently.
+    alignas(64) std::atomic<size_t> live{0};
     std::unique_ptr<Slot[]> current;
-    std::vector<RetiredSlab> retired;
-
-    void InstallFresh(size_t slot_count) {
-      current = std::make_unique<Slot[]>(slot_count);
-      slots.store(current.get(), std::memory_order_release);
-      mask.store(slot_count - 1, std::memory_order_release);
-    }
+    std::vector<std::unique_ptr<Slot[]>> retired;  // kept for stale readers
+    size_t retired_slots = 0;
   };
 
   static constexpr size_t kMinStripeSlots = 16;
-  static constexpr size_t kNpos = ~size_t{0};
-  // Rebuild when used (live + tombstone) exceeds 7/10 of the stripe;
-  // doubling only when live entries alone exceed 5/9 (flat_map's scheme).
+  // A stripe doubles when its live entries would pass 7/10 of its slots.
   static constexpr size_t kMaxLoadNum = 7;
   static constexpr size_t kMaxLoadDen = 10;
-  static constexpr size_t kSameSizeNum = 5;
-  static constexpr size_t kSameSizeDen = 9;
+
+  // Publish order: value first, key last, both release, so a reader that
+  // acquires the key sees the value, and one that loads the value sees the
+  // store that vacated the slot before it.
+  static void Publish(Slot& slot, ObjectId key, uint32_t value) {
+    slot.value.store(value, std::memory_order_release);
+    slot.key.store(key, std::memory_order_release);
+  }
 
   Slot* FindSlotMutable(ObjectId key) {
     if (key >= kTombstoneKey) {
@@ -382,72 +383,45 @@ class StripedAtomicIndex {
     }
   }
 
-  void MaybeRebuild(Stripe& stripe) {
+  // Doubles the stripe if `live` entries would pass its load limit.
+  void MaybeGrow(Stripe& stripe, size_t live) {
     const uint64_t mask = stripe.mask.load(std::memory_order_relaxed);
     const size_t capacity = mask + 1;
-    if ((stripe.used + 1) * kMaxLoadDen <= capacity * kMaxLoadNum) {
+    if (live * kMaxLoadDen <= capacity * kMaxLoadNum) {
       return;
     }
-    size_t new_capacity = capacity;
-    if ((stripe.size + 1) * kSameSizeDen > capacity * kSameSizeNum) {
-      new_capacity *= 2;
-    }
-    // Seqlock write section: readers retry probes that overlap this.
-    stripe.version.fetch_add(1, std::memory_order_acq_rel);  // -> odd
-    // Recycle a retired slab of the right size if one exists (same-size
-    // tombstone-cleanup rebuilds dominate, so steady-state churn ping-pongs
-    // between two arrays instead of leaking one per rebuild). Mutating a
-    // recycled slab while a stale reader probes it is safe: every probe
-    // access is atomic and the reader's version re-check rejects the probe.
-    // Clearing must happen inside the odd-version window for that reason.
-    std::unique_ptr<Slot[]> fresh;
-    for (auto it = stripe.retired.begin(); it != stripe.retired.end(); ++it) {
-      if (it->slot_count == new_capacity) {
-        fresh = std::move(it->slots);
-        stripe.retired.erase(it);
-        break;
-      }
-    }
-    if (fresh != nullptr) {
-      for (size_t i = 0; i < new_capacity; ++i) {
-        fresh[i].key.store(kEmptyKey, std::memory_order_relaxed);
-      }
-    } else {
-      fresh = std::make_unique<Slot[]>(new_capacity);
-    }
-    const uint64_t new_mask = new_capacity - 1;
+    // The new array stays private until published, and the writer is the
+    // only mutator of the old one, so it is filled before the seqlock opens.
+    auto grown = std::make_unique<Slot[]>(2 * capacity);
+    const uint64_t new_mask = 2 * capacity - 1;
     Slot* old = stripe.slots.load(std::memory_order_relaxed);
     for (size_t i = 0; i < capacity; ++i) {
       const uint64_t key = old[i].key.load(std::memory_order_relaxed);
-      if (key >= kTombstoneKey) {
+      if (key == kEmptyKey) {
         continue;
       }
       size_t index = FlatMapHash(key) & new_mask;
-      while (fresh[index].key.load(std::memory_order_relaxed) != kEmptyKey) {
+      while (grown[index].key.load(std::memory_order_relaxed) != kEmptyKey) {
         index = (index + 1) & new_mask;
       }
-      fresh[index].value.store(
-          old[i].value.load(std::memory_order_relaxed),
-          std::memory_order_relaxed);
-      fresh[index].key.store(key, std::memory_order_relaxed);
+      grown[index].value.store(old[i].value.load(std::memory_order_relaxed),
+                               std::memory_order_relaxed);
+      grown[index].key.store(key, std::memory_order_relaxed);
     }
+    // Seqlock write section: readers retry probes that overlap this.
+    stripe.version.fetch_add(1, std::memory_order_acq_rel);  // -> odd
     // Retire the old array (kept alive for stale readers), publish the new
     // one, close the seqlock.
-    stripe.retired.push_back(RetiredSlab{std::move(stripe.current), capacity});
-    stripe.current = std::move(fresh);
+    stripe.retired.push_back(std::move(stripe.current));
+    stripe.retired_slots += capacity;
+    stripe.current = std::move(grown);
     stripe.slots.store(stripe.current.get(), std::memory_order_release);
     stripe.mask.store(new_mask, std::memory_order_release);
-    stripe.used = stripe.size;
-    stripe.tombstones = 0;
     stripe.version.fetch_add(1, std::memory_order_release);  // -> even
   }
 
   std::vector<Stripe> stripes_;
   uint64_t stripe_mask_ = 0;
-  // Updated by whichever stripe-writer mutates; the one piece of writer
-  // state shared across stripes, hence atomic (relaxed suffices: it is a
-  // statistic, not a synchronization edge).
-  std::atomic<size_t> size_{0};
 };
 
 }  // namespace qdlp

@@ -3,11 +3,17 @@
 // The concurrent hit paths are lock-free by design (one striped-index probe
 // plus one relaxed RMW); always-on stats must not reintroduce a shared
 // contended cache line. Counters are therefore striped into cache-line-sized
-// cells indexed by the process-wide thread ordinal: each of the first
-// kCells threads owns a cell exclusively, so its increments compile to a
-// plain load/add/store of a relaxed atomic (no lock prefix, no line
-// ping-pong). Threads beyond kCells share the cells and fall back to
-// fetch_add — still relaxed, still wait-free.
+// cells indexed by the process-wide thread ordinal (util/thread_ordinal.h).
+// Live threads hold distinct ordinals and an exiting thread's ordinal is
+// recycled, so each of the first kCells *live* threads owns a cell
+// exclusively and its increments compile to a plain load/add/store of a
+// relaxed atomic (no lock prefix, no line ping-pong). A thread that
+// inherits an exited thread's ordinal inherits its cell, and the ordinal
+// hand-off orders the old owner's last store before the new owner's first
+// load, so no increment is lost. Threads beyond kCells live ones share one
+// overflow cell through fetch_add — still relaxed, still wait-free.
+// Because ordinals are returned by a destructor at thread exit, no cache
+// may be called from a thread_local destructor.
 //
 // Snapshot() sums the cells with relaxed loads. Individual counters are
 // exact (every increment lands); cross-counter relations are only exact at
@@ -48,20 +54,22 @@ class ConcurrentStatsCounters {
     kNumCounters,
   };
 
-  ConcurrentStatsCounters() : cells_(kCells) {}
+  ConcurrentStatsCounters() : cells_(kCells + 1) {}
 
   void Add(Counter which) {
     const uint32_t ordinal = ThreadOrdinal();
-    std::atomic<uint64_t>& counter =
-        cells_[ordinal & (kCells - 1)].v[which];
     if (ordinal < kCells) {
-      // Exclusive cell: the ordinal is process-wide unique, so no other
-      // thread writes this line. A relaxed load+store is one plain add.
+      // Exclusive cell: no other live thread holds this ordinal, so no
+      // other thread writes this line. A relaxed load+store is one plain
+      // add.
+      std::atomic<uint64_t>& counter = cells_[ordinal].v[which];
       counter.store(counter.load(std::memory_order_relaxed) + 1,
                     std::memory_order_relaxed);
     } else {
-      // Shared cell (more threads than cells ever existed): atomic RMW.
-      counter.fetch_add(1, std::memory_order_relaxed);
+      // More live threads than exclusive cells: the overflow cell, shared,
+      // so an atomic RMW (never a cell some owner updates with plain
+      // stores, which would lose increments).
+      cells_[kCells].v[which].fetch_add(1, std::memory_order_relaxed);
     }
   }
 
@@ -108,14 +116,13 @@ class ConcurrentStatsCounters {
   size_t MemoryBytes() const { return cells_.size() * sizeof(Cell); }
 
  private:
-  // 64 cells x one 64-byte line: covers every realistic thread count with
-  // exclusive cells in 4 KiB per cache.
+  // 64 exclusive cells: covers every realistic live thread count, in 8 KiB
+  // per cache, plus the overflow cell.
   static constexpr size_t kCells = 64;
-  static_assert((kCells & (kCells - 1)) == 0, "kCells must be a power of 2");
 
   // Two cache lines per cell since the contention counters joined (14 x 8
-  // bytes); a cell is still exclusively owned by one thread ordinal, so
-  // the no-ping-pong property is what matters, not the line count.
+  // bytes); a cell is still exclusively owned by one live thread ordinal,
+  // so the no-ping-pong property is what matters, not the line count.
   struct alignas(128) Cell {
     std::atomic<uint64_t> v[kNumCounters] = {};
   };

@@ -74,10 +74,11 @@ constexpr size_t kMaxBodyLen = kMaxValueLen + 4;
 constexpr size_t kMaxFrameLen = kFrameHeaderLen + kMaxBodyLen;
 
 // Keys at or above this value are reserved: the cache's lock-free index
-// (striped_index.h) uses the top two u64 values as empty/tombstone slot
-// sentinels, so they can never name an object. The server answers keyed
-// requests (GET/SET/DELETE) carrying a reserved key with kBadRequest and
-// keeps the connection (framing is intact — this is a semantic error).
+// (striped_index.h) marks empty slots with ~0 and, only while an erase
+// shifts entries back, vacated slots with ~0-1, so they can never name an
+// object. The server answers keyed requests (GET/SET/DELETE) carrying a
+// reserved key with kBadRequest and keeps the connection (framing is
+// intact — this is a semantic error).
 // server.cc static_asserts this against StripedAtomicIndex::kTombstoneKey.
 constexpr ObjectId kFirstReservedKey = ~ObjectId{0} - 1;
 

@@ -90,8 +90,8 @@ TEST(StripedIndexTest, ForEachVisitsEveryLiveEntryOnce) {
 }
 
 // Differential: random insert/erase/update churn must agree with FlatMap at
-// every step. Keys are drawn from a small universe so tombstone reuse,
-// pruning, and same-size rebuilds all trigger.
+// every step. Keys are drawn from a small universe, so probe runs are long
+// and most erases shift later entries of the run back into the hole.
 TEST(StripedIndexTest, ChurnMatchesFlatMap) {
   StripedAtomicIndex index(/*max_entries=*/200, /*num_stripes=*/4);
   FlatMap<uint32_t> model;
@@ -153,58 +153,103 @@ TEST(StripedIndexTest, GrowsBeyondConstructionHint) {
   EXPECT_GT(index.MemoryBytes(), 0u);
 }
 
+// The miss path's churn at a fixed population, in qdlpd's shape (65,536
+// entries over 64 stripes): erasing a victim and inserting a newcomer must
+// never need more memory than the fill did. Backward-shift deletion leaves
+// no tombstones, so nothing forces a rebuild and no array is retired.
+TEST(StripedIndexTest, ChurnAtConstantSizeKeepsMemoryFlat) {
+  constexpr size_t kEntries = size_t{1} << 16;
+  StripedAtomicIndex index(kEntries, /*num_stripes=*/64);
+  Rng rng(4242);
+  std::vector<ObjectId> present(kEntries);
+  ObjectId next_id = 0;
+  for (ObjectId& id : present) {
+    id = next_id++;
+    index.Insert(id, static_cast<uint32_t>(id));
+  }
+  const size_t bytes_after_fill = index.MemoryBytes();
+  for (int step = 0; step < 1000000; ++step) {
+    ObjectId& victim = present[rng.NextBounded(kEntries)];
+    ASSERT_TRUE(index.Erase(victim));
+    victim = next_id++;
+    index.Insert(victim, static_cast<uint32_t>(victim));
+  }
+  EXPECT_EQ(index.size(), kEntries);
+  EXPECT_EQ(index.MemoryBytes(), bytes_after_fill);
+  index.CheckInvariants();
+}
+
 // Lock-free readers vs one mutating writer. The writer maintains the
 // self-certifying mapping value == f(id), so any torn/stale read a reader
 // could observe would break the equality; under TSan this is also the
-// data-race probe for the seqlock + release/acquire slot protocol.
+// data-race probe for the seqlock + release/acquire slot protocol. Two
+// inputs: four stripes at about half load, and one stripe whose live count
+// hovers near 60% of its slots and never grows. In the second, most erases
+// shift several entries back, so a reader that paired a key with a shifted
+// neighbour's value would show up there.
 TEST(StripedIndexTest, ReadersNeverSeeTornValuesUnderChurn) {
-  StripedAtomicIndex index(/*max_entries=*/256, /*num_stripes=*/4);
-  constexpr uint64_t kUniverse = 512;
-  const auto value_of = [](ObjectId id) {
-    return static_cast<uint32_t>(id * 2654435761u + 17);
+  struct Input {
+    size_t max_entries;
+    size_t num_stripes;
+    uint64_t universe;
+    bool never_grows;
   };
-  std::atomic<bool> stop{false};
-  std::atomic<uint64_t> reader_hits{0};
-  std::atomic<bool> torn{false};
+  // One stripe of 1024 slots; toggling a universe of 1228 ids keeps about
+  // 614 live, below the 717 that would double it.
+  for (const Input& input : {Input{256, 4, 512, false},
+                             Input{512, 1, 1228, true}}) {
+    SCOPED_TRACE(input.num_stripes);
+    StripedAtomicIndex index(input.max_entries, input.num_stripes);
+    const size_t bytes_at_start = index.MemoryBytes();
+    const auto value_of = [](ObjectId id) {
+      return static_cast<uint32_t>(id * 2654435761u + 17);
+    };
+    std::atomic<bool> stop{false};
+    std::atomic<uint64_t> reader_hits{0};
+    std::atomic<bool> torn{false};
 
-  std::vector<std::thread> readers;
-  for (int t = 0; t < 3; ++t) {
-    readers.emplace_back([&, t] {
-      Rng rng(77 + static_cast<uint64_t>(t));
-      uint64_t hits = 0;
-      while (!stop.load(std::memory_order_acquire)) {
-        const ObjectId id = rng.NextBounded(kUniverse);
-        uint32_t value;
-        if (index.Find(id, &value)) {
-          ++hits;
-          if (value != value_of(id)) {
-            torn.store(true, std::memory_order_relaxed);
+    std::vector<std::thread> readers;
+    for (int t = 0; t < 3; ++t) {
+      readers.emplace_back([&, t] {
+        Rng rng(77 + static_cast<uint64_t>(t));
+        uint64_t hits = 0;
+        while (!stop.load(std::memory_order_acquire)) {
+          const ObjectId id = rng.NextBounded(input.universe);
+          uint32_t value;
+          if (index.Find(id, &value)) {
+            ++hits;
+            if (value != value_of(id)) {
+              torn.store(true, std::memory_order_relaxed);
+            }
           }
         }
-      }
-      reader_hits.fetch_add(hits, std::memory_order_relaxed);
-    });
-  }
-
-  Rng rng(99);
-  FlatMap<uint32_t> present;
-  for (int step = 0; step < 200000; ++step) {
-    const ObjectId id = rng.NextBounded(kUniverse);
-    if (present.Contains(id)) {
-      present.Erase(id);
-      index.Erase(id);
-    } else {
-      *present.Emplace(id).first = 1;
-      index.Insert(id, value_of(id));
+        reader_hits.fetch_add(hits, std::memory_order_relaxed);
+      });
     }
+
+    Rng rng(99);
+    FlatMap<uint32_t> present;
+    for (int step = 0; step < 200000; ++step) {
+      const ObjectId id = rng.NextBounded(input.universe);
+      if (present.Contains(id)) {
+        present.Erase(id);
+        index.Erase(id);
+      } else {
+        *present.Emplace(id).first = 1;
+        index.Insert(id, value_of(id));
+      }
+    }
+    stop.store(true, std::memory_order_release);
+    for (auto& thread : readers) {
+      thread.join();
+    }
+    EXPECT_FALSE(torn.load());
+    EXPECT_GT(reader_hits.load(), 0u);
+    if (input.never_grows) {
+      EXPECT_EQ(index.MemoryBytes(), bytes_at_start);
+    }
+    index.CheckInvariants();
   }
-  stop.store(true, std::memory_order_release);
-  for (auto& thread : readers) {
-    thread.join();
-  }
-  EXPECT_FALSE(torn.load());
-  EXPECT_GT(reader_hits.load(), 0u);
-  index.CheckInvariants();
 }
 
 }  // namespace

@@ -12,6 +12,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <latch>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -273,6 +274,67 @@ TEST(TsanStressTest, AdmitVsGetVsRemoveStorm) {
                                /*ghost_factor=*/0.9, /*num_stripes=*/8,
                                /*num_shards=*/4);
   AdmitGetRemoveStorm(s3fifo);
+}
+
+// Counter cells across thread generations: 40 generations of 4 live
+// threads, 160 in all, which is more than the 64 exclusive cells. Each new
+// thread takes over an exited thread's ordinal, and with it that thread's
+// exclusive counter cell, which it keeps updating with plain load+store
+// while a Stats() reader sums the cells. A last generation holds 72 threads
+// alive at once (each counts its first Get, then waits for the rest), so 8
+// of them count in the shared overflow cell. At quiescence the counters
+// must hold every increment of every generation.
+TEST(TsanStressTest, CountersStayExactAcrossThreadGenerations) {
+  ConcurrentQdLpFifo cache(4096, /*num_stripes=*/16, /*num_shards=*/8);
+  constexpr int kGenerations = 40;
+  constexpr int kCrowd = 72;
+  constexpr int kGetsPerThread = 2000;
+  std::atomic<uint64_t> total_hits{0};
+  std::atomic<bool> stop_stats{false};
+  std::thread stats_reader([&] {
+    while (!stop_stats.load(std::memory_order_acquire)) {
+      const CacheStats stats = cache.Stats();
+      EXPECT_LE(stats.hits, stats.requests);
+    }
+  });
+
+  uint64_t seed = 0xce115000u;
+  const auto run_generation = [&](int live) {
+    std::latch all_counting(live);
+    std::vector<std::thread> threads;
+    for (int t = 0; t < live; ++t) {
+      threads.emplace_back([&, thread_seed = seed++] {
+        Rng rng(thread_seed);
+        uint64_t hits = 0;
+        for (int op = 0; op < kGetsPerThread; ++op) {
+          // Hot ids hit, the 4x-capacity tail misses and evicts.
+          const ObjectId id = rng.NextBool(0.7) ? rng.NextBounded(1024)
+                                                : rng.NextBounded(16384);
+          hits += cache.Get(id) ? 1 : 0;
+          if (op == 0) {
+            all_counting.arrive_and_wait();  // every thread holds an ordinal
+          }
+        }
+        total_hits.fetch_add(hits, std::memory_order_relaxed);
+      });
+    }
+    for (auto& thread : threads) {
+      thread.join();
+    }
+  };
+  for (int generation = 0; generation < kGenerations; ++generation) {
+    run_generation(kThreads);
+  }
+  run_generation(kCrowd);
+  stop_stats.store(true, std::memory_order_release);
+  stats_reader.join();
+
+  cache.CheckInvariants();
+  const CacheStats stats = cache.Stats();
+  EXPECT_EQ(stats.requests, static_cast<uint64_t>(kGenerations * kThreads +
+                                                  kCrowd) *
+                                kGetsPerThread);
+  EXPECT_EQ(stats.hits, total_hits.load());
 }
 
 // The value-serving storm (ISSUE acceptance): threads mix GetValue /

@@ -3,14 +3,18 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <cstdint>
+#include <latch>
 #include <set>
 #include <sstream>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "src/util/random.h"
 #include "src/util/stats.h"
 #include "src/util/table.h"
+#include "src/util/thread_ordinal.h"
 #include "src/util/thread_pool.h"
 #include "src/util/zipf.h"
 
@@ -312,6 +316,36 @@ TEST(ThreadPoolTest, NonExceptionTasksUnaffectedByEarlierThrow) {
   EXPECT_THROW(pool.Wait(), int);
   pool.Wait();  // cleared: no rethrow
   SUCCEED();
+}
+
+// An exited thread's ordinal goes back to the pool, so a process that starts
+// and joins many threads keeps its live ordinals below the counters' 64
+// exclusive cells, while threads alive together never share one.
+TEST(ThreadOrdinalTest, LiveThreadsKeepDenseOrdinals) {
+  std::vector<uint32_t> sequential;
+  for (int i = 0; i < 200; ++i) {
+    std::thread([&sequential] { sequential.push_back(ThreadOrdinal()); })
+        .join();
+  }
+  for (const uint32_t ordinal : sequential) {
+    EXPECT_LT(ordinal, 64u);
+  }
+
+  constexpr int kLive = 8;
+  std::latch all_recorded(kLive);
+  std::vector<uint32_t> live(kLive);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kLive; ++t) {
+    threads.emplace_back([&, t] {
+      live[t] = ThreadOrdinal();
+      all_recorded.arrive_and_wait();  // hold every ordinal at once
+    });
+  }
+  for (auto& thread : threads) {
+    thread.join();
+  }
+  EXPECT_EQ(std::set<uint32_t>(live.begin(), live.end()).size(),
+            static_cast<size_t>(kLive));
 }
 
 }  // namespace
