@@ -9,7 +9,7 @@
 
 #include <cstdio>
 
-#include "src/policies/clock.h"
+#include "src/core/policy_factory.h"
 #include "src/policies/eviction_policy.h"
 #include "src/policies/lru.h"
 #include "src/util/random.h"
@@ -58,9 +58,9 @@ int main() {
   constexpr int kTrials = 10;
   for (int trial = 0; trial < kTrials; ++trial) {
     qdlp::LruPolicy lru(kCapacity);
-    qdlp::ClockPolicy clock(kCapacity, 1);
+    const auto clock = qdlp::MakePolicy("fifo-reinsertion", kCapacity);
     lru_total += static_cast<double>(DemotionTime(lru, 100 + trial));
-    clock_total += static_cast<double>(DemotionTime(clock, 100 + trial));
+    clock_total += static_cast<double>(DemotionTime(*clock, 100 + trial));
   }
   std::printf("LRU:               %8.0f requests (mean of %d trials)\n",
               lru_total / kTrials, kTrials);

@@ -1,8 +1,9 @@
-// The CLOCK ring of the lock-free caches: all of ConcurrentClockCache and
-// the main region of ConcurrentQdLpFifo (§3: k-bit CLOCK is lazy
-// promotion). One slot array is partitioned into a region per eviction
-// domain; each region has its own hand, bump allocator and free list,
-// guarded by that domain's mutex.
+// The one CLOCK ring: all of ClockRegions and the main region of
+// QdLpRegions (§3: k-bit CLOCK is lazy promotion), so it backs
+// ConcurrentClockCache and ConcurrentQdLpFifo as well as the serial
+// fifo-reinsertion, clock2, clock3 and qd-lp-fifo policies. One slot array
+// is partitioned into a region per eviction domain; each region has its
+// own hand, bump allocator and free list, guarded by that domain's mutex.
 //
 // Only a slot's `counter` is touched by concurrent readers (the lock-free
 // hit path); everything else is written solely under the owning shard's
@@ -10,10 +11,10 @@
 //
 // Slots vacated outside an admission — by Remove(), or by an eviction that
 // frees space instead of admitting — go on the region's free list, and an
-// admission takes from that list before bumping or evicting. This is
-// ClockPolicy's free_slots_ rule: an admission never evicts a live object
+// admission takes from that list before bumping or evicting, the most
+// recently freed slot first. So an admission never evicts a live object
 // while a slot is free, and the hand never meets an empty slot on the
-// admission path.
+// admission path (RefClock in tests/oracle/ models this as LIFO holes).
 
 #ifndef QDLP_SRC_CONCURRENT_CLOCK_RING_H_
 #define QDLP_SRC_CONCURRENT_CLOCK_RING_H_
@@ -82,8 +83,9 @@ class ClockRing {
 
   // Advances region r's hand past its next victim and returns the victim's
   // slot, still occupied. Each non-zero counter the hand passes buys its
-  // object another lap (lazy promotion): it is decremented and reported to
-  // on_lap(). Empty slots are skipped. The region must not be empty.
+  // object another lap (lazy promotion): it is decremented and the object's
+  // id reported to on_lap(id). Empty slots are skipped. The region must not
+  // be empty.
   template <typename OnLap>
   uint32_t NextVictim(size_t r, OnLap&& on_lap) {
     Region& region = regions_[r];
@@ -100,8 +102,16 @@ class ClockRing {
         return current;
       }
       slot.counter.store(counter - 1, std::memory_order_relaxed);
-      on_lap();
+      on_lap(slot.id);
     }
+  }
+
+  // Hands the occupied `slot` to `id` with a zero counter: an admission
+  // that evicted the slot's occupant takes its place. The caller unindexes
+  // the occupant first, as for Free().
+  void Replace(uint32_t slot, ObjectId id) {
+    slots_[slot].id = id;
+    slots_[slot].counter.store(0, std::memory_order_relaxed);
   }
 
   // Vacates `slot` onto region r's free list. The caller unindexes the

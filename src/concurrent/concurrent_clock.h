@@ -19,26 +19,31 @@
 // Driven from a single thread with num_shards == 1 (the default) the
 // behavior is exactly the sequential CLOCK spec (the try_lock always
 // succeeds, so admissions are never deferred); the oracle differential
-// tests pin this against RefClock, and against ClockPolicy with removals.
-// With more shards each domain is an independent CLOCK over its hash
-// partition — still deterministic single-threaded, pinned against
-// per-shard sequential references.
+// tests pin this against RefClock, with and without removals. With more
+// shards each domain is an independent CLOCK over its hash partition —
+// still deterministic single-threaded, pinned against per-shard sequential
+// references. ClockRegions over the serial core is the single-threaded
+// fifo-reinsertion / clock2 / clock3 policy (src/core/regions_policy.h).
 
 #ifndef QDLP_SRC_CONCURRENT_CONCURRENT_CLOCK_H_
 #define QDLP_SRC_CONCURRENT_CONCURRENT_CLOCK_H_
 
 #include <cstdint>
 #include <string_view>
+#include <vector>
 
 #include "src/concurrent/clock_ring.h"
 #include "src/concurrent/eviction_domains.h"
+#include "src/util/check.h"
 
 namespace qdlp {
 
 // The whole cache is one CLOCK ring; index values are global ring slots.
+template <typename Core>
 class ClockRegions {
  public:
-  ClockRegions(DomainCore& core, int bits);
+  ClockRegions(Core& core, int bits)
+      : core_(core), ring_(ShardCapacities(core), MaxCounter(bits)) {}
 
   void Touch(uint32_t slot) { ring_.Touch(slot); }
   void AdmitLocked(size_t s, ObjectId id);
@@ -50,13 +55,56 @@ class ClockRegions {
   size_t MemoryBytes() const { return ring_.MemoryBytes(); }
 
  private:
-  DomainCore& core_;
+  static std::vector<size_t> ShardCapacities(const Core& core) {
+    std::vector<size_t> capacities(core.num_shards());
+    for (size_t s = 0; s < capacities.size(); ++s) {
+      capacities[s] = core.shard_capacity(s);
+    }
+    return capacities;
+  }
+
+  static uint8_t MaxCounter(int bits) {
+    QDLP_CHECK(bits >= 1 && bits <= 8);
+    return static_cast<uint8_t>((1u << bits) - 1);
+  }
+
+  Core& core_;
   ClockRing ring_;
 };
 
-extern template class DomainCache<ClockRegions>;
+template <typename Core>
+void ClockRegions<Core>::AdmitLocked(size_t s, ObjectId id) {
+  if (!ring_.full(s)) {
+    core_.index.Insert(id, ring_.Take(s, id));
+    return;
+  }
+  const uint32_t victim = ring_.NextVictim(s, [&](ObjectId lapped) {
+    // Lazy promotion: the reinsertion lap, counted like sequential CLOCK.
+    core_.Count(ConcurrentStatsCounters::kPromotions, lapped);
+  });
+  const ObjectId evicted = ring_.id(victim);
+  core_.index.Erase(evicted);
+  core_.CountEviction(s, evicted);
+  // No slot is free, so the newcomer takes the victim's.
+  ring_.Replace(victim, id);
+  core_.index.Insert(id, victim);
+}
 
-class ConcurrentClockCache : public DomainCache<ClockRegions> {
+template <typename Core>
+size_t ClockRegions<Core>::CheckShardLocked(size_t s) const {
+  return ring_.CheckRegion(s, [&](ObjectId id, uint32_t slot) {
+    // Resident ids hash to the shard whose region stores them.
+    QDLP_CHECK(core_.ShardOf(id) == s);
+    uint32_t indexed;
+    QDLP_CHECK(core_.index.Find(id, &indexed));
+    QDLP_CHECK(indexed == slot);
+  });
+}
+
+extern template class ClockRegions<DomainCore>;
+extern template class DomainCache<ClockRegions<DomainCore>>;
+
+class ConcurrentClockCache : public DomainCache<ClockRegions<DomainCore>> {
  public:
   // `num_shards` eviction domains (rounded/clamped by EvictionDomains);
   // the index gets max(num_stripes, shard count) stripes so every domain

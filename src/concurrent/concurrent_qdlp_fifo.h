@@ -2,8 +2,8 @@
 // thread-safe cache with a truly lock-free hit path and sharded eviction
 // domains.
 //
-// Layout mirrors the sequential QdCache over a 2-bit CLOCK, partitioned
-// into S hash-selected eviction domains (eviction_domains.h):
+// The paper's layout (a probationary FIFO, a ghost and a 2-bit CLOCK),
+// partitioned into S hash-selected eviction domains (eviction_domains.h):
 //
 //   probation  — per shard, a small circular FIFO (10% of the shard's
 //                capacity share); a hit sets one per-entry accessed bit
@@ -23,16 +23,21 @@
 // the DomainCache protocol the other lock-free caches share, so misses to
 // different domains admit and evict fully in parallel.
 //
-// Driven from a single thread with num_shards == 1 (the default) this
-// class is request-for-request identical to MakePolicy("qd-lp-fifo") —
-// the oracle differential tests pin it against the sequential reference
-// model. With more shards each domain is an independent QD-LP-FIFO over
-// its hash partition, pinned against per-shard sequential references.
+// QdLpRegions is the one QD-LP-FIFO: over the serial core it is also
+// MakePolicy("qd-lp-fifo") and the sweep lane's dense variant
+// (src/core/regions_policy.h). Driven from a single thread with
+// num_shards == 1 (the default) this cache makes the same decisions as
+// that policy; the oracle differential tests pin both against the
+// sequential reference model, with and without removals. With more shards
+// each domain is an independent QD-LP-FIFO over its hash partition, pinned
+// against per-shard sequential references.
 
 #ifndef QDLP_SRC_CONCURRENT_CONCURRENT_QDLP_FIFO_H_
 #define QDLP_SRC_CONCURRENT_CONCURRENT_QDLP_FIFO_H_
 
+#include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -43,6 +48,7 @@
 #include "src/concurrent/eviction_domains.h"
 #include "src/core/ghost_queue.h"
 #include "src/store/slab_store.h"
+#include "src/util/check.h"
 
 namespace qdlp {
 
@@ -59,14 +65,14 @@ struct QdlpValueOptions {
 // Probation FIFO, main CLOCK region and ghost per shard, plus the optional
 // value store whose cells ride the metadata locations. In Stats,
 // promotions counts probation->main lazy promotions and demotions
-// probation->ghost quick demotions (main CLOCK laps are internal, as in
-// the sequential QdCache).
+// probation->ghost quick demotions (main CLOCK laps are internal).
+template <typename Core>
 class QdLpRegions {
  public:
   // Index value tag: high bit = main region, low 31 bits = global slot.
   static constexpr uint32_t kMainBit = 0x80000000u;
 
-  QdLpRegions(DomainCore& core, const QdlpValueOptions& value_options);
+  QdLpRegions(Core& core, const QdlpValueOptions& value_options);
 
   void Touch(uint32_t value) {
     if (value & kMainBit) {
@@ -124,17 +130,19 @@ class QdLpRegions {
   // probation_capacity) and main region s; head is a local offset.
   struct alignas(64) Shard {
     Shard(size_t probation_base, size_t probation_capacity,
-          size_t ghost_capacity)
+          size_t ghost_capacity, const typename Core::IndexFactory& factory)
         : probation_base(probation_base),
           probation_capacity(probation_capacity),
-          ghost(ghost_capacity) {}
+          ghost(ghost_capacity, factory) {}
 
     size_t probation_base;
     size_t probation_capacity;
     size_t probation_head = 0;  // oldest entry's local ring position
     size_t probation_count = 0;
-    GhostQueue ghost;
+    BasicGhostQueue<typename Core::IndexFactory> ghost;
   };
+
+  static std::vector<size_t> MainCapacities(const Core& core);
 
   // All of the below run under the shard's mutex.
   // Pushes `id` into the shard's probation, quick-demoting / lazily
@@ -148,12 +156,12 @@ class QdLpRegions {
   // the value with the metadata) or kNoCell for a fresh admission.
   void MainInsert(size_t s, ObjectId id, uint32_t from_cell);
   // Evicts the object under the main hand. Main evictions leave no ghost
-  // trace (only probation demotions do), matching the sequential QdCache.
+  // trace (only probation demotions do).
   void EvictMain(size_t s);
   // Drops the value cell's chunk, if a store is attached.
   void ClearCell(uint32_t cell);
 
-  DomainCore& core_;
+  Core& core_;
   std::vector<Shard> shards_;
   std::vector<ProbationSlot> probation_;  // per-shard circular FIFOs
   size_t main_capacity_ = 0;
@@ -163,9 +171,283 @@ class QdLpRegions {
   std::unique_ptr<SlabStore> store_;
 };
 
-extern template class DomainCache<QdLpRegions>;
+// The paper's probation/main split: probation a fraction of the capacity
+// (rounded, at least 1, at most capacity - 1), main the remainder. QD-LP-FIFO
+// applies it per shard to the shard's capacity share, and MakeQdPolicy to
+// every QD composition.
+inline size_t QdProbationCapacity(size_t capacity,
+                                  double probation_fraction = 0.10) {
+  const size_t probation = std::max<size_t>(
+      1, static_cast<size_t>(std::llround(static_cast<double>(capacity) *
+                                          probation_fraction)));
+  return std::min(probation, capacity - 1);
+}
 
-class ConcurrentQdLpFifo : public DomainCache<QdLpRegions> {
+template <typename Core>
+std::vector<size_t> QdLpRegions<Core>::MainCapacities(const Core& core) {
+  std::vector<size_t> capacities(core.num_shards());
+  for (size_t s = 0; s < capacities.size(); ++s) {
+    const size_t share = core.shard_capacity(s);
+    capacities[s] = share - QdProbationCapacity(share);
+  }
+  return capacities;
+}
+
+template <typename Core>
+QdLpRegions<Core>::QdLpRegions(Core& core,
+                               const QdlpValueOptions& value_options)
+    : core_(core), main_(MainCapacities(core), kMaxCounter) {
+  const size_t shards = core.num_shards();
+  size_t probation_total = 0;
+  shards_.reserve(shards);
+  for (size_t s = 0; s < shards; ++s) {
+    const size_t share = core.shard_capacity(s);
+    QDLP_CHECK(share >= 2);  // a probation slot and a main slot
+    const size_t probation = QdProbationCapacity(share);
+    // The ghost is as large as the main region (factor 1.0).
+    shards_.emplace_back(probation_total, probation, share - probation,
+                         core.index_factory());
+    probation_total += probation;
+    main_capacity_ += share - probation;
+  }
+  probation_ = std::vector<ProbationSlot>(probation_total);
+  if (value_options.arena_bytes > 0) {
+    // One cell per metadata location (probation positions then main
+    // slots), one arena per eviction domain so eviction frees value bytes
+    // under the mutex it already holds.
+    store_ = std::make_unique<SlabStore>(core.capacity(), shards,
+                                         value_options.arena_bytes / shards,
+                                         value_options.max_value_len);
+  }
+}
+
+template <typename Core>
+void QdLpRegions<Core>::FillOccupancy(size_t s, CacheStats* stats) const {
+  const Shard& shard = shards_[s];
+  stats->probation_size += shard.probation_count;
+  stats->main_size += main_.count(s);
+  stats->ghost_size += shard.ghost.size();
+}
+
+template <typename Core>
+size_t QdLpRegions<Core>::CheckShardLocked(size_t s) const {
+  const Shard& shard = shards_[s];
+  QDLP_CHECK(shard.probation_count <= shard.probation_capacity);
+  QDLP_CHECK(shard.probation_head < shard.probation_capacity);
+  // Probation ring entries are indexed at their global position.
+  for (size_t i = 0; i < shard.probation_count; ++i) {
+    const size_t pos = shard.probation_base +
+                       (shard.probation_head + i) % shard.probation_capacity;
+    uint32_t value;
+    QDLP_CHECK(core_.ShardOf(probation_[pos].id) == s);
+    QDLP_CHECK(core_.index.Find(probation_[pos].id, &value));
+    QDLP_CHECK(value == static_cast<uint32_t>(pos));
+  }
+  // Main ring entries are indexed at their tagged slot.
+  const size_t main = main_.CheckRegion(s, [&](ObjectId id, uint32_t slot) {
+    uint32_t value;
+    QDLP_CHECK(core_.ShardOf(id) == s);
+    QDLP_CHECK(core_.index.Find(id, &value));
+    QDLP_CHECK(value == (kMainBit | slot));
+  });
+  // An object holds space in exactly one region; the tags above prove
+  // probation/main disjointness (one index entry per id). Ghost entries
+  // are history, never resident.
+  shard.ghost.ForEachLive(
+      [&](ObjectId id) { QDLP_CHECK(!core_.index.Contains(id)); });
+  shard.ghost.CheckInvariants();
+  return shard.probation_count + main;
+}
+
+template <typename Core>
+void QdLpRegions<Core>::CheckSharedLocked() const {
+  if (!store_) {
+    return;
+  }
+  // Every resident id owns its paired value cell (stamped at admission,
+  // moved with every metadata move), so a read is never stale here.
+  std::string scratch;
+  core_.index.ForEach([&](ObjectId id, uint32_t value) {
+    QDLP_CHECK(store_->Read(CellOf(value), id, /*now_s=*/0, &scratch) !=
+               SlabStore::ReadResult::kStale);
+  });
+  store_->CheckInvariants();
+}
+
+template <typename Core>
+size_t QdLpRegions<Core>::MemoryBytes() const {
+  size_t bytes =
+      probation_.capacity() * sizeof(ProbationSlot) + main_.MemoryBytes();
+  for (const Shard& shard : shards_) {
+    bytes += sizeof(Shard) + shard.ghost.ApproxMetadataBytes();
+  }
+  if (store_) {
+    bytes += store_->ApproxMetadataBytes();
+  }
+  return bytes;
+}
+
+template <typename Core>
+void QdLpRegions<Core>::ClearCell(uint32_t cell) {
+  if (store_) {
+    store_->FreeChunk(store_->ClearCell(cell));
+  }
+}
+
+template <typename Core>
+void QdLpRegions<Core>::AdmitLocked(size_t s, ObjectId id) {
+  if (shards_[s].ghost.Consume(id)) {
+    // Quick-demoted once already: admit straight into the main cache.
+    core_.Count(ConcurrentStatsCounters::kGhostHits, id);
+    MainInsert(s, id, kNoCell);
+  } else {
+    AdmitToProbation(s, id);
+  }
+}
+
+template <typename Core>
+void QdLpRegions<Core>::AdmitToProbation(size_t s, ObjectId id) {
+  Shard& shard = shards_[s];
+  while (shard.probation_count >= shard.probation_capacity) {
+    EvictFromProbation(s);
+  }
+  const size_t pos = shard.probation_base +
+                     (shard.probation_head + shard.probation_count) %
+                         shard.probation_capacity;
+  ProbationSlot& slot = probation_[pos];
+  slot.id = id;
+  slot.accessed.store(0, std::memory_order_relaxed);
+  ++shard.probation_count;
+  core_.index.Insert(id, static_cast<uint32_t>(pos));
+  if (store_) {
+    // Stamp cell ownership (no bytes yet): a GetValue between this
+    // metadata-only admission and the first SetValue reads a clean
+    // kNoValue instead of spinning on a stale previous occupant.
+    store_->FreeChunk(store_->Commit(static_cast<uint32_t>(pos), id,
+                                     SlabStore::kNullChunk, 0));
+  }
+}
+
+template <typename Core>
+void QdLpRegions<Core>::EvictFromProbation(size_t s) {
+  Shard& shard = shards_[s];
+  QDLP_DCHECK(shard.probation_count > 0);
+  const uint32_t pos =
+      static_cast<uint32_t>(shard.probation_base + shard.probation_head);
+  ProbationSlot& slot = probation_[pos];
+  shard.probation_head = (shard.probation_head + 1) % shard.probation_capacity;
+  --shard.probation_count;
+  const ObjectId victim = slot.id;
+  const bool accessed = slot.accessed.load(std::memory_order_relaxed) != 0;
+  // Erase before the slot can be recycled: readers stop finding the victim
+  // first (a racing reader at worst sets the next occupant's accessed bit).
+  core_.index.Erase(victim);
+  if (accessed) {
+    // Lazy promotion: re-accessed while on probation -> main cache. The
+    // value cell moves with the metadata.
+    core_.Count(ConcurrentStatsCounters::kPromotions, victim);
+    MainInsert(s, victim, store_ ? pos : kNoCell);
+    return;
+  }
+  // Quick demotion: one lap through the small FIFO was its only chance.
+  ClearCell(pos);
+  shard.ghost.Insert(victim);
+  core_.Count(ConcurrentStatsCounters::kDemotions, victim);
+  core_.CountEviction(s, victim);
+}
+
+template <typename Core>
+void QdLpRegions<Core>::MainInsert(size_t s, ObjectId id,
+                                   uint32_t from_cell) {
+  if (main_.full(s)) {
+    EvictMain(s);
+  }
+  const uint32_t slot = main_.Take(s, id);
+  core_.index.Insert(id, kMainBit | slot);
+  if (store_) {
+    // Every vacant main slot's cell is empty (eviction and removal clear
+    // it), so a promotion moves the value with the metadata; a fresh
+    // admission (ghost resurrection) stamps ownership with no bytes.
+    const uint32_t cell = CellOf(kMainBit | slot);
+    if (from_cell != kNoCell) {
+      store_->MoveCell(from_cell, cell);
+    } else {
+      store_->FreeChunk(store_->Commit(cell, id, SlabStore::kNullChunk, 0));
+    }
+  }
+}
+
+template <typename Core>
+void QdLpRegions<Core>::EvictMain(size_t s) {
+  // Main CLOCK laps are internal: not counted as promotions.
+  const uint32_t slot = main_.NextVictim(s, [](ObjectId) {});
+  const ObjectId victim = main_.id(slot);
+  core_.index.Erase(victim);
+  ClearCell(CellOf(kMainBit | slot));
+  main_.Free(s, slot);
+  core_.CountEviction(s, victim);
+}
+
+template <typename Core>
+bool QdLpRegions<Core>::EvictForSpaceLocked(size_t s) {
+  if (shards_[s].probation_count > 0) {
+    // Quick demotion frees the victim's chunk directly; a lazy promotion
+    // frees nothing itself but can cascade into a main eviction, and
+    // probation strictly shrinks, so repeated calls make progress.
+    EvictFromProbation(s);
+    return true;
+  }
+  if (main_.count(s) == 0) {
+    return false;
+  }
+  // The freed slot goes on the main free list, so the next admission
+  // reuses it instead of evicting another object.
+  EvictMain(s);
+  return true;
+}
+
+template <typename Core>
+void QdLpRegions<Core>::UnlinkLocked(size_t s, uint32_t value) {
+  ClearCell(CellOf(value));
+  if (value & kMainBit) {
+    main_.Free(s, value & ~kMainBit);
+    return;
+  }
+  // Probation is a dense circular FIFO, so removal compacts from the head
+  // side: every entry between the head and the hole shifts one position
+  // toward the tail (preserving FIFO order), then the head advances over
+  // the vacated slot. At most one probation share of moves, each a slot
+  // copy + index update (+ cell move).
+  Shard& shard = shards_[s];
+  const size_t local = value - shard.probation_base;
+  const size_t dist =
+      (local + shard.probation_capacity - shard.probation_head) %
+      shard.probation_capacity;
+  for (size_t i = dist; i > 0; --i) {
+    const size_t to = shard.probation_base +
+                      (shard.probation_head + i) % shard.probation_capacity;
+    const size_t from =
+        shard.probation_base +
+        (shard.probation_head + i - 1) % shard.probation_capacity;
+    probation_[to].id = probation_[from].id;
+    // A concurrent hit racing this move can drop its accessed bit or
+    // land it on the vacated slot — a lost reference bit, benign.
+    probation_[to].accessed.store(
+        probation_[from].accessed.load(std::memory_order_relaxed),
+        std::memory_order_relaxed);
+    core_.index.Update(probation_[to].id, static_cast<uint32_t>(to));
+    if (store_) {
+      store_->MoveCell(static_cast<uint32_t>(from), static_cast<uint32_t>(to));
+    }
+  }
+  shard.probation_head = (shard.probation_head + 1) % shard.probation_capacity;
+  --shard.probation_count;
+}
+
+extern template class QdLpRegions<DomainCore>;
+extern template class DomainCache<QdLpRegions<DomainCore>>;
+
+class ConcurrentQdLpFifo : public DomainCache<QdLpRegions<DomainCore>> {
  public:
   enum class SetResult { kOk, kNoSpace, kTooLarge };
 

@@ -19,31 +19,35 @@
 // which is stable across queue movement — promotion and main-queue
 // reinsertion never touch the index at all.
 //
-// Single-threaded with num_shards == 1 (the default), this class is
-// semantically identical to S3FifoPolicy (same queues, same ghost, same
-// frequency rules) — the unit tests replay traces through both and
-// require identical hit/miss sequences. With more shards each domain is
-// an independent S3-FIFO over its hash partition, still deterministic
-// single-threaded.
+// Single-threaded with num_shards == 1 (the default), this cache makes
+// the same decisions as MakePolicy("s3fifo"), which runs these very
+// Regions over the serial core (src/core/regions_policy.h); the oracle
+// differential tests pin both against RefS3Fifo, with and without
+// removals. With more shards each domain is an independent S3-FIFO over
+// its hash partition, still deterministic single-threaded.
 
 #ifndef QDLP_SRC_CONCURRENT_CONCURRENT_S3FIFO_H_
 #define QDLP_SRC_CONCURRENT_CONCURRENT_S3FIFO_H_
 
+#include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <cstdint>
 #include <string_view>
 #include <vector>
 
 #include "src/concurrent/eviction_domains.h"
 #include "src/core/ghost_queue.h"
+#include "src/util/check.h"
 
 namespace qdlp {
 
 // Small and main FIFOs plus a ghost per shard; index values are global
 // slab slots.
+template <typename Core>
 class S3FifoRegions {
  public:
-  S3FifoRegions(DomainCore& core, double small_fraction, double ghost_factor);
+  S3FifoRegions(Core& core, double small_fraction, double ghost_factor);
 
   void Touch(uint32_t slot) {
     std::atomic<uint8_t>& freq = slab_[slot].freq;
@@ -84,19 +88,20 @@ class S3FifoRegions {
   };
 
   // Per-shard queue state, guarded by the shard's mutex. The shard's slab
-  // region is its EvictionDomain's slab_[base, base + capacity);
+  // region is the core.shard_capacity(s) slots from core.shard_base(s);
   // `slab_used` is a local bump offset within it and `free_head` a
   // freelist of recycled region slots.
   struct alignas(64) Shard {
-    Shard(size_t small_capacity, size_t ghost_capacity)
-        : small_capacity(small_capacity), ghost(ghost_capacity) {}
+    Shard(size_t small_capacity, size_t ghost_capacity,
+          const typename Core::IndexFactory& factory)
+        : small_capacity(small_capacity), ghost(ghost_capacity, factory) {}
 
     Fifo small_fifo;
     Fifo main_fifo;
     uint32_t free_head = kNil;
     size_t slab_used = 0;
     size_t small_capacity;  // small-queue target within the share
-    GhostQueue ghost;
+    BasicGhostQueue<typename Core::IndexFactory> ghost;
   };
 
   void PushBack(Fifo& fifo, uint32_t slot);
@@ -111,14 +116,259 @@ class S3FifoRegions {
   void EvictMain(size_t s);
   void MakeRoom(size_t s);
 
-  DomainCore& core_;
+  Core& core_;
   std::vector<Node> slab_;  // fixed node storage, partitioned by shard
   std::vector<Shard> shards_;
 };
 
-extern template class DomainCache<S3FifoRegions>;
+namespace internal {
 
-class ConcurrentS3FifoCache : public DomainCache<S3FifoRegions> {
+// S3-FIFO's sizing rules, applied per shard to its capacity share, so one
+// shard splits exactly as RefS3Fifo does.
+inline size_t S3FifoSmallCapacity(size_t share, double small_fraction) {
+  const size_t small = std::max<size_t>(
+      1, static_cast<size_t>(std::llround(static_cast<double>(share) *
+                                          small_fraction)));
+  return std::min(small, share);
+}
+
+inline size_t S3FifoGhostCapacity(size_t share, double ghost_factor) {
+  return std::max<size_t>(
+      1, static_cast<size_t>(std::llround(static_cast<double>(share) *
+                                          ghost_factor)));
+}
+
+}  // namespace internal
+
+template <typename Core>
+S3FifoRegions<Core>::S3FifoRegions(Core& core, double small_fraction,
+                                   double ghost_factor)
+    : core_(core), slab_(core.capacity()) {
+  QDLP_CHECK(small_fraction > 0.0 && small_fraction < 1.0);
+  shards_.reserve(core.num_shards());
+  for (size_t s = 0; s < core.num_shards(); ++s) {
+    const size_t share = core.shard_capacity(s);
+    shards_.emplace_back(internal::S3FifoSmallCapacity(share, small_fraction),
+                         internal::S3FifoGhostCapacity(share, ghost_factor),
+                         core.index_factory());
+  }
+}
+
+template <typename Core>
+void S3FifoRegions<Core>::FillOccupancy(size_t s, CacheStats* stats) const {
+  const Shard& shard = shards_[s];
+  stats->probation_size += shard.small_fifo.count;
+  stats->main_size += shard.main_fifo.count;
+  stats->ghost_size += shard.ghost.size();
+}
+
+template <typename Core>
+size_t S3FifoRegions<Core>::CheckShardLocked(size_t s) const {
+  const size_t base = core_.shard_base(s);
+  const size_t capacity = core_.shard_capacity(s);
+  const Shard& shard = shards_[s];
+  const size_t resident = shard.small_fifo.count + shard.main_fifo.count;
+  QDLP_CHECK(resident <= capacity);
+  QDLP_CHECK(shard.slab_used <= capacity);
+  // Walk both FIFOs: link structure must be consistent with the counts,
+  // tags, region bounds, and the index.
+  for (const Fifo* fifo : {&shard.small_fifo, &shard.main_fifo}) {
+    const Where expect =
+        fifo == &shard.small_fifo ? Where::kSmall : Where::kMain;
+    size_t count = 0;
+    uint32_t slot = fifo->head;
+    uint32_t last = kNil;
+    while (slot != kNil) {
+      QDLP_CHECK(slot >= base);
+      QDLP_CHECK(slot < base + shard.slab_used);
+      const Node& node = slab_[slot];
+      QDLP_CHECK(node.where == expect);
+      QDLP_CHECK(node.freq.load(std::memory_order_relaxed) <= kMaxFreq);
+      QDLP_CHECK(core_.ShardOf(node.id) == s);
+      uint32_t indexed_slot;
+      QDLP_CHECK(core_.index.Find(node.id, &indexed_slot));
+      QDLP_CHECK(indexed_slot == slot);
+      last = slot;
+      slot = node.next;
+      ++count;
+      QDLP_CHECK(count <= resident);  // cycle guard
+    }
+    QDLP_CHECK(last == fifo->tail);
+    QDLP_CHECK(count == fifo->count);
+  }
+  // Ghost entries are evicted history; none may still be resident.
+  shard.ghost.ForEachLive(
+      [&](ObjectId id) { QDLP_CHECK(!core_.index.Contains(id)); });
+  shard.ghost.CheckInvariants();
+  return resident;
+}
+
+template <typename Core>
+size_t S3FifoRegions<Core>::MemoryBytes() const {
+  size_t bytes = slab_.capacity() * sizeof(Node);
+  for (const Shard& shard : shards_) {
+    bytes += sizeof(Shard) + shard.ghost.ApproxMetadataBytes();
+  }
+  return bytes;
+}
+
+template <typename Core>
+void S3FifoRegions<Core>::PushBack(Fifo& fifo, uint32_t slot) {
+  slab_[slot].next = kNil;
+  if (fifo.tail == kNil) {
+    fifo.head = slot;
+  } else {
+    slab_[fifo.tail].next = slot;
+  }
+  fifo.tail = slot;
+  ++fifo.count;
+}
+
+template <typename Core>
+uint32_t S3FifoRegions<Core>::PopFront(Fifo& fifo) {
+  QDLP_DCHECK(fifo.head != kNil);
+  const uint32_t slot = fifo.head;
+  fifo.head = slab_[slot].next;
+  if (fifo.head == kNil) {
+    fifo.tail = kNil;
+  }
+  --fifo.count;
+  return slot;
+}
+
+template <typename Core>
+void S3FifoRegions<Core>::Unlink(Fifo& fifo, uint32_t slot) {
+  uint32_t prev = kNil;
+  uint32_t walk = fifo.head;
+  while (walk != slot) {
+    QDLP_DCHECK(walk != kNil);
+    prev = walk;
+    walk = slab_[walk].next;
+  }
+  if (prev == kNil) {
+    fifo.head = slab_[slot].next;
+  } else {
+    slab_[prev].next = slab_[slot].next;
+  }
+  if (fifo.tail == slot) {
+    fifo.tail = prev;
+  }
+  --fifo.count;
+}
+
+template <typename Core>
+void S3FifoRegions<Core>::UnlinkLocked(size_t s, uint32_t slot) {
+  Shard& shard = shards_[s];
+  Unlink(slab_[slot].where == Where::kSmall ? shard.small_fifo
+                                            : shard.main_fifo,
+         slot);
+  FreeSlot(s, slot);
+}
+
+template <typename Core>
+uint32_t S3FifoRegions<Core>::AllocSlot(size_t s) {
+  Shard& shard = shards_[s];
+  if (shard.free_head != kNil) {
+    const uint32_t slot = shard.free_head;
+    shard.free_head = slab_[slot].next;
+    return slot;
+  }
+  QDLP_DCHECK(shard.slab_used < core_.shard_capacity(s));
+  return static_cast<uint32_t>(core_.shard_base(s) + shard.slab_used++);
+}
+
+template <typename Core>
+void S3FifoRegions<Core>::FreeSlot(size_t s, uint32_t slot) {
+  Shard& shard = shards_[s];
+  slab_[slot].next = shard.free_head;
+  shard.free_head = slot;
+}
+
+template <typename Core>
+void S3FifoRegions<Core>::EvictSmall(size_t s) {
+  Shard& shard = shards_[s];
+  const uint32_t slot = PopFront(shard.small_fifo);
+  Node& node = slab_[slot];
+  if (node.freq.load(std::memory_order_relaxed) >= 1) {
+    // Quick-demotion survivor: promote to main with frequency reset. The
+    // index maps id -> slab slot, which does not change — no index write.
+    node.where = Where::kMain;
+    node.freq.store(0, std::memory_order_relaxed);
+    PushBack(shard.main_fifo, slot);
+    core_.Count(ConcurrentStatsCounters::kPromotions, node.id);
+    return;
+  }
+  // Erase from the index before recycling the slot: readers stop finding
+  // the victim first. A racing reader that already fetched the slot at
+  // worst bumps the successor's frequency once — benign.
+  core_.index.Erase(node.id);
+  shard.ghost.Insert(node.id);
+  FreeSlot(s, slot);
+  core_.Count(ConcurrentStatsCounters::kDemotions, node.id);
+  core_.CountEviction(s, node.id);
+}
+
+template <typename Core>
+void S3FifoRegions<Core>::EvictMain(size_t s) {
+  Shard& shard = shards_[s];
+  while (true) {
+    const uint32_t slot = PopFront(shard.main_fifo);
+    Node& node = slab_[slot];
+    const uint8_t freq = node.freq.load(std::memory_order_relaxed);
+    if (freq > 0) {
+      node.freq.store(freq - 1, std::memory_order_relaxed);
+      PushBack(shard.main_fifo, slot);
+      core_.Count(ConcurrentStatsCounters::kPromotions, node.id);
+      continue;
+    }
+    core_.index.Erase(node.id);
+    FreeSlot(s, slot);
+    core_.CountEviction(s, node.id);
+    return;
+  }
+}
+
+template <typename Core>
+void S3FifoRegions<Core>::MakeRoom(size_t s) {
+  const size_t capacity = core_.shard_capacity(s);
+  Shard& shard = shards_[s];
+  // The shard overflows its capacity share, never the global capacity:
+  // remainder-distributed shares sum exactly to it (eviction_domains.h).
+  while (shard.small_fifo.count + shard.main_fifo.count >= capacity) {
+    if (shard.small_fifo.count > 0 &&
+        (shard.small_fifo.count >= shard.small_capacity ||
+         shard.main_fifo.count == 0)) {
+      EvictSmall(s);
+    } else {
+      EvictMain(s);
+    }
+  }
+}
+
+template <typename Core>
+void S3FifoRegions<Core>::AdmitLocked(size_t s, ObjectId id) {
+  Shard& shard = shards_[s];
+  MakeRoom(s);
+  const uint32_t slot = AllocSlot(s);
+  Node& node = slab_[slot];
+  node.id = id;
+  node.freq.store(0, std::memory_order_relaxed);
+  if (shard.ghost.Consume(id)) {
+    node.where = Where::kMain;
+    PushBack(shard.main_fifo, slot);
+    core_.Count(ConcurrentStatsCounters::kGhostHits, id);
+  } else {
+    node.where = Where::kSmall;
+    PushBack(shard.small_fifo, slot);
+  }
+  core_.index.Insert(id, slot);
+}
+
+extern template class S3FifoRegions<DomainCore>;
+extern template class DomainCache<S3FifoRegions<DomainCore>>;
+
+class ConcurrentS3FifoCache
+    : public DomainCache<S3FifoRegions<DomainCore>> {
  public:
   // `num_stripes` sizes the lock-free index's striping; `num_shards` the
   // eviction domains (rounded/clamped by EvictionDomains). The index gets

@@ -60,6 +60,7 @@
 #include "src/obs/concurrent_counters.h"
 #include "src/trace/trace.h"
 #include "src/util/check.h"
+#include "src/util/dense_index.h"
 #include "src/util/flat_map.h"
 #include "src/util/thread_ordinal.h"
 
@@ -172,7 +173,21 @@ class EvictionDomains {
 
 // What DomainCache shares with its Regions: the id index (whose values are
 // the Regions' own location encoding), the domains and the flow counters.
+//
+// A Regions type is a template over its core and reaches shared state only
+// through this interface, which the serial core of the single-threaded
+// lane (src/core/regions_policy.h) implements too:
+//
+//   index.Find / Insert / Erase / Update / Contains / ForEach
+//   num_shards(), capacity(), shard_capacity(s), shard_base(s), ShardOf(id)
+//   IndexFactory, index_factory()      the ghosts' index backing
+//   Count(kind, id), CountEviction(s, id)
+//
+// The ids on the counting calls are for the serial core's per-object
+// events; this core ignores them.
 struct DomainCore {
+  using IndexFactory = FlatIndexFactory;
+
   DomainCore(size_t capacity, size_t num_stripes, size_t num_shards,
              size_t min_capacity_per_shard)
       // Stripes >= shards so every eviction domain owns a disjoint stripe
@@ -186,10 +201,21 @@ struct DomainCore {
     QDLP_CHECK(index.num_stripes() >= domains.num_shards());
   }
 
+  size_t num_shards() const { return domains.num_shards(); }
+  size_t capacity() const { return domains.capacity(); }
+  size_t shard_capacity(size_t s) const { return domains.shard(s).capacity; }
+  size_t shard_base(size_t s) const { return domains.shard(s).base; }
+  size_t ShardOf(ObjectId id) const { return domains.ShardOf(id); }
+  IndexFactory index_factory() const { return {}; }
+
+  void Count(ConcurrentStatsCounters::Counter kind, ObjectId) {
+    counters.Add(kind);
+  }
+
   // Counts an eviction from shard s. Evictions performed while draining
   // for another shard's miss (the helping pass) are also cross-shard
   // demotions.
-  void CountEviction(size_t s) {
+  void CountEviction(size_t s, ObjectId) {
     counters.Add(ConcurrentStatsCounters::kEvictions);
     if (domains.shard(s).helper_drain) {
       counters.Add(ConcurrentStatsCounters::kCrossShardDemotions);
@@ -207,14 +233,15 @@ struct DomainCore {
 // design (concurrent_clock.h, concurrent_s3fifo.h, concurrent_qdlp_fifo.h)
 // is a Regions type that supplies only its shard-local queue logic,
 // composed at compile time so a hit stays one index probe plus one relaxed
-// store or RMW:
+// store or RMW. The same Regions, over a serial core, are the designs'
+// single-threaded policies (src/core/regions_policy.h):
 //
-//   Regions(DomainCore& core, ...)     extra arguments come from the cache
+//   Regions(Core& core, ...)           extra arguments come from the cache
 //   void Touch(uint32_t value)         lock-free hit at an index value
 //   void AdmitLocked(size_t s, ObjectId id)
 //       admits a non-resident id into shard s and indexes it; any victim
 //       is unindexed before its location is reused, and counted with
-//       core.CountEviction(s)
+//       core.CountEviction(s, victim)
 //   void UnlinkLocked(size_t s, uint32_t value)
 //       drops the queue state of an object Remove() just unindexed
 //   void FillOccupancy(size_t s, CacheStats* stats) const

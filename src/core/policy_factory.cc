@@ -1,15 +1,11 @@
 #include "src/core/policy_factory.h"
 
-#include <algorithm>
-#include <cmath>
-
-#include "src/core/s3fifo.h"
+#include "src/core/regions_policy.h"
 #include "src/core/sieve.h"
 #include "src/policies/arc.h"
 #include "src/policies/belady.h"
 #include "src/policies/cacheus.h"
 #include "src/policies/car.h"
-#include "src/policies/clock.h"
 #include "src/policies/clockpro.h"
 #include "src/policies/fifo.h"
 #include "src/policies/hyperbolic.h"
@@ -30,6 +26,37 @@
 namespace qdlp {
 
 namespace {
+
+// The designs whose one implementation is the lock-free caches' Regions,
+// run single-threaded over `factory`'s index (regions_policy.h).
+template <typename IndexFactory>
+std::unique_ptr<EvictionPolicy> MakeRegionsPolicy(const std::string& name,
+                                                  size_t capacity,
+                                                  const IndexFactory& factory) {
+  int bits = 0;
+  if (name == "fifo-reinsertion" || name == "clock" || name == "clock1") {
+    bits = 1;
+  } else if (name == "clock2") {
+    bits = 2;
+  } else if (name == "clock3") {
+    bits = 3;
+  }
+  if (bits > 0) {
+    // 1-bit CLOCK is FIFO-Reinsertion (§3), and reports that name.
+    return std::make_unique<RegionsPolicy<ClockRegions, IndexFactory>>(
+        capacity, bits == 1 ? "fifo-reinsertion" : name, factory, bits);
+  }
+  if (name == "s3fifo") {
+    return std::make_unique<RegionsPolicy<S3FifoRegions, IndexFactory>>(
+        capacity, name, factory, /*small_fraction=*/0.10,
+        /*ghost_factor=*/0.9);
+  }
+  if (name == "qd-lp-fifo") {
+    return std::make_unique<RegionsPolicy<QdLpRegions, IndexFactory>>(
+        capacity, name, factory, QdlpValueOptions{});
+  }
+  return nullptr;
+}
 
 std::unique_ptr<EvictionPolicy> MakeBase(const std::string& name,
                                          size_t capacity,
@@ -94,23 +121,11 @@ std::unique_ptr<EvictionPolicy> MakeBase(const std::string& name,
   if (name == "hyperbolic") {
     return std::make_unique<HyperbolicPolicy>(capacity);
   }
-  if (name == "fifo-reinsertion" || name == "clock" || name == "clock1") {
-    return std::make_unique<ClockPolicy>(capacity, 1);
-  }
-  if (name == "clock2") {
-    return std::make_unique<ClockPolicy>(capacity, 2);
-  }
-  if (name == "clock3") {
-    return std::make_unique<ClockPolicy>(capacity, 3);
-  }
   if (name == "clockpro") {
     return std::make_unique<ClockProPolicy>(capacity);
   }
   if (name == "sieve") {
     return std::make_unique<SievePolicy>(capacity);
-  }
-  if (name == "s3fifo") {
-    return std::make_unique<S3FifoPolicy>(capacity);
   }
   if (name == "belady") {
     if (trace == nullptr) {
@@ -118,50 +133,7 @@ std::unique_ptr<EvictionPolicy> MakeBase(const std::string& name,
     }
     return std::make_unique<BeladyPolicy>(capacity, *trace);
   }
-  return nullptr;
-}
-
-// Probation/main split for a QD composition. Shared by the flat and dense
-// builders so the two variants are behaviorally identical.
-size_t QdProbationCapacity(size_t total_capacity, double probation_fraction) {
-  size_t probation = std::max<size_t>(
-      1, static_cast<size_t>(std::llround(static_cast<double>(total_capacity) *
-                                          probation_fraction)));
-  return std::min(probation, total_capacity - 1);
-}
-
-// Dense variants exist only for policies whose decisions depend on ids
-// solely through index lookups and queue order — never on the id's value,
-// hash, or hash-table iteration order — so a bijective remap to dense ids
-// cannot change any eviction decision. Policies that sample the index
-// (random, lhd, hyperbolic, ...) or hash ids into sketches (wtinylfu) are
-// excluded even where a dense index would mechanically work.
-std::unique_ptr<EvictionPolicy> MakeDenseBase(const std::string& name,
-                                              size_t capacity,
-                                              uint64_t universe) {
-  const DenseIndexFactory factory{universe};
-  if (name == "fifo") {
-    return std::make_unique<DenseFifoPolicy>(capacity, factory);
-  }
-  if (name == "lru") {
-    return std::make_unique<DenseLruPolicy>(capacity, factory);
-  }
-  if (name == "fifo-reinsertion" || name == "clock" || name == "clock1") {
-    return std::make_unique<DenseClockPolicy>(capacity, 1, factory);
-  }
-  if (name == "clock2") {
-    return std::make_unique<DenseClockPolicy>(capacity, 2, factory);
-  }
-  if (name == "clock3") {
-    return std::make_unique<DenseClockPolicy>(capacity, 3, factory);
-  }
-  if (name == "sieve") {
-    return std::make_unique<DenseSievePolicy>(capacity, factory);
-  }
-  if (name == "s3fifo") {
-    return std::make_unique<DenseS3FifoPolicy>(capacity, 0.10, 0.9, factory);
-  }
-  return nullptr;
+  return MakeRegionsPolicy(name, capacity, FlatIndexFactory{});
 }
 
 }  // namespace
@@ -172,9 +144,10 @@ std::unique_ptr<EvictionPolicy> MakeQdPolicy(const std::string& base_name,
                                              const std::vector<ObjectId>* trace) {
   QDLP_CHECK(total_capacity >= 2);
   QDLP_CHECK(options.probation_fraction > 0.0 && options.probation_fraction < 1.0);
-  if (base_name == "belady") {
+  if (base_name == "belady" || base_name.rfind("qd-", 0) == 0) {
     // Belady consumes the trace positionally; behind a QD filter its
     // next-use bookkeeping would desynchronize from the request stream.
+    // And QD composes over plain bases only.
     return nullptr;
   }
   const size_t probation =
@@ -200,35 +173,38 @@ bool HasDenseVariant(const std::string& name) {
   return false;
 }
 
+// Dense variants exist only for policies whose decisions depend on ids
+// solely through index lookups and queue order — never on the id's value,
+// hash, or hash-table iteration order — so a bijective remap to dense ids
+// cannot change any eviction decision. Policies that sample the index
+// (random, lhd, hyperbolic, ...) or hash ids into sketches (wtinylfu) are
+// excluded even where a dense index would mechanically work.
 std::unique_ptr<EvictionPolicy> MakeDensePolicy(const std::string& name,
                                                 size_t capacity,
                                                 uint64_t universe) {
-  if (name == "qd-lp-fifo") {
-    QDLP_CHECK(capacity >= 2);
-    QdOptions options;
-    options.name = "qd-lp-fifo";
-    const size_t probation =
-        QdProbationCapacity(capacity, options.probation_fraction);
-    auto main = MakeDenseBase("clock2", capacity - probation, universe);
-    QDLP_DCHECK(main != nullptr);
-    return std::make_unique<DenseQdCache>(probation, std::move(main), options,
-                                          DenseIndexFactory{universe});
+  const DenseIndexFactory factory{universe};
+  if (name == "fifo") {
+    return std::make_unique<DenseFifoPolicy>(capacity, factory);
   }
-  return MakeDenseBase(name, capacity, universe);
+  if (name == "lru") {
+    return std::make_unique<DenseLruPolicy>(capacity, factory);
+  }
+  if (name == "sieve") {
+    return std::make_unique<DenseSievePolicy>(capacity, factory);
+  }
+  return MakeRegionsPolicy(name, capacity, factory);
 }
 
 std::unique_ptr<EvictionPolicy> MakePolicy(const std::string& name,
                                            size_t capacity,
                                            const std::vector<ObjectId>* trace) {
-  if (name == "qd-lp-fifo") {
-    QdOptions options;
-    options.name = "qd-lp-fifo";
-    return MakeQdPolicy("clock2", capacity, options, trace);
+  if (auto policy = MakeBase(name, capacity, trace)) {
+    return policy;
   }
   if (name.rfind("qd-", 0) == 0) {
     return MakeQdPolicy(name.substr(3), capacity, QdOptions{}, trace);
   }
-  return MakeBase(name, capacity, trace);
+  return nullptr;
 }
 
 std::vector<std::string> KnownPolicyNames() {

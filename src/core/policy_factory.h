@@ -10,6 +10,11 @@
 //   §4 algorithm), and qd-<base> for any non-composed base above
 //   (e.g. qd-arc, qd-lirs, qd-lecar, qd-cacheus, qd-lhd).
 //
+// fifo-reinsertion/clock*, s3fifo and qd-lp-fifo run the lock-free caches'
+// Regions single-threaded (regions_policy.h), so each of those designs has
+// one implementation across MakePolicy, MakeDensePolicy and the concurrent
+// caches.
+//
 // For QD-composed policies the capacity is the *total* budget: 10% goes to
 // the probationary FIFO and 90% to the main policy, as in the paper.
 
@@ -47,8 +52,8 @@ bool HasDenseVariant(const std::string& name);
 // every id index is a direct-indexed slot array over [0, universe) instead
 // of an open-addressing hash map. Ids fed to the returned policy must be
 // dense (see trace/dense_trace.h). Returns nullptr for names without a
-// dense variant. QD compositions use the exact same probation/main/ghost
-// split as MakePolicy, so miss ratios match the flat variant bit for bit.
+// dense variant. Each dense variant is the flat one's code over the other
+// index, so miss ratios match the flat variant bit for bit.
 std::unique_ptr<EvictionPolicy> MakeDensePolicy(const std::string& name,
                                                 size_t capacity,
                                                 uint64_t universe);

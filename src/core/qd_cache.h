@@ -14,24 +14,22 @@
 //
 // Hits anywhere only set a bit (probation) or forward to the main policy.
 // Composing this over ARC/LIRS/CACHEUS/LeCaR/LHD yields the paper's
-// QD-enhanced algorithms; composing it over 2-bit CLOCK yields QD-LP-FIFO.
-//
-// The probation/ghost index backing is a template parameter: QdCache probes
-// open-addressing FlatMaps, DenseQdCache (batched sweep engine, dense
-// traces, composed over a dense main policy) direct-indexed slot arrays.
+// QD-enhanced algorithms (MakePolicy's qd-<base> names), and its options
+// drive the probation, ghost and CLOCK-bits ablations. Composed over 2-bit
+// CLOCK it makes QD-LP-FIFO's decisions, but the qd-lp-fifo name runs the
+// one QD-LP-FIFO implementation, QdLpRegions, through regions_policy.h.
 
 #ifndef QDLP_SRC_CORE_QD_CACHE_H_
 #define QDLP_SRC_CORE_QD_CACHE_H_
 
 #include <cmath>
-#include <functional>
 #include <memory>
 #include <string>
 #include <utility>
 
 #include "src/core/ghost_queue.h"
 #include "src/policies/eviction_policy.h"
-#include "src/util/dense_index.h"
+#include "src/util/flat_map.h"
 #include "src/util/intrusive_list.h"
 
 namespace qdlp {
@@ -45,38 +43,14 @@ struct QdOptions {
   std::string name;
 };
 
-namespace internal {
-
-// Forwards main-cache evictions to the wrapper so that eviction counting
-// and residency accounting span the whole composed cache. Every other main
-// event is swallowed: the wrapper reports an object's insertion when it
-// first takes cache space (probation entry or ghost-path admission), a
-// promotion from probation into main is not a new insertion, and the main
-// policy's internal promotions (e.g. CLOCK reinsertion) are visible in its
-// own Stats(), not the wrapper's probation->main flow.
-class MainEvictionForwarder : public AccessEventSink {
- public:
-  using Callback = std::function<void(ObjectId)>;
-  explicit MainEvictionForwarder(Callback on_evict)
-      : on_evict_(std::move(on_evict)) {}
-
-  void OnEvict(ObjectId id, uint64_t) override { on_evict_(id); }
-
- private:
-  Callback on_evict_;
-};
-
-}  // namespace internal
-
-template <typename IndexFactory>
-class BasicQdCache : public EvictionPolicy {
+class QdCache : public EvictionPolicy {
  public:
   // `main` must have capacity equal to the intended main-cache size; the
   // total capacity reported by this wrapper is probation + main. Use
   // MakeQdPolicy (policy_factory.h) to build one by name with a total
   // budget.
-  BasicQdCache(size_t probation_capacity, std::unique_ptr<EvictionPolicy> main,
-               const QdOptions& options = {}, IndexFactory factory = {})
+  QdCache(size_t probation_capacity, std::unique_ptr<EvictionPolicy> main,
+          const QdOptions& options = {})
       : EvictionPolicy(
             probation_capacity + main->capacity(),
             options.name.empty() ? "qd-" + std::string(main->name())
@@ -84,17 +58,13 @@ class BasicQdCache : public EvictionPolicy {
         probation_capacity_(probation_capacity),
         main_(std::move(main)),
         ghost_(std::max<size_t>(
-                   1, static_cast<size_t>(std::llround(
-                          static_cast<double>(main_->capacity()) *
-                          options.ghost_factor))),
-               factory),
-        probation_index_(factory.template Make<ProbationEntry>()) {
+            1, static_cast<size_t>(
+                   std::llround(static_cast<double>(main_->capacity()) *
+                                options.ghost_factor)))) {
     QDLP_CHECK(probation_capacity_ >= 1);
     probation_fifo_.Reserve(probation_capacity_);
     probation_index_.Reserve(probation_capacity_);
-    main_forwarder_ = std::make_unique<internal::MainEvictionForwarder>(
-        [this](ObjectId id) { NotifyEvict(id); });
-    main_->set_event_sink(main_forwarder_.get());
+    main_->set_event_sink(&main_forwarder_);
   }
 
   size_t size() const override {
@@ -114,7 +84,7 @@ class BasicQdCache : public EvictionPolicy {
   size_t probation_size() const { return probation_index_.size(); }
   size_t probation_capacity() const { return probation_capacity_; }
   const EvictionPolicy& main() const { return *main_; }
-  const BasicGhostQueue<IndexFactory>& ghost() const { return ghost_; }
+  const GhostQueue& ghost() const { return ghost_; }
 
   // Flow counters for analysis/ablation, aliasing the Stats() snapshot:
   // probation->main lazy promotions, probation->ghost quick demotions, and
@@ -219,21 +189,30 @@ class BasicQdCache : public EvictionPolicy {
     }
   }
 
+  // Forwards main-cache evictions to the wrapper so that eviction counting
+  // and residency accounting span the whole composed cache. Every other
+  // main event is swallowed: the wrapper reports an object's insertion when
+  // it first takes cache space (probation entry or ghost-path admission), a
+  // promotion from probation into main is not a new insertion, and the
+  // main policy's internal promotions (e.g. CLOCK reinsertion) are visible
+  // in its own Stats(), not the wrapper's probation->main flow.
+  class MainEvictionForwarder : public AccessEventSink {
+   public:
+    explicit MainEvictionForwarder(QdCache* owner) : owner_(owner) {}
+    void OnEvict(ObjectId id, uint64_t) override { owner_->NotifyEvict(id); }
+
+   private:
+    QdCache* owner_;
+  };
+
   size_t probation_capacity_;
   std::unique_ptr<EvictionPolicy> main_;
-  BasicGhostQueue<IndexFactory> ghost_;
-  // Forwards main-cache evictions into this wrapper's counters/sink.
-  std::unique_ptr<AccessEventSink> main_forwarder_;
+  GhostQueue ghost_;
+  MainEvictionForwarder main_forwarder_{this};
 
   IntrusiveList<ObjectId> probation_fifo_;  // front = oldest
-  typename IndexFactory::template Index<ProbationEntry> probation_index_;
+  FlatMap<ProbationEntry> probation_index_;
 };
-
-using QdCache = BasicQdCache<FlatIndexFactory>;
-using DenseQdCache = BasicQdCache<DenseIndexFactory>;
-
-extern template class BasicQdCache<FlatIndexFactory>;
-extern template class BasicQdCache<DenseIndexFactory>;
 
 }  // namespace qdlp
 

@@ -1,0 +1,185 @@
+// The FIFO designs' single-threaded policies: an EvictionPolicy that runs
+// the lock-free caches' Regions (ClockRegions, S3FifoRegions, QdLpRegions
+// in src/concurrent/) on a serial core. DomainCache runs the very same
+// Regions on its concurrent DomainCore, so each design has one
+// implementation in every lane: MakePolicy's fifo-reinsertion / clock2 /
+// clock3, s3fifo and qd-lp-fifo, the sweep lane's dense variants of them,
+// and the lock-free caches.
+//
+// The policy is its Regions' core (the interface in eviction_domains.h):
+// one shard spanning the whole capacity, with no mutex and no insert
+// buffers. Its index is a FlatMap (MakePolicy) or, over dense-id traces, a
+// DenseIndex (MakeDensePolicy), and the ghosts are BasicGhostQueues over
+// the same backing. Each count the Regions make becomes the matching
+// Notify* event, so the counters and any AccessEventSink (Fig 3's
+// residency accounting, TtlCache's reaper) see every insert, eviction,
+// promotion, demotion and ghost hit as it happens.
+
+#ifndef QDLP_SRC_CORE_REGIONS_POLICY_H_
+#define QDLP_SRC_CORE_REGIONS_POLICY_H_
+
+#include <cstddef>
+#include <cstdint>
+#include <string>
+#include <utility>
+
+#include "src/concurrent/concurrent_clock.h"
+#include "src/concurrent/concurrent_qdlp_fifo.h"
+#include "src/concurrent/concurrent_s3fifo.h"
+#include "src/obs/concurrent_counters.h"
+#include "src/policies/eviction_policy.h"
+#include "src/util/check.h"
+#include "src/util/dense_index.h"
+
+namespace qdlp {
+
+// Regions<RegionsPolicy> is a member of the class it names as its core, so
+// the Regions may use the core's members only inside function bodies and
+// nested classes, which are instantiated once this class is complete.
+template <template <typename> class Regions, typename Factory>
+class RegionsPolicy final : public EvictionPolicy {
+ public:
+  // `regions_args` follow the Regions' core argument, as in DomainCache.
+  template <typename... RegionsArgs>
+  RegionsPolicy(size_t capacity, std::string name, const Factory& factory,
+                RegionsArgs&&... regions_args)
+      : EvictionPolicy(capacity, std::move(name)),
+        index(capacity, factory),
+        factory_(factory),
+        regions_(*this, std::forward<RegionsArgs>(regions_args)...) {
+    // Index values are 32-bit locations, QD-LP-FIFO's with a region tag.
+    QDLP_CHECK(capacity <= 0x7FFFFFFFu);
+  }
+
+  size_t size() const override { return index.size(); }
+  bool Contains(ObjectId id) const override { return index.Contains(id); }
+
+  uint64_t AccessBatch(const uint32_t* ids, size_t n) override {
+    return PrefetchPipelinedBatch(*this, index, ids, n);
+  }
+
+  // DomainCache::Remove without the lock: unindex, then drop the queue
+  // state. Counts as an eviction and leaves no ghost trace.
+  bool Remove(ObjectId id) override {
+    uint32_t value;
+    if (!index.Find(id, &value)) {
+      return false;
+    }
+    index.Erase(id);
+    regions_.UnlinkLocked(0, value);
+    NotifyEvict(id);
+    return true;
+  }
+  bool SupportsRemoval() const override { return true; }
+
+  // The region/index agreement DomainCache::CheckInvariants asserts.
+  void CheckInvariants() const override {
+    const size_t resident = regions_.CheckShardLocked(0);
+    // Every resident is indexed at its location, so equal counts mean the
+    // index holds nothing else.
+    QDLP_CHECK(index.size() == resident);
+    QDLP_CHECK(resident <= capacity());
+    index.CheckInvariants();
+    regions_.CheckSharedLocked();
+  }
+
+  size_t ApproxMetadataBytes() const override {
+    return index.MemoryBytes() + regions_.MemoryBytes();
+  }
+
+ protected:
+  bool OnAccess(ObjectId id) override {
+    uint32_t value;
+    if (index.Find(id, &value)) {
+      regions_.Touch(value);
+      return true;
+    }
+    regions_.AdmitLocked(0, id);
+    NotifyInsert(id);
+    return false;
+  }
+
+  void FillOccupancy(CacheStats& stats) const override {
+    regions_.FillOccupancy(0, &stats);
+  }
+
+ private:
+  friend Regions<RegionsPolicy>;
+
+  // The id index, with the calls the Regions make on StripedAtomicIndex.
+  class Index {
+   public:
+    Index(size_t capacity, const Factory& factory)
+        : map_(factory.template Make<uint32_t>()) {
+      map_.Reserve(capacity);
+    }
+
+    bool Find(ObjectId id, uint32_t* value) const {
+      const uint32_t* found = map_.Find(id);
+      if (found == nullptr) {
+        return false;
+      }
+      *value = *found;
+      return true;
+    }
+    bool Contains(ObjectId id) const { return map_.Contains(id); }
+    void Insert(ObjectId id, uint32_t value) { map_[id] = value; }
+    // Only ever moves a resident id.
+    void Update(ObjectId id, uint32_t value) { *map_.Find(id) = value; }
+    bool Erase(ObjectId id) { return map_.Erase(id); }
+    template <typename Fn>
+    void ForEach(Fn&& fn) const {
+      map_.ForEach(fn);
+    }
+
+    size_t size() const { return map_.size(); }
+    void Prefetch(ObjectId id) const { map_.Prefetch(id); }
+    void CheckInvariants() const { map_.CheckInvariants(); }
+    size_t MemoryBytes() const { return map_.MemoryBytes(); }
+
+   private:
+    typename Factory::template Index<uint32_t> map_;  // id -> location
+  };
+
+  // ---- The core interface. ----
+  using IndexFactory = Factory;
+
+  size_t num_shards() const { return 1; }
+  size_t shard_capacity(size_t) const { return capacity(); }
+  size_t shard_base(size_t) const { return 0; }
+  size_t ShardOf(ObjectId) const { return 0; }
+  const Factory& index_factory() const { return factory_; }
+
+  void Count(ConcurrentStatsCounters::Counter kind, ObjectId id) {
+    switch (kind) {
+      case ConcurrentStatsCounters::kPromotions:
+        NotifyPromote(id);
+        return;
+      case ConcurrentStatsCounters::kDemotions:
+        NotifyDemote(id);
+        return;
+      case ConcurrentStatsCounters::kGhostHits:
+        NotifyGhostHit(id);
+        return;
+      default:
+        QDLP_CHECK(false && "the Regions count no other kind");
+    }
+  }
+  void CountEviction(size_t, ObjectId id) { NotifyEvict(id); }
+
+  Index index;
+  Factory factory_;
+  Regions<RegionsPolicy> regions_;
+};
+
+// Compiled once, in regions_policy.cc.
+extern template class RegionsPolicy<ClockRegions, FlatIndexFactory>;
+extern template class RegionsPolicy<ClockRegions, DenseIndexFactory>;
+extern template class RegionsPolicy<S3FifoRegions, FlatIndexFactory>;
+extern template class RegionsPolicy<S3FifoRegions, DenseIndexFactory>;
+extern template class RegionsPolicy<QdLpRegions, FlatIndexFactory>;
+extern template class RegionsPolicy<QdLpRegions, DenseIndexFactory>;
+
+}  // namespace qdlp
+
+#endif  // QDLP_SRC_CORE_REGIONS_POLICY_H_

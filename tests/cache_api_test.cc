@@ -144,15 +144,17 @@ TEST(CacheApiTest, ConcurrentAdapterMatchesRawEngine) {
   EXPECT_EQ(cache->Stats().size, raw.Stats().size);
 }
 
-// ISSUE acceptance oracle: every concurrent engine supports Delete()
-// uniformly — no SupportsRemoval() escape hatch. Fresh-key delete must
-// succeed, double delete must fail, and deleting every key ever admitted
-// must drain the cache to size 0 (exercising mid-queue unlink and
-// probation compaction under churn).
-TEST(CacheApiTest, UniformDeleteOracleAcrossConcurrentEngines) {
+// Every concurrent engine, and every serial engine of a design the
+// concurrent caches share (CacheConfig's default, qd-lp-fifo, among them),
+// supports Delete() uniformly — no SupportsRemoval() escape hatch.
+// Fresh-key delete must succeed, double delete must fail, and deleting
+// every key ever admitted must drain the cache to size 0 (exercising
+// mid-queue unlink and probation compaction under churn).
+TEST(CacheApiTest, UniformDeleteOracleAcrossEngines) {
   for (const char* name :
        {"concurrent-qdlp-fifo", "concurrent-clock", "concurrent-s3fifo",
-        "global-lock-lru", "sharded-lru"}) {
+        "global-lock-lru", "sharded-lru", "fifo-reinsertion", "clock2",
+        "s3fifo", "qd-lp-fifo"}) {
     CacheConfig config;
     config.policy = name;
     config.capacity = 100;

@@ -7,7 +7,7 @@
 #include <vector>
 
 #include "src/concurrent/concurrent_s3fifo.h"
-#include "src/core/s3fifo.h"
+#include "src/core/policy_factory.h"
 #include "src/trace/generators.h"
 #include "src/util/random.h"
 #include "src/util/zipf.h"
@@ -25,11 +25,11 @@ TEST_P(S3FifoEquivalenceTest, SingleThreadMatchesSequentialPolicy) {
   config.seed = GetParam();
   const Trace trace = GenerateZipf(config);
   constexpr size_t kCapacity = 120;
-  S3FifoPolicy sequential(kCapacity);
+  const auto sequential = MakePolicy("s3fifo", kCapacity);
   ConcurrentS3FifoCache concurrent(kCapacity, 0.10, 0.9, 4);
   for (size_t i = 0; i < trace.requests.size(); ++i) {
     const ObjectId id = trace.requests[i];
-    ASSERT_EQ(concurrent.Get(id), sequential.Access(id))
+    ASSERT_EQ(concurrent.Get(id), sequential->Access(id))
         << "diverged at request " << i;
   }
 }

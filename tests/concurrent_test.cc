@@ -11,7 +11,6 @@
 #include "src/concurrent/concurrent_clock.h"
 #include "src/concurrent/locked_lru.h"
 #include "src/concurrent/sharded_lru.h"
-#include "src/policies/clock.h"
 #include "src/policies/lru.h"
 #include "src/trace/generators.h"
 #include "src/util/random.h"
@@ -127,8 +126,9 @@ TEST(ConcurrentClockTest, SingleThreadBehavesLikeClock) {
   EXPECT_TRUE(cache.Get(4));
 }
 
-// A removed object's slot is the next admission's: ClockPolicy's free-slot
-// rule. Evicting a live object while a slot is free would lose object 1.
+// A removed object's slot is the next admission's (RefClock's holes, pinned
+// with removals by RemovalDifferentialTest). Evicting a live object while a
+// slot is free would lose object 1.
 TEST(ConcurrentClockTest, RemovedSlotIsReusedBeforeEvicting) {
   ConcurrentClockCache cache(4, /*bits=*/1, /*num_stripes=*/1);
   for (ObjectId id = 1; id <= 4; ++id) {
@@ -139,30 +139,6 @@ TEST(ConcurrentClockTest, RemovedSlotIsReusedBeforeEvicting) {
   EXPECT_EQ(cache.Stats().size, 4u);
   EXPECT_TRUE(cache.Get(1));
   cache.CheckInvariants();
-}
-
-// Gets and Removes against the sequential CLOCK, request for request, with
-// removals frequent enough that freed slots are reused constantly.
-TEST(ConcurrentClockTest, MatchesClockPolicyWithRemovals) {
-  for (const int bits : {1, 2}) {
-    for (const size_t capacity : {4, 17, 100}) {
-      ConcurrentClockCache cache(capacity, bits, /*num_stripes=*/4);
-      ClockPolicy reference(capacity, bits);
-      Rng rng(0xC10C + capacity * 10 + static_cast<uint64_t>(bits));
-      for (int op = 0; op < 200000; ++op) {
-        const ObjectId id = rng.NextBounded(2 * capacity);
-        if (rng.NextBounded(10) == 0) {
-          ASSERT_EQ(cache.Remove(id), reference.Remove(id))
-              << "bits " << bits << " capacity " << capacity << " op " << op;
-        } else {
-          ASSERT_EQ(cache.Get(id), reference.Access(id))
-              << "bits " << bits << " capacity " << capacity << " op " << op;
-        }
-      }
-      EXPECT_EQ(cache.Stats().size, reference.size());
-      cache.CheckInvariants();
-    }
-  }
 }
 
 TEST(ConcurrentClockTest, CapacityEnforcedUnderThreads) {

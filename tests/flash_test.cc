@@ -3,8 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include "src/core/policy_factory.h"
 #include "src/flash/flash_model.h"
-#include "src/policies/clock.h"
 #include "src/policies/fifo.h"
 #include "src/policies/lru.h"
 #include "src/trace/generators.h"
@@ -71,13 +71,13 @@ TEST(LogFlashTest, ClockMissRatioMatchesPolicyClock) {
   // Not exactly request-for-request (the hand moves a segment at a time),
   // but the steady-state miss ratio must land very close.
   LogFlashCache flash(2000, 100, 1);
-  ClockPolicy clock(2000, 1);
+  const auto clock = MakePolicy("fifo-reinsertion", 2000);
   const Trace trace = FlashTrace(1207);
   uint64_t flash_hits = 0;
   uint64_t clock_hits = 0;
   for (const ObjectId id : trace.requests) {
     flash_hits += flash.Access(id) ? 1 : 0;
-    clock_hits += clock.Access(id) ? 1 : 0;
+    clock_hits += clock->Access(id) ? 1 : 0;
   }
   const double flash_ratio =
       static_cast<double>(flash_hits) / static_cast<double>(trace.requests.size());

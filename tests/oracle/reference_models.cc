@@ -99,27 +99,45 @@ RefClock::RefClock(size_t capacity, int bits)
     : capacity_(capacity), max_counter_((1 << bits) - 1) {}
 
 bool RefClock::Access(ObjectId id) {
-  for (auto& [entry_id, counter] : queue_) {
-    if (entry_id == id) {
-      counter = std::min(counter + 1, max_counter_);
+  for (Entry& entry : queue_) {
+    if (!entry.hole && entry.id == id) {
+      entry.counter = std::min(entry.counter + 1, max_counter_);
       return true;
     }
   }
+  if (!holes_.empty()) {
+    queue_[holes_.back()] = Entry{id, 0, false};
+    holes_.pop_back();
+    return false;
+  }
   while (queue_.size() >= capacity_) {
-    auto [victim, counter] = queue_.front();
+    const Entry victim = queue_.front();
     queue_.pop_front();
-    if (counter > 0) {
-      queue_.emplace_back(victim, counter - 1);  // second chance
+    if (victim.counter > 0) {
+      // Second chance.
+      queue_.push_back(Entry{victim.id, victim.counter - 1, false});
     }
     // else: evicted outright
   }
-  queue_.emplace_back(id, 0);
+  queue_.push_back(Entry{id, 0, false});
+  return false;
+}
+
+bool RefClock::Remove(ObjectId id) {
+  for (size_t i = 0; i < queue_.size(); ++i) {
+    if (!queue_[i].hole && queue_[i].id == id) {
+      queue_[i].hole = true;
+      holes_.push_back(i);
+      return true;
+    }
+  }
   return false;
 }
 
 bool RefClock::Contains(ObjectId id) const {
-  return std::any_of(queue_.begin(), queue_.end(),
-                     [&](const auto& e) { return e.first == id; });
+  return std::any_of(queue_.begin(), queue_.end(), [&](const Entry& e) {
+    return !e.hole && e.id == id;
+  });
 }
 
 // ---------------------------------------------------------------------------
@@ -261,6 +279,19 @@ void RefS3Fifo::EvictMain() {
   }
 }
 
+bool RefS3Fifo::Remove(ObjectId id) {
+  for (auto* queue : {&small_, &main_}) {
+    const auto it =
+        std::find_if(queue->begin(), queue->end(),
+                     [&](const auto& e) { return e.first == id; });
+    if (it != queue->end()) {
+      queue->erase(it);
+      return true;
+    }
+  }
+  return false;
+}
+
 bool RefS3Fifo::Contains(ObjectId id) const {
   const auto match = [&](const auto& e) { return e.first == id; };
   return std::any_of(small_.begin(), small_.end(), match) ||
@@ -311,6 +342,16 @@ void RefQdLpFifo::EvictProbation() {
   }
 }
 
+bool RefQdLpFifo::Remove(ObjectId id) {
+  const auto it = std::find_if(probation_.begin(), probation_.end(),
+                               [&](const auto& e) { return e.first == id; });
+  if (it != probation_.end()) {
+    probation_.erase(it);
+    return true;
+  }
+  return main_.Remove(id);
+}
+
 bool RefQdLpFifo::Contains(ObjectId id) const {
   return std::any_of(probation_.begin(), probation_.end(),
                      [&](const auto& e) { return e.first == id; }) ||
@@ -344,7 +385,7 @@ std::unique_ptr<ReferenceModel> MakeExactOracle(const std::string& name,
     return std::make_unique<RefSieve>(capacity);
   }
   if (name == "s3fifo") {
-    // S3FifoPolicy defaults: small_fraction 0.10, ghost_factor 0.9.
+    // The factory's S3-FIFO: small_fraction 0.10, ghost_factor 0.9.
     return std::make_unique<RefS3Fifo>(capacity, 0.10, 0.9);
   }
   if (name == "qd-lp-fifo") {

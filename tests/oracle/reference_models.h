@@ -33,6 +33,13 @@ class ReferenceModel {
 
   // Requests `id`; admits on miss (evicting as needed). Returns true on hit.
   virtual bool Access(ObjectId id) = 0;
+  // Removes `id` if it holds cache space; returns whether it did. Models
+  // without a removal spec keep the object and return false, like
+  // EvictionPolicy's default.
+  virtual bool Remove(ObjectId id) {
+    (void)id;
+    return false;
+  }
   // Number of objects currently holding cache space (ghosts excluded).
   virtual size_t size() const = 0;
   // True when `id` currently holds cache space.
@@ -94,22 +101,36 @@ class RefLfu : public ReferenceModel {
 };
 
 // k-bit CLOCK as a reinsertion queue: the ring-buffer-with-hand formulation
-// in src/policies/clock.cc is behaviourally identical to a FIFO where the
-// front entry is reinserted at the back (counter - 1) while its counter is
-// positive. The queue form is the obviously-correct one.
+// in src/concurrent/clock_ring.h is behaviourally identical to a FIFO where
+// the front entry is reinserted at the back (counter - 1) while its counter
+// is positive. The queue form is the obviously-correct one.
+//
+// Removal leaves a hole at the object's queue position (the ring's freed
+// slot). A miss fills the most recently made hole before it appends or
+// evicts, so eviction runs only when no hole is left and the hand never
+// meets one; and while holes exist no entry moves, so their positions stay
+// valid.
 class RefClock : public ReferenceModel {
  public:
   RefClock(size_t capacity, int bits);
 
   bool Access(ObjectId id) override;
-  size_t size() const override { return queue_.size(); }
+  bool Remove(ObjectId id) override;
+  size_t size() const override { return queue_.size() - holes_.size(); }
   bool Contains(ObjectId id) const override;
   const char* name() const override { return "ref-clock"; }
 
  private:
+  struct Entry {
+    ObjectId id;
+    int counter;
+    bool hole;
+  };
+
   const size_t capacity_;
   const int max_counter_;
-  std::deque<std::pair<ObjectId, int>> queue_;  // front = hand
+  std::deque<Entry> queue_;   // front = hand
+  std::vector<size_t> holes_;  // queue positions, most recent last
 };
 
 // SIEVE: visited bits, a hand that survives evictions, new objects at the
@@ -154,7 +175,8 @@ class RefGhost {
 };
 
 // S3-FIFO (Yang et al.): small probationary FIFO + main FIFO with lazy
-// promotion + ghost. Mirrors the spec in DESIGN.md / src/core/s3fifo.cc:
+// promotion + ghost. Mirrors the spec in DESIGN.md /
+// src/concurrent/concurrent_s3fifo.h:
 //  - hits bump a 2-bit frequency (saturating at 3);
 //  - room is made by evicting from small while it is over its target (or
 //    main is empty), else from main;
@@ -167,6 +189,8 @@ class RefS3Fifo : public ReferenceModel {
   RefS3Fifo(size_t capacity, double small_fraction, double ghost_factor);
 
   bool Access(ObjectId id) override;
+  // Erases the entry from its queue; the ghost is untouched.
+  bool Remove(ObjectId id) override;
   size_t size() const override { return small_.size() + main_.size(); }
   bool Contains(ObjectId id) const override;
   const char* name() const override { return "ref-s3fifo"; }
@@ -192,6 +216,9 @@ class RefQdLpFifo : public ReferenceModel {
               size_t ghost_capacity);
 
   bool Access(ObjectId id) override;
+  // Erases a probationary entry from its queue, or removes a main entry as
+  // RefClock does; the ghost is untouched.
+  bool Remove(ObjectId id) override;
   size_t size() const override { return probation_.size() + main_.size(); }
   bool Contains(ObjectId id) const override;
   const char* name() const override { return "ref-qd-lp-fifo"; }

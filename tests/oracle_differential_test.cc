@@ -6,7 +6,7 @@
 // oracle-independent self-consistency checks.
 //
 // The slow build of this file (oracle_differential_slow_test, ctest label
-// "slow") replays 8x longer traces and one extra cache size.
+// "slow") replays 8x longer traces and one extra cache size per suite.
 
 #include <gtest/gtest.h>
 
@@ -23,6 +23,7 @@
 #include "src/concurrent/sharded_lru.h"
 #include "src/core/policy_factory.h"
 #include "src/trace/generators.h"
+#include "src/util/random.h"
 #include "tests/oracle/differential_runner.h"
 #include "tests/oracle/reference_models.h"
 
@@ -32,9 +33,11 @@ namespace {
 #ifdef QDLP_ORACLE_SLOW
 constexpr uint64_t kRequests = 64000;
 const std::vector<size_t> kCacheSizes = {16, 101, 512, 1024};
+const std::vector<size_t> kRemovalCacheSizes = {4, 17, 100, 1000};
 #else
 constexpr uint64_t kRequests = 8000;
 const std::vector<size_t> kCacheSizes = {16, 101, 512};
+const std::vector<size_t> kRemovalCacheSizes = {4, 17, 100};
 #endif
 
 const std::vector<std::string> kShapes = {"zipf", "web", "block", "kv",
@@ -98,15 +101,19 @@ std::vector<ObjectId> BuildTrace(const std::string& shape, uint64_t seed) {
 
 using DiffCase = std::tuple<std::string, std::string, size_t>;
 
-std::string CaseName(const ::testing::TestParamInfo<DiffCase>& info) {
-  const auto& [subject, shape, cache_size] = info.param;
-  std::string name = subject + "_" + shape + "_c" + std::to_string(cache_size);
+// gtest names allow no '-'.
+std::string TestName(std::string name) {
   for (char& c : name) {
     if (c == '-') {
       c = '_';
     }
   }
   return name;
+}
+
+std::string CaseName(const ::testing::TestParamInfo<DiffCase>& info) {
+  const auto& [subject, shape, cache_size] = info.param;
+  return TestName(subject + "_" + shape + "_c" + std::to_string(cache_size));
 }
 
 // ---------------------------------------------------------------------------
@@ -204,6 +211,93 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::ValuesIn(kShapes),
                        ::testing::ValuesIn(kCacheSizes)),
     CaseName);
+
+// ---------------------------------------------------------------------------
+// Exact lockstep with removals: every lane of each design whose one
+// implementation is the lock-free caches' Regions — MakePolicy's serial
+// policy, MakeDensePolicy's sweep-lane variant and the concurrent cache at
+// one shard — takes the same Get/Remove stream as the oracle.
+
+using RemovalCase = std::tuple<std::string, size_t>;
+
+std::unique_ptr<ConcurrentCache> MakeOneShardCache(const std::string& name,
+                                                   size_t capacity) {
+  if (name == "fifo-reinsertion" || name == "clock2") {
+    return std::make_unique<ConcurrentClockCache>(
+        capacity, /*bits=*/name == "clock2" ? 2 : 1, /*num_stripes=*/4);
+  }
+  if (name == "s3fifo") {
+    return std::make_unique<ConcurrentS3FifoCache>(capacity, 0.10, 0.9,
+                                                   /*num_stripes=*/4);
+  }
+  if (name == "qd-lp-fifo") {
+    return std::make_unique<ConcurrentQdLpFifo>(capacity, /*num_stripes=*/4);
+  }
+  return nullptr;
+}
+
+class RemovalDifferentialTest : public ::testing::TestWithParam<RemovalCase> {
+};
+
+TEST_P(RemovalDifferentialTest, EveryLaneMatchesOracleWithRemovals) {
+  const auto& [name, capacity] = GetParam();
+  const uint64_t keyspace = 2 * capacity;
+  const auto flat = MakePolicy(name, capacity);
+  const auto dense = MakeDensePolicy(name, capacity, keyspace);
+  const auto cache = MakeOneShardCache(name, capacity);
+  const auto model = oracle::MakeExactOracle(name, capacity);
+  ASSERT_NE(flat, nullptr);
+  ASSERT_NE(dense, nullptr);
+  ASSERT_NE(cache, nullptr);
+  ASSERT_NE(model, nullptr);
+  // Removals one op in ten, so freed locations are reused constantly. A
+  // CLOCK design's seed tag is its bit width.
+  const uint64_t seed_tag = name == "fifo-reinsertion" ? 1
+                            : name == "clock2"         ? 2
+                            : name == "s3fifo"         ? 3
+                                                       : 4;
+  Rng rng(0xC10C + capacity * 10 + seed_tag);
+  for (int op = 0; op < 200000; ++op) {
+    const ObjectId id = rng.NextBounded(keyspace);
+    const bool remove = rng.NextBounded(10) == 0;
+    const bool expected = remove ? model->Remove(id) : model->Access(id);
+    ASSERT_EQ(remove ? flat->Remove(id) : flat->Access(id), expected)
+        << "flat lane, op " << op;
+    ASSERT_EQ(remove ? dense->Remove(id) : dense->Access(id), expected)
+        << "dense lane, op " << op;
+    ASSERT_EQ(remove ? cache->Remove(id) : cache->Get(id), expected)
+        << "concurrent lane, op " << op;
+    ASSERT_EQ(flat->size(), model->size()) << "op " << op;
+    ASSERT_EQ(dense->size(), model->size()) << "op " << op;
+    if (op % 10007 == 0) {
+      flat->CheckInvariants();
+      dense->CheckInvariants();
+      cache->CheckInvariants();
+    }
+  }
+  flat->CheckInvariants();
+  dense->CheckInvariants();
+  cache->CheckInvariants();
+  const CacheStats flat_stats = flat->Stats();
+  for (const CacheStats& stats : {dense->Stats(), cache->Stats()}) {
+    EXPECT_EQ(stats.size, model->size());
+    EXPECT_EQ(stats.inserts, flat_stats.inserts);
+    EXPECT_EQ(stats.evictions, flat_stats.evictions);
+    EXPECT_EQ(stats.promotions, flat_stats.promotions);
+    EXPECT_EQ(stats.demotions, flat_stats.demotions);
+    EXPECT_EQ(stats.ghost_hits, flat_stats.ghost_hits);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Regions, RemovalDifferentialTest,
+    ::testing::Combine(::testing::Values("fifo-reinsertion", "clock2",
+                                         "s3fifo", "qd-lp-fifo"),
+                       ::testing::ValuesIn(kRemovalCacheSizes)),
+    [](const ::testing::TestParamInfo<RemovalCase>& info) {
+      return TestName(std::get<0>(info.param) + "_c" +
+                      std::to_string(std::get<1>(info.param)));
+    });
 
 // ---------------------------------------------------------------------------
 // Bounded divergence: adaptive policies legitimately differ from any naive

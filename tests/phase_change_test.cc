@@ -7,7 +7,7 @@
 
 #include <gtest/gtest.h>
 
-#include "src/policies/clock.h"
+#include "src/core/policy_factory.h"
 #include "src/policies/lru.h"
 #include "src/trace/generators.h"
 
@@ -51,9 +51,9 @@ TEST(PhaseChangeTest, LruAdaptsToAbruptPhasesBetterThanClock) {
   const Trace trace = GeneratePhaseChange(config);
   constexpr size_t kCapacity = 2000;
   LruPolicy lru(kCapacity);
-  ClockPolicy clock(kCapacity, 2);
+  const auto clock = MakePolicy("clock2", kCapacity);
   const uint64_t lru_hits = HitsOf(lru, trace);
-  const uint64_t clock_hits = HitsOf(clock, trace);
+  const uint64_t clock_hits = HitsOf(*clock, trace);
   EXPECT_GT(lru_hits, clock_hits);
 }
 
@@ -69,9 +69,9 @@ TEST(PhaseChangeTest, NoPhasesMeansClockWinsAgain) {
   const Trace trace = GeneratePhaseChange(config);
   constexpr size_t kCapacity = 2000;
   LruPolicy lru(kCapacity);
-  ClockPolicy clock(kCapacity, 2);
+  const auto clock = MakePolicy("clock2", kCapacity);
   const uint64_t lru_hits = HitsOf(lru, trace);
-  const uint64_t clock_hits = HitsOf(clock, trace);
+  const uint64_t clock_hits = HitsOf(*clock, trace);
   EXPECT_GE(clock_hits, lru_hits);
 }
 

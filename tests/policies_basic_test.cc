@@ -5,9 +5,11 @@
 
 #include <algorithm>
 #include <deque>
+#include <memory>
+#include <string>
 #include <vector>
 
-#include "src/policies/clock.h"
+#include "src/core/policy_factory.h"
 #include "src/policies/fifo.h"
 #include "src/policies/lru.h"
 #include "src/trace/generators.h"
@@ -128,10 +130,10 @@ TEST_P(ClockEquivalenceTest, RingClockMatchesQueueReinsertion) {
   config.num_objects = 200;
   config.seed = 33;
   const Trace trace = GenerateZipf(config);
-  ClockPolicy clock(40, bits);
+  const auto clock = MakePolicy("clock" + std::to_string(bits), 40);
   ReferenceFifoReinsertion reference(40, (1 << bits) - 1);
   for (size_t i = 0; i < trace.requests.size(); ++i) {
-    ASSERT_EQ(clock.Access(trace.requests[i]),
+    ASSERT_EQ(clock->Access(trace.requests[i]),
               reference.Access(trace.requests[i]))
         << "diverged at request " << i;
   }
@@ -140,51 +142,51 @@ TEST_P(ClockEquivalenceTest, RingClockMatchesQueueReinsertion) {
 INSTANTIATE_TEST_SUITE_P(Bits, ClockEquivalenceTest, ::testing::Values(1, 2, 3));
 
 TEST(ClockTest, HitSetsReferenceProtection) {
-  ClockPolicy clock(3, 1);
-  clock.Access(1);
-  clock.Access(2);
-  clock.Access(3);
-  clock.Access(1);              // 1 gets its second chance bit
-  EXPECT_FALSE(clock.Access(4));  // sweeps: 1 spared, 2 evicted
-  EXPECT_TRUE(clock.Contains(1));
-  EXPECT_FALSE(clock.Contains(2));
-  EXPECT_TRUE(clock.Contains(3));
-  EXPECT_TRUE(clock.Contains(4));
+  const auto clock = MakePolicy("fifo-reinsertion", 3);
+  clock->Access(1);
+  clock->Access(2);
+  clock->Access(3);
+  clock->Access(1);              // 1 gets its second chance bit
+  EXPECT_FALSE(clock->Access(4));  // sweeps: 1 spared, 2 evicted
+  EXPECT_TRUE(clock->Contains(1));
+  EXPECT_FALSE(clock->Contains(2));
+  EXPECT_TRUE(clock->Contains(3));
+  EXPECT_TRUE(clock->Contains(4));
 }
 
 TEST(ClockTest, TwoBitSurvivesTwoSweeps) {
-  ClockPolicy clock(2, 2);
-  clock.Access(1);
-  clock.Access(1);  // counter -> 1
-  clock.Access(1);  // counter -> 2
-  clock.Access(2);
+  const auto clock = MakePolicy("clock2", 2);
+  clock->Access(1);
+  clock->Access(1);  // counter -> 1
+  clock->Access(1);  // counter -> 2
+  clock->Access(2);
   // Two insertions must each decrement 1's counter before it can be evicted.
-  clock.Access(3);  // evicts 2 (counter 0) after decrementing 1
-  EXPECT_TRUE(clock.Contains(1));
-  EXPECT_FALSE(clock.Contains(2));
-  clock.Access(4);  // decrements 1 again (to 0), evicts 3
-  EXPECT_TRUE(clock.Contains(1));
-  clock.Access(5);  // now 1 is evictable
-  EXPECT_FALSE(clock.Contains(1));
+  clock->Access(3);  // evicts 2 (counter 0) after decrementing 1
+  EXPECT_TRUE(clock->Contains(1));
+  EXPECT_FALSE(clock->Contains(2));
+  clock->Access(4);  // decrements 1 again (to 0), evicts 3
+  EXPECT_TRUE(clock->Contains(1));
+  clock->Access(5);  // now 1 is evictable
+  EXPECT_FALSE(clock->Contains(1));
 }
 
 TEST(ClockTest, NameReflectsBits) {
-  EXPECT_EQ(ClockPolicy(4, 1).name(), "fifo-reinsertion");
-  EXPECT_EQ(ClockPolicy(4, 2).name(), "clock2");
+  EXPECT_EQ(MakePolicy("clock1", 4)->name(), "fifo-reinsertion");
+  EXPECT_EQ(MakePolicy("clock2", 4)->name(), "clock2");
 }
 
 TEST(ClockTest, CounterSaturates) {
-  ClockPolicy clock(2, 1);
-  clock.Access(1);
+  const auto clock = MakePolicy("fifo-reinsertion", 2);
+  clock->Access(1);
   for (int i = 0; i < 10; ++i) {
-    EXPECT_TRUE(clock.Access(1));  // repeated hits saturate at 1
+    EXPECT_TRUE(clock->Access(1));  // repeated hits saturate at 1
   }
-  clock.Access(2);
-  clock.Access(3);  // sweep: 1 spared once (counter 1 -> 0), 2 evicted
-  EXPECT_TRUE(clock.Contains(1));
-  EXPECT_FALSE(clock.Contains(2));
-  clock.Access(4);  // 1's counter is now 0 -> evicted
-  EXPECT_FALSE(clock.Contains(1));
+  clock->Access(2);
+  clock->Access(3);  // sweep: 1 spared once (counter 1 -> 0), 2 evicted
+  EXPECT_TRUE(clock->Contains(1));
+  EXPECT_FALSE(clock->Contains(2));
+  clock->Access(4);  // 1's counter is now 0 -> evicted
+  EXPECT_FALSE(clock->Contains(1));
 }
 
 }  // namespace

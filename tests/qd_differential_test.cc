@@ -1,4 +1,4 @@
-// Differential testing: QdCache over 2-bit CLOCK (QD-LP-FIFO) vs the
+// Differential testing: the generic QdCache wrapper over 2-bit CLOCK vs the
 // independently-written naive reference model in tests/oracle/. Every
 // request's hit/miss outcome must match exactly across random workloads,
 // capacities, and seeds — the strongest guard against subtle queue/ghost
@@ -11,8 +11,8 @@
 #include <memory>
 #include <string>
 
+#include "src/core/policy_factory.h"
 #include "src/core/qd_cache.h"
-#include "src/policies/clock.h"
 #include "src/util/random.h"
 #include "src/util/zipf.h"
 #include "tests/oracle/reference_models.h"
@@ -30,8 +30,7 @@ class QdDifferentialTest : public ::testing::TestWithParam<FuzzCase> {};
 
 TEST_P(QdDifferentialTest, HitMissSequencesMatchReference) {
   const FuzzCase fuzz = GetParam();
-  QdCache real(fuzz.probation,
-               std::make_unique<ClockPolicy>(fuzz.main, 2));
+  QdCache real(fuzz.probation, MakePolicy("clock2", fuzz.main));
   // QdCache sizes its ghost as main * ghost_factor (default 1.0).
   oracle::RefQdLpFifo reference(fuzz.probation, fuzz.main, fuzz.main);
 

@@ -254,12 +254,22 @@ TEST(QdFlowStatsTest, ProbationFlowAddsUp) {
   EXPECT_LE(stats.ghost_hits, stats.demotions);
   // Quick demotions leave cache space: demotions are a subset of evictions.
   EXPECT_LE(stats.demotions, stats.evictions);
-  // The QdCache accessors are aliases of the same counters.
-  const auto* qd = dynamic_cast<const QdCache*>(policy.get());
+  // The generic QD wrapper over clock2 makes the same flow, and its QdCache
+  // accessors are aliases of the same counters.
+  auto composed = MakePolicy("qd-clock2", 200, &trace);
+  ASSERT_NE(composed, nullptr);
+  for (const ObjectId id : trace) {
+    composed->Access(id);
+  }
+  const CacheStats composed_stats = composed->Stats();
+  EXPECT_EQ(composed_stats.promotions, stats.promotions);
+  EXPECT_EQ(composed_stats.demotions, stats.demotions);
+  EXPECT_EQ(composed_stats.ghost_hits, stats.ghost_hits);
+  const auto* qd = dynamic_cast<const QdCache*>(composed.get());
   ASSERT_NE(qd, nullptr);
-  EXPECT_EQ(qd->promotions(), stats.promotions);
-  EXPECT_EQ(qd->quick_demotions(), stats.demotions);
-  EXPECT_EQ(qd->ghost_admissions(), stats.ghost_hits);
+  EXPECT_EQ(qd->promotions(), composed_stats.promotions);
+  EXPECT_EQ(qd->quick_demotions(), composed_stats.demotions);
+  EXPECT_EQ(qd->ghost_admissions(), composed_stats.ghost_hits);
 }
 
 TEST(QdFlowStatsTest, S3FifoOccupancyAddsUp) {
@@ -367,7 +377,8 @@ TEST(ConcurrentStatsTest, QdLpOccupancyAddsUp) {
 // Removal API.
 
 TEST(RemovalStatsTest, SerialRemoveCountsAsEviction) {
-  for (const std::string name : {"lru", "fifo", "clock2"}) {
+  for (const std::string name :
+       {"lru", "fifo", "clock2", "s3fifo", "qd-lp-fifo"}) {
     auto policy = MakePolicy(name, 16);
     ASSERT_NE(policy, nullptr) << name;
     ASSERT_TRUE(policy->SupportsRemoval()) << name;

@@ -6,7 +6,6 @@
 
 #include "src/core/policy_factory.h"
 #include "src/core/ttl_cache.h"
-#include "src/policies/clock.h"
 #include "src/policies/fifo.h"
 #include "src/policies/lru.h"
 #include "src/util/random.h"
@@ -44,30 +43,30 @@ TEST(RemovalTest, FifoRemoveWithStaleQueueRecords) {
 }
 
 TEST(RemovalTest, ClockRemoveFreesSlot) {
-  ClockPolicy clock(3, 1);
-  clock.Access(1);
-  clock.Access(2);
-  clock.Access(3);
-  EXPECT_TRUE(clock.Remove(2));
-  EXPECT_EQ(clock.size(), 2u);
-  clock.Access(4);  // reuses the freed slot: no eviction
-  EXPECT_EQ(clock.size(), 3u);
-  EXPECT_TRUE(clock.Contains(1));
-  EXPECT_TRUE(clock.Contains(3));
-  EXPECT_TRUE(clock.Contains(4));
+  const auto clock = MakePolicy("fifo-reinsertion", 3);
+  clock->Access(1);
+  clock->Access(2);
+  clock->Access(3);
+  EXPECT_TRUE(clock->Remove(2));
+  EXPECT_EQ(clock->size(), 2u);
+  clock->Access(4);  // reuses the freed slot: no eviction
+  EXPECT_EQ(clock->size(), 3u);
+  EXPECT_TRUE(clock->Contains(1));
+  EXPECT_TRUE(clock->Contains(3));
+  EXPECT_TRUE(clock->Contains(4));
 }
 
 TEST(RemovalTest, ClockRemoveUnderChurn) {
-  ClockPolicy clock(16, 2);
+  const auto clock = MakePolicy("clock2", 16);
   Rng rng(821);
   for (int i = 0; i < 20000; ++i) {
     const ObjectId id = rng.NextBounded(100);
     if (rng.NextBool(0.1)) {
-      clock.Remove(id);
+      clock->Remove(id);
     } else {
-      clock.Access(id);
+      clock->Access(id);
     }
-    ASSERT_LE(clock.size(), 16u);
+    ASSERT_LE(clock->size(), 16u);
   }
 }
 
