@@ -135,8 +135,8 @@ void BM_ConcurrentClock(benchmark::State& state) {
                                          kShards);
 }
 void BM_ConcurrentS3Fifo(benchmark::State& state) {
-  BM_ConcurrentGet<ConcurrentS3FifoCache>(state, 1.0, kCapacity, 0.10, 0.9,
-                                          size_t{16}, kShards);
+  BM_ConcurrentGet<ConcurrentS3FifoCache>(state, 1.0, kCapacity, size_t{16},
+                                          kShards);
 }
 void BM_ConcurrentQdLpFifo(benchmark::State& state) {
   BM_ConcurrentGet<ConcurrentQdLpFifo>(state, 1.0, kCapacity, size_t{16},
@@ -160,8 +160,8 @@ void BM_ConcurrentClockSkew(benchmark::State& state) {
 }
 void BM_ConcurrentS3FifoSkew(benchmark::State& state) {
   BM_ConcurrentGet<ConcurrentS3FifoCache>(
-      state, static_cast<double>(state.range(0)) / 100.0, kCapacity, 0.10,
-      0.9, size_t{16}, kShards);
+      state, static_cast<double>(state.range(0)) / 100.0, kCapacity,
+      size_t{16}, kShards);
 }
 void BM_ConcurrentQdLpFifoSkew(benchmark::State& state) {
   BM_ConcurrentGet<ConcurrentQdLpFifo>(

@@ -21,8 +21,8 @@ bool ConcurrentQdLpFifo::GetValue(ObjectId id, uint64_t now_s,
                                   std::string* value) {
   SlabStore* store = regions_.store();
   QDLP_CHECK(store != nullptr);
-  // Bounded re-probe loop: kStale means the object moved (promotion,
-  // compaction) or was replaced between the index probe and the cell read.
+  // Bounded re-probe loop: kStale means the object moved (a promotion) or
+  // was replaced between the index probe and the cell read.
   // Every resident id's cell is ownership-stamped at admission, so
   // staleness is transient; the cap is belt and braces.
   for (int attempt = 0; attempt < 8; ++attempt) {

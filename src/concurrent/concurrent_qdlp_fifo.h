@@ -5,8 +5,9 @@
 // The paper's layout (a probationary FIFO, a ghost and a 2-bit CLOCK),
 // partitioned into S hash-selected eviction domains (eviction_domains.h):
 //
-//   probation  — per shard, a small circular FIFO (10% of the shard's
-//                capacity share); a hit sets one per-entry accessed bit
+//   probation  — per shard, a small FIFO (10% of the shard's capacity
+//                share) over stable slots; a hit sets one per-entry
+//                accessed bit
 //   main       — per shard, a region of the 2-bit CLOCK ring that
 //                ConcurrentClockCache also uses (clock_ring.h), over the
 //                share's remainder
@@ -49,6 +50,7 @@
 #include "src/core/ghost_queue.h"
 #include "src/store/slab_store.h"
 #include "src/util/check.h"
+#include "src/util/intrusive_list.h"
 
 namespace qdlp {
 
@@ -78,15 +80,14 @@ class QdLpRegions {
     if (value & kMainBit) {
       main_.Touch(value & ~kMainBit);
     } else {
-      // Racing with a quick demotion that recycles this probation slot, the
-      // bit can land on the slot's next occupant — one spurious promotion
-      // candidate, never a correctness issue.
-      probation_[value].accessed.store(1, std::memory_order_relaxed);
+      // Racing with a quick demotion or removal that recycles this probation
+      // slot, the bit can land on the slot's next occupant — one spurious
+      // promotion candidate, never a correctness issue.
+      accessed_[value].store(1, std::memory_order_relaxed);
     }
   }
   void AdmitLocked(size_t s, ObjectId id);
-  // A probation removal compacts the ring from the head side (<= probation
-  // share moves); a main removal is O(1). Frees the value chunk.
+  // O(1) in either region; frees the value chunk.
   void UnlinkLocked(size_t s, uint32_t value);
   void FillOccupancy(size_t s, CacheStats* stats) const;
   size_t CheckShardLocked(size_t s) const;
@@ -103,13 +104,13 @@ class QdLpRegions {
   // metadata location, [0, capacity).
   uint32_t CellOf(uint32_t index_value) const {
     return (index_value & kMainBit)
-               ? static_cast<uint32_t>(probation_.size()) +
+               ? static_cast<uint32_t>(accessed_.size()) +
                      (index_value & ~kMainBit)
                : index_value;
   }
 
   SlabStore* store() const { return store_.get(); }
-  size_t probation_capacity() const { return probation_.size(); }
+  size_t probation_capacity() const { return accessed_.size(); }
   size_t main_capacity() const { return main_capacity_; }
 
  private:
@@ -117,28 +118,22 @@ class QdLpRegions {
   // No prior value cell to move: the id is entering cache space fresh.
   static constexpr uint32_t kNoCell = 0xFFFFFFFFu;
 
-  // Probation ring entry. Only `accessed` is touched by concurrent readers
-  // (the lock-free hit path); `id` is written solely under the owning
-  // shard's mutex.
-  struct ProbationSlot {
-    ObjectId id = 0;
-    std::atomic<uint8_t> accessed{0};
-  };
-
-  // Per-shard probation ring and ghost, guarded by the shard's mutex. The
-  // shard owns probation_[probation_base, probation_base +
-  // probation_capacity) and main region s; head is a local offset.
+  // Per-shard probation FIFO and ghost, guarded by the shard's mutex. The
+  // shard owns probation positions [probation_base, probation_base +
+  // probation_capacity) and main region s: the entry in list slot i sits at
+  // position probation_base + i, which is its index value and value cell.
   struct alignas(64) Shard {
     Shard(size_t probation_base, size_t probation_capacity,
           size_t ghost_capacity, const typename Core::IndexFactory& factory)
         : probation_base(probation_base),
           probation_capacity(probation_capacity),
-          ghost(ghost_capacity, factory) {}
+          ghost(ghost_capacity, factory) {
+      probation.Reserve(probation_capacity);
+    }
 
     size_t probation_base;
     size_t probation_capacity;
-    size_t probation_head = 0;  // oldest entry's local ring position
-    size_t probation_count = 0;
+    IntrusiveList<ObjectId> probation;  // front = oldest
     BasicGhostQueue<typename Core::IndexFactory> ghost;
   };
 
@@ -163,7 +158,9 @@ class QdLpRegions {
 
   Core& core_;
   std::vector<Shard> shards_;
-  std::vector<ProbationSlot> probation_;  // per-shard circular FIFOs
+  // Accessed bits by probation position: the only probation state the
+  // lock-free hit path writes.
+  std::vector<std::atomic<uint8_t>> accessed_;
   size_t main_capacity_ = 0;
   ClockRing main_;  // region s is shard s's main CLOCK
   // Value store (qdlpd): cells 1:1 with metadata locations, arenas 1:1
@@ -210,7 +207,7 @@ QdLpRegions<Core>::QdLpRegions(Core& core,
     probation_total += probation;
     main_capacity_ += share - probation;
   }
-  probation_ = std::vector<ProbationSlot>(probation_total);
+  accessed_ = std::vector<std::atomic<uint8_t>>(probation_total);
   if (value_options.arena_bytes > 0) {
     // One cell per metadata location (probation positions then main
     // slots), one arena per eviction domain so eviction frees value bytes
@@ -224,7 +221,7 @@ QdLpRegions<Core>::QdLpRegions(Core& core,
 template <typename Core>
 void QdLpRegions<Core>::FillOccupancy(size_t s, CacheStats* stats) const {
   const Shard& shard = shards_[s];
-  stats->probation_size += shard.probation_count;
+  stats->probation_size += shard.probation.size();
   stats->main_size += main_.count(s);
   stats->ghost_size += shard.ghost.size();
 }
@@ -232,17 +229,16 @@ void QdLpRegions<Core>::FillOccupancy(size_t s, CacheStats* stats) const {
 template <typename Core>
 size_t QdLpRegions<Core>::CheckShardLocked(size_t s) const {
   const Shard& shard = shards_[s];
-  QDLP_CHECK(shard.probation_count <= shard.probation_capacity);
-  QDLP_CHECK(shard.probation_head < shard.probation_capacity);
-  // Probation ring entries are indexed at their global position.
-  for (size_t i = 0; i < shard.probation_count; ++i) {
-    const size_t pos = shard.probation_base +
-                       (shard.probation_head + i) % shard.probation_capacity;
+  QDLP_CHECK(shard.probation.size() <= shard.probation_capacity);
+  shard.probation.CheckInvariants();
+  // Probation entries are indexed at their slot's global position.
+  shard.probation.ForEach([&](uint32_t slot, ObjectId id) {
     uint32_t value;
-    QDLP_CHECK(core_.ShardOf(probation_[pos].id) == s);
-    QDLP_CHECK(core_.index.Find(probation_[pos].id, &value));
-    QDLP_CHECK(value == static_cast<uint32_t>(pos));
-  }
+    QDLP_CHECK(slot < shard.probation_capacity);
+    QDLP_CHECK(core_.ShardOf(id) == s);
+    QDLP_CHECK(core_.index.Find(id, &value));
+    QDLP_CHECK(value == shard.probation_base + slot);
+  });
   // Main ring entries are indexed at their tagged slot.
   const size_t main = main_.CheckRegion(s, [&](ObjectId id, uint32_t slot) {
     uint32_t value;
@@ -256,7 +252,7 @@ size_t QdLpRegions<Core>::CheckShardLocked(size_t s) const {
   shard.ghost.ForEachLive(
       [&](ObjectId id) { QDLP_CHECK(!core_.index.Contains(id)); });
   shard.ghost.CheckInvariants();
-  return shard.probation_count + main;
+  return shard.probation.size() + main;
 }
 
 template <typename Core>
@@ -276,10 +272,11 @@ void QdLpRegions<Core>::CheckSharedLocked() const {
 
 template <typename Core>
 size_t QdLpRegions<Core>::MemoryBytes() const {
-  size_t bytes =
-      probation_.capacity() * sizeof(ProbationSlot) + main_.MemoryBytes();
+  size_t bytes = accessed_.capacity() * sizeof(std::atomic<uint8_t>) +
+                 main_.MemoryBytes();
   for (const Shard& shard : shards_) {
-    bytes += sizeof(Shard) + shard.ghost.ApproxMetadataBytes();
+    bytes += sizeof(Shard) + shard.probation.MemoryBytes() +
+             shard.ghost.ApproxMetadataBytes();
   }
   if (store_) {
     bytes += store_->ApproxMetadataBytes();
@@ -308,37 +305,30 @@ void QdLpRegions<Core>::AdmitLocked(size_t s, ObjectId id) {
 template <typename Core>
 void QdLpRegions<Core>::AdmitToProbation(size_t s, ObjectId id) {
   Shard& shard = shards_[s];
-  while (shard.probation_count >= shard.probation_capacity) {
+  while (shard.probation.size() >= shard.probation_capacity) {
     EvictFromProbation(s);
   }
-  const size_t pos = shard.probation_base +
-                     (shard.probation_head + shard.probation_count) %
-                         shard.probation_capacity;
-  ProbationSlot& slot = probation_[pos];
-  slot.id = id;
-  slot.accessed.store(0, std::memory_order_relaxed);
-  ++shard.probation_count;
-  core_.index.Insert(id, static_cast<uint32_t>(pos));
+  const uint32_t pos = static_cast<uint32_t>(shard.probation_base +
+                                             shard.probation.PushBack(id));
+  accessed_[pos].store(0, std::memory_order_relaxed);
+  core_.index.Insert(id, pos);
   if (store_) {
     // Stamp cell ownership (no bytes yet): a GetValue between this
     // metadata-only admission and the first SetValue reads a clean
     // kNoValue instead of spinning on a stale previous occupant.
-    store_->FreeChunk(store_->Commit(static_cast<uint32_t>(pos), id,
-                                     SlabStore::kNullChunk, 0));
+    store_->FreeChunk(store_->Commit(pos, id, SlabStore::kNullChunk, 0));
   }
 }
 
 template <typename Core>
 void QdLpRegions<Core>::EvictFromProbation(size_t s) {
   Shard& shard = shards_[s];
-  QDLP_DCHECK(shard.probation_count > 0);
-  const uint32_t pos =
-      static_cast<uint32_t>(shard.probation_base + shard.probation_head);
-  ProbationSlot& slot = probation_[pos];
-  shard.probation_head = (shard.probation_head + 1) % shard.probation_capacity;
-  --shard.probation_count;
-  const ObjectId victim = slot.id;
-  const bool accessed = slot.accessed.load(std::memory_order_relaxed) != 0;
+  QDLP_DCHECK(!shard.probation.empty());
+  const uint32_t slot = shard.probation.front();
+  const uint32_t pos = static_cast<uint32_t>(shard.probation_base + slot);
+  const ObjectId victim = shard.probation[slot];
+  shard.probation.Erase(slot);
+  const bool accessed = accessed_[pos].load(std::memory_order_relaxed) != 0;
   // Erase before the slot can be recycled: readers stop finding the victim
   // first (a racing reader at worst sets the next occupant's accessed bit).
   core_.index.Erase(victim);
@@ -390,7 +380,7 @@ void QdLpRegions<Core>::EvictMain(size_t s) {
 
 template <typename Core>
 bool QdLpRegions<Core>::EvictForSpaceLocked(size_t s) {
-  if (shards_[s].probation_count > 0) {
+  if (!shards_[s].probation.empty()) {
     // Quick demotion frees the victim's chunk directly; a lazy promotion
     // frees nothing itself but can cascade into a main eviction, and
     // probation strictly shrinks, so repeated calls make progress.
@@ -411,37 +401,10 @@ void QdLpRegions<Core>::UnlinkLocked(size_t s, uint32_t value) {
   ClearCell(CellOf(value));
   if (value & kMainBit) {
     main_.Free(s, value & ~kMainBit);
-    return;
+  } else {
+    Shard& shard = shards_[s];
+    shard.probation.Erase(static_cast<uint32_t>(value - shard.probation_base));
   }
-  // Probation is a dense circular FIFO, so removal compacts from the head
-  // side: every entry between the head and the hole shifts one position
-  // toward the tail (preserving FIFO order), then the head advances over
-  // the vacated slot. At most one probation share of moves, each a slot
-  // copy + index update (+ cell move).
-  Shard& shard = shards_[s];
-  const size_t local = value - shard.probation_base;
-  const size_t dist =
-      (local + shard.probation_capacity - shard.probation_head) %
-      shard.probation_capacity;
-  for (size_t i = dist; i > 0; --i) {
-    const size_t to = shard.probation_base +
-                      (shard.probation_head + i) % shard.probation_capacity;
-    const size_t from =
-        shard.probation_base +
-        (shard.probation_head + i - 1) % shard.probation_capacity;
-    probation_[to].id = probation_[from].id;
-    // A concurrent hit racing this move can drop its accessed bit or
-    // land it on the vacated slot — a lost reference bit, benign.
-    probation_[to].accessed.store(
-        probation_[from].accessed.load(std::memory_order_relaxed),
-        std::memory_order_relaxed);
-    core_.index.Update(probation_[to].id, static_cast<uint32_t>(to));
-    if (store_) {
-      store_->MoveCell(static_cast<uint32_t>(from), static_cast<uint32_t>(to));
-    }
-  }
-  shard.probation_head = (shard.probation_head + 1) % shard.probation_capacity;
-  --shard.probation_count;
 }
 
 extern template class QdLpRegions<DomainCore>;

@@ -6,12 +6,9 @@ template class S3FifoRegions<DomainCore>;
 template class DomainCache<S3FifoRegions<DomainCore>>;
 
 ConcurrentS3FifoCache::ConcurrentS3FifoCache(size_t capacity,
-                                             double small_fraction,
-                                             double ghost_factor,
                                              size_t num_stripes,
                                              size_t num_shards)
     : DomainCache(capacity, num_stripes, num_shards,
-                  /*min_capacity_per_shard=*/1, small_fraction,
-                  ghost_factor) {}
+                  /*min_capacity_per_shard=*/1) {}
 
 }  // namespace qdlp

@@ -14,10 +14,11 @@
 // DomainCache implements that protocol; S3FifoRegions below is the queues.
 //
 // Storage is one fixed slab of nodes (no per-object allocation),
-// partitioned by shard: the FIFOs are intrusive singly-linked lists
-// threaded through slab slots, and the index maps id -> global slab slot,
-// which is stable across queue movement — promotion and main-queue
-// reinsertion never touch the index at all.
+// partitioned by shard: the small and main FIFOs are intrusive
+// doubly-linked lists threaded through the same slab slots, so a removal
+// unlinks in O(1), and the index maps id -> global slab slot, which is
+// stable across queue movement — promotion and main-queue reinsertion
+// never touch the index at all.
 //
 // Single-threaded with num_shards == 1 (the default), this cache makes
 // the same decisions as MakePolicy("s3fifo"), which runs these very
@@ -47,7 +48,12 @@ namespace qdlp {
 template <typename Core>
 class S3FifoRegions {
  public:
-  S3FifoRegions(Core& core, double small_fraction, double ghost_factor);
+  // S3-FIFO's sizing, applied per shard to its capacity share: the small
+  // queue is 10% of it, the ghost 90%.
+  static constexpr double kSmallFraction = 0.10;
+  static constexpr double kGhostFactor = 0.9;
+
+  explicit S3FifoRegions(Core& core);
 
   void Touch(uint32_t slot) {
     std::atomic<uint8_t>& freq = slab_[slot].freq;
@@ -57,7 +63,6 @@ class S3FifoRegions {
     }
   }
   void AdmitLocked(size_t s, ObjectId id);
-  // O(queue length) for the singly-linked FIFO walk.
   void UnlinkLocked(size_t s, uint32_t slot);
   void FillOccupancy(size_t s, CacheStats* stats) const;
   size_t CheckShardLocked(size_t s) const;
@@ -77,7 +82,8 @@ class S3FifoRegions {
     ObjectId id = 0;
     std::atomic<uint8_t> freq{0};
     Where where = Where::kSmall;
-    uint32_t next = kNil;  // intrusive FIFO / freelist link
+    uint32_t prev = kNil;  // intrusive FIFO link toward the head
+    uint32_t next = kNil;  // intrusive FIFO link toward the tail / freelist
   };
 
   // Intrusive FIFO over slab slots.
@@ -104,9 +110,17 @@ class S3FifoRegions {
     BasicGhostQueue<typename Core::IndexFactory> ghost;
   };
 
+  // `fraction` of a shard's capacity share, rounded, at least 1: one shard
+  // splits exactly as RefS3Fifo does.
+  static size_t Scaled(size_t share, double fraction) {
+    return std::max<size_t>(
+        1, static_cast<size_t>(
+               std::llround(static_cast<double>(share) * fraction)));
+  }
+
   void PushBack(Fifo& fifo, uint32_t slot);
   uint32_t PopFront(Fifo& fifo);
-  // Unlinks `slot` from anywhere in the FIFO (predecessor walk).
+  // Unlinks `slot` from anywhere in the FIFO.
   void Unlink(Fifo& fifo, uint32_t slot);
 
   // All of the below run under the shard's mutex.
@@ -121,36 +135,14 @@ class S3FifoRegions {
   std::vector<Shard> shards_;
 };
 
-namespace internal {
-
-// S3-FIFO's sizing rules, applied per shard to its capacity share, so one
-// shard splits exactly as RefS3Fifo does.
-inline size_t S3FifoSmallCapacity(size_t share, double small_fraction) {
-  const size_t small = std::max<size_t>(
-      1, static_cast<size_t>(std::llround(static_cast<double>(share) *
-                                          small_fraction)));
-  return std::min(small, share);
-}
-
-inline size_t S3FifoGhostCapacity(size_t share, double ghost_factor) {
-  return std::max<size_t>(
-      1, static_cast<size_t>(std::llround(static_cast<double>(share) *
-                                          ghost_factor)));
-}
-
-}  // namespace internal
-
 template <typename Core>
-S3FifoRegions<Core>::S3FifoRegions(Core& core, double small_fraction,
-                                   double ghost_factor)
+S3FifoRegions<Core>::S3FifoRegions(Core& core)
     : core_(core), slab_(core.capacity()) {
-  QDLP_CHECK(small_fraction > 0.0 && small_fraction < 1.0);
   shards_.reserve(core.num_shards());
   for (size_t s = 0; s < core.num_shards(); ++s) {
     const size_t share = core.shard_capacity(s);
-    shards_.emplace_back(internal::S3FifoSmallCapacity(share, small_fraction),
-                         internal::S3FifoGhostCapacity(share, ghost_factor),
-                         core.index_factory());
+    shards_.emplace_back(std::min(Scaled(share, kSmallFraction), share),
+                         Scaled(share, kGhostFactor), core.index_factory());
   }
 }
 
@@ -182,6 +174,7 @@ size_t S3FifoRegions<Core>::CheckShardLocked(size_t s) const {
       QDLP_CHECK(slot >= base);
       QDLP_CHECK(slot < base + shard.slab_used);
       const Node& node = slab_[slot];
+      QDLP_CHECK(node.prev == last);
       QDLP_CHECK(node.where == expect);
       QDLP_CHECK(node.freq.load(std::memory_order_relaxed) <= kMaxFreq);
       QDLP_CHECK(core_.ShardOf(node.id) == s);
@@ -214,12 +207,9 @@ size_t S3FifoRegions<Core>::MemoryBytes() const {
 
 template <typename Core>
 void S3FifoRegions<Core>::PushBack(Fifo& fifo, uint32_t slot) {
+  slab_[slot].prev = fifo.tail;
   slab_[slot].next = kNil;
-  if (fifo.tail == kNil) {
-    fifo.head = slot;
-  } else {
-    slab_[fifo.tail].next = slot;
-  }
+  (fifo.tail == kNil ? fifo.head : slab_[fifo.tail].next) = slot;
   fifo.tail = slot;
   ++fifo.count;
 }
@@ -228,31 +218,15 @@ template <typename Core>
 uint32_t S3FifoRegions<Core>::PopFront(Fifo& fifo) {
   QDLP_DCHECK(fifo.head != kNil);
   const uint32_t slot = fifo.head;
-  fifo.head = slab_[slot].next;
-  if (fifo.head == kNil) {
-    fifo.tail = kNil;
-  }
-  --fifo.count;
+  Unlink(fifo, slot);
   return slot;
 }
 
 template <typename Core>
 void S3FifoRegions<Core>::Unlink(Fifo& fifo, uint32_t slot) {
-  uint32_t prev = kNil;
-  uint32_t walk = fifo.head;
-  while (walk != slot) {
-    QDLP_DCHECK(walk != kNil);
-    prev = walk;
-    walk = slab_[walk].next;
-  }
-  if (prev == kNil) {
-    fifo.head = slab_[slot].next;
-  } else {
-    slab_[prev].next = slab_[slot].next;
-  }
-  if (fifo.tail == slot) {
-    fifo.tail = prev;
-  }
+  const Node& node = slab_[slot];
+  (node.prev == kNil ? fifo.head : slab_[node.prev].next) = node.next;
+  (node.next == kNil ? fifo.tail : slab_[node.next].prev) = node.prev;
   --fifo.count;
 }
 
@@ -374,9 +348,8 @@ class ConcurrentS3FifoCache
   // eviction domains (rounded/clamped by EvictionDomains). The index gets
   // max(num_stripes, shard count) stripes so every domain owns a disjoint
   // stripe set (see eviction_domains.h).
-  ConcurrentS3FifoCache(size_t capacity, double small_fraction = 0.10,
-                        double ghost_factor = 0.9, size_t num_stripes = 16,
-                        size_t num_shards = 1);
+  explicit ConcurrentS3FifoCache(size_t capacity, size_t num_stripes = 16,
+                                 size_t num_shards = 1);
 
   std::string_view name() const override { return "concurrent-s3fifo"; }
 };

@@ -178,7 +178,7 @@ class EvictionDomains {
 // through this interface, which the serial core of the single-threaded
 // lane (src/core/regions_policy.h) implements too:
 //
-//   index.Find / Insert / Erase / Update / Contains / ForEach
+//   index.Find / Insert / Erase / Contains / ForEach
 //   num_shards(), capacity(), shard_capacity(s), shard_base(s), ShardOf(id)
 //   IndexFactory, index_factory()      the ghosts' index backing
 //   Count(kind, id), CountEviction(s, id)

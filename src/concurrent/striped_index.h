@@ -11,7 +11,7 @@
 //
 // Concurrency contract:
 //  * Readers (Find) are wait-free in the common case and never block.
-//  * Mutations (Insert/Update/Erase) must be serialized by the caller
+//  * Mutations (Insert/Erase) must be serialized by the caller
 //    PER STRIPE. A stripe's writer bookkeeping (its live count and the
 //    growth machinery) is guarded by whatever lock the caller wraps around
 //    that stripe's mutations. Two valid shapes exist in the caches:
@@ -63,7 +63,7 @@
 //
 // Keys are ObjectIds; the two top values (~0 and ~0-1) are reserved as
 // empty/tombstone sentinels. The read-side entry points (Find/Contains/
-// Erase/Update) treat a reserved key as simply absent — a sentinel probe
+// Erase) treat a reserved key as simply absent — a sentinel probe
 // must never match a physical empty/tombstone slot, which would hand back
 // a garbage location and corrupt the caller's bookkeeping. Insert hard-
 // checks instead: admitting a reserved key is a caller bug (the server
@@ -201,16 +201,6 @@ class StripedAtomicIndex {
     Publish(slots[index], key, value);
     // One writer per stripe: a relaxed load and store, no lock prefix.
     stripe.live.store(live, std::memory_order_relaxed);
-  }
-
-  // Writer-side. Returns false if the key is absent.
-  bool Update(ObjectId key, uint32_t value) {
-    Slot* slot = FindSlotMutable(key);
-    if (slot == nullptr) {
-      return false;
-    }
-    slot->value.store(value, std::memory_order_release);
-    return true;
   }
 
   // Writer-side. Returns true if the key was present and is now removed.
@@ -359,28 +349,6 @@ class StripedAtomicIndex {
   static void Publish(Slot& slot, ObjectId key, uint32_t value) {
     slot.value.store(value, std::memory_order_release);
     slot.key.store(key, std::memory_order_release);
-  }
-
-  Slot* FindSlotMutable(ObjectId key) {
-    if (key >= kTombstoneKey) {
-      return nullptr;  // reserved keys are never present
-    }
-    const uint64_t hash = FlatMapHash(key);
-    Stripe& stripe = stripes_[(hash >> 32) & stripe_mask_];
-    Slot* slots = stripe.slots.load(std::memory_order_relaxed);
-    const uint64_t mask = stripe.mask.load(std::memory_order_relaxed);
-    size_t index = hash & mask;
-    while (true) {
-      const uint64_t slot_key =
-          slots[index].key.load(std::memory_order_relaxed);
-      if (slot_key == key) {
-        return &slots[index];
-      }
-      if (slot_key == kEmptyKey) {
-        return nullptr;
-      }
-      index = (index + 1) & mask;
-    }
   }
 
   // Doubles the stripe if `live` entries would pass its load limit.

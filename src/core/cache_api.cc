@@ -176,8 +176,7 @@ std::unique_ptr<Cache> MakeCache(const CacheConfig& config) {
         config.num_shards);
   } else if (config.policy == "concurrent-s3fifo") {
     concurrent = std::make_unique<ConcurrentS3FifoCache>(
-        config.capacity, /*small_fraction=*/0.10, /*ghost_factor=*/0.9,
-        config.num_stripes, config.num_shards);
+        config.capacity, config.num_stripes, config.num_shards);
   } else if (config.policy == "global-lock-lru") {
     concurrent = std::make_unique<GlobalLockLruCache>(config.capacity);
   } else if (config.policy == "sharded-lru") {

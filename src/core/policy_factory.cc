@@ -48,8 +48,7 @@ std::unique_ptr<EvictionPolicy> MakeRegionsPolicy(const std::string& name,
   }
   if (name == "s3fifo") {
     return std::make_unique<RegionsPolicy<S3FifoRegions, IndexFactory>>(
-        capacity, name, factory, /*small_fraction=*/0.10,
-        /*ghost_factor=*/0.9);
+        capacity, name, factory);
   }
   if (name == "qd-lp-fifo") {
     return std::make_unique<RegionsPolicy<QdLpRegions, IndexFactory>>(

@@ -124,8 +124,6 @@ class RegionsPolicy final : public EvictionPolicy {
     }
     bool Contains(ObjectId id) const { return map_.Contains(id); }
     void Insert(ObjectId id, uint32_t value) { map_[id] = value; }
-    // Only ever moves a resident id.
-    void Update(ObjectId id, uint32_t value) { *map_.Find(id) = value; }
     bool Erase(ObjectId id) { return map_.Erase(id); }
     template <typename Fn>
     void ForEach(Fn&& fn) const {

@@ -1,7 +1,8 @@
 #include "src/flash/flash_model.h"
 
-#include <algorithm>
 #include <cmath>
+
+#include "src/concurrent/concurrent_qdlp_fifo.h"
 
 namespace qdlp {
 
@@ -287,11 +288,10 @@ QdLpFlashCache::QdLpFlashCache(size_t capacity_objects, size_t segment_objects,
     : name_("flash-qd-lp-fifo"), segment_objects_(segment_objects) {
   QDLP_CHECK(capacity_objects >= 2);
   QDLP_CHECK(probation_fraction > 0.0 && probation_fraction < 1.0);
-  probation_capacity_ = std::max<size_t>(
-      1, static_cast<size_t>(std::llround(static_cast<double>(capacity_objects) *
-                                          probation_fraction)));
-  probation_capacity_ = std::min(probation_capacity_, capacity_objects - 1);
+  probation_capacity_ =
+      QdProbationCapacity(capacity_objects, probation_fraction);
   main_capacity_ = capacity_objects - probation_capacity_;
+  ghost_ = GhostQueue(main_capacity_);
 }
 
 void QdLpFlashCache::ReclaimMain() {
@@ -331,14 +331,7 @@ void QdLpFlashCache::ReclaimProbation() {
   } else {
     // Quick demotion: dropped with its segment, zero extra writes; only the
     // (RAM) ghost remembers it.
-    const uint64_t generation = ghost_generation_++;
-    ghost_fifo_.push_back(victim);
-    ghost_live_[victim] = generation;
-    while (ghost_live_.size() > main_capacity_ && !ghost_fifo_.empty()) {
-      const ObjectId oldest = ghost_fifo_.front();
-      ghost_fifo_.pop_front();
-      ghost_live_.erase(oldest);
-    }
+    ghost_.Insert(victim);
   }
 }
 
@@ -355,7 +348,7 @@ bool QdLpFlashCache::Access(ObjectId id) {
     return true;
   }
   ++stats_.admissions;
-  if (ghost_live_.erase(id) > 0) {
+  if (ghost_.Consume(id)) {
     // Demoted too fast once: admit straight into the main log.
     while (main_.size() >= main_capacity_) {
       ReclaimMain();

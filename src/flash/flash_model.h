@@ -34,6 +34,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "src/core/ghost_queue.h"
 #include "src/trace/trace.h"
 #include "src/util/check.h"
 
@@ -201,7 +202,9 @@ class RipqLruFlashCache : public FlashCache {
 };
 
 // QD-LP-FIFO on flash: a small probation log + main CLOCK log, each
-// segment-structured; the ghost is RAM metadata (free).
+// segment-structured; the ghost is RAM metadata (free). The split and the
+// ghost (a GhostQueue) are MakePolicy("qd-lp-fifo")'s, so both make the
+// same decisions.
 class QdLpFlashCache : public FlashCache {
  public:
   QdLpFlashCache(size_t capacity_objects, size_t segment_objects,
@@ -232,9 +235,7 @@ class QdLpFlashCache : public FlashCache {
   std::deque<ObjectId> probation_;
   std::deque<ObjectId> main_;
   std::unordered_map<ObjectId, Entry> index_;
-  std::deque<ObjectId> ghost_fifo_;
-  std::unordered_map<ObjectId, uint64_t> ghost_live_;  // id -> unused marker
-  uint64_t ghost_generation_ = 0;
+  GhostQueue ghost_{0};  // as many entries as the main log
 };
 
 }  // namespace qdlp

@@ -1,7 +1,7 @@
 // SlabStore — the value-storing layer under qdlpd (docs/SERVER.md).
 //
-// The metadata caches manage stable u32 slot locations (probation ring
-// positions, CLOCK slots, slab nodes); this store gives every one of those
+// The metadata caches manage stable u32 slot locations (probation list
+// slots, CLOCK slots, slab nodes); this store gives every one of those
 // locations a value *cell*, so cached bytes ride exactly the slots the
 // intrusive queues already shuffle. The cache's eviction path frees a
 // victim's value in O(1) under the home-domain mutex it already holds —
@@ -11,9 +11,8 @@
 // Layout:
 //  * One cell per cache location (4 atomic words: seqlock version, owner
 //    id, packed chunk reference, expiry). Cells are keyed by the cache's
-//    location index, so a metadata move (probation -> main promotion, a
-//    probation compaction after Remove()) is MoveCell(), not a copy of the
-//    bytes.
+//    location index, so a metadata move (probation -> main promotion) is
+//    MoveCell(), not a copy of the bytes.
 //  * Per-domain arenas of atomic u64 words holding the value bytes. Each
 //    eviction domain owns one arena with a bump allocator and a buddy
 //    system: power-of-two size-class freelists, larger free chunks split

@@ -138,6 +138,12 @@ class IntrusiveList {
       nodes_[slot].value = std::move(value);
       return slot;
     }
+    return GrowNode(std::move(value));
+  }
+
+  // Out of line: the slab grows only up to its high-water mark, and keeping
+  // the reallocation out of AllocateNode lets pushes inline.
+  [[gnu::noinline]] SlotId GrowNode(T value) {
     QDLP_CHECK(nodes_.size() < kNullSlot);
     nodes_.push_back(Node{std::move(value), kNullSlot, kNullSlot});
     return static_cast<SlotId>(nodes_.size() - 1);

@@ -149,7 +149,7 @@ TEST(CacheApiTest, ConcurrentAdapterMatchesRawEngine) {
 // supports Delete() uniformly — no SupportsRemoval() escape hatch.
 // Fresh-key delete must succeed, double delete must fail, and deleting
 // every key ever admitted must drain the cache to size 0 (exercising
-// mid-queue unlink and probation compaction under churn).
+// mid-queue unlink in every region under churn).
 TEST(CacheApiTest, UniformDeleteOracleAcrossEngines) {
   for (const char* name :
        {"concurrent-qdlp-fifo", "concurrent-clock", "concurrent-s3fifo",

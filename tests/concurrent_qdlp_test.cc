@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <map>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -147,6 +149,51 @@ TEST(ConcurrentQdLpFifoTest, RemovedMainSlotIsReusedBeforeEvicting) {
   EXPECT_FALSE(cache.Get(38));  // ghost hit: admitted into main
   EXPECT_EQ(cache.Stats().size, 20u);
   EXPECT_TRUE(cache.Get(20));
+  cache.CheckInvariants();
+}
+
+// Removing a probation entry frees its slot and moves nothing else: every
+// other resident keeps the value cell it owned, with its bytes.
+TEST(ConcurrentQdLpFifoTest, ProbationRemovalMovesNoOtherValueCell) {
+  QdlpValueOptions value_options;
+  value_options.arena_bytes = 1u << 20;
+  ConcurrentQdLpFifo cache(100, /*num_stripes=*/4, /*num_shards=*/1,
+                           value_options);  // probation 10, main 90
+  SlabStore* store = cache.value_store();
+  ASSERT_NE(store, nullptr);
+  // 0..9 are re-read on probation, so 10..19 promote them into main and
+  // then fill probation, oldest first.
+  for (ObjectId id = 0; id < 20; ++id) {
+    ASSERT_EQ(cache.SetValue(id, "v" + std::to_string(id), /*expiry_s=*/0),
+              ConcurrentQdLpFifo::SetResult::kOk);
+    if (id < 10) {
+      ASSERT_TRUE(cache.Get(id));
+    }
+  }
+  ASSERT_EQ(cache.Stats().probation_size, 10u);
+  ASSERT_EQ(cache.Stats().main_size, 10u);
+  std::string value;
+  std::map<ObjectId, uint32_t> cells;
+  for (uint32_t cell = 0; cell < store->num_cells(); ++cell) {
+    for (ObjectId id = 0; id < 20; ++id) {
+      if (store->Read(cell, id, /*now_s=*/0, &value) ==
+          SlabStore::ReadResult::kHit) {
+        ASSERT_TRUE(cells.emplace(id, cell).second) << id;
+      }
+    }
+  }
+  ASSERT_EQ(cells.size(), 20u);
+
+  ASSERT_TRUE(cache.Remove(15));  // the middle of probation's 10..19
+  for (const auto& [id, cell] : cells) {
+    if (id == 15) {
+      continue;
+    }
+    ASSERT_EQ(store->Read(cell, id, /*now_s=*/0, &value),
+              SlabStore::ReadResult::kHit)
+        << "id " << id << " left cell " << cell;
+    EXPECT_EQ(value, "v" + std::to_string(id));
+  }
   cache.CheckInvariants();
 }
 

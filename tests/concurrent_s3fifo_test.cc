@@ -26,7 +26,7 @@ TEST_P(S3FifoEquivalenceTest, SingleThreadMatchesSequentialPolicy) {
   const Trace trace = GenerateZipf(config);
   constexpr size_t kCapacity = 120;
   const auto sequential = MakePolicy("s3fifo", kCapacity);
-  ConcurrentS3FifoCache concurrent(kCapacity, 0.10, 0.9, 4);
+  ConcurrentS3FifoCache concurrent(kCapacity, 4);
   for (size_t i = 0; i < trace.requests.size(); ++i) {
     const ObjectId id = trace.requests[i];
     ASSERT_EQ(concurrent.Get(id), sequential->Access(id))
@@ -39,7 +39,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, S3FifoEquivalenceTest,
 
 TEST(ConcurrentS3FifoTest, CapacityBoundedUnderThreads) {
   constexpr size_t kCapacity = 1000;
-  ConcurrentS3FifoCache cache(kCapacity, 0.10, 0.9, 8);
+  ConcurrentS3FifoCache cache(kCapacity, 8);
   std::vector<std::thread> threads;
   for (int t = 0; t < 8; ++t) {
     threads.emplace_back([&, t] {
@@ -59,7 +59,7 @@ TEST(ConcurrentS3FifoTest, CapacityBoundedUnderThreads) {
 
 TEST(ConcurrentS3FifoTest, HitRatioSaneUnderThreads) {
   constexpr size_t kCapacity = 2000;
-  ConcurrentS3FifoCache cache(kCapacity, 0.10, 0.9, 8);
+  ConcurrentS3FifoCache cache(kCapacity, 8);
   std::atomic<uint64_t> hits{0};
   constexpr int kThreads = 6;
   constexpr int kOps = 50000;
@@ -102,7 +102,7 @@ TEST(ConcurrentS3FifoTest, GhostMemoryStaysBounded) {
 }
 
 TEST(ConcurrentS3FifoTest, GhostPathWorks) {
-  ConcurrentS3FifoCache cache(20, 0.10, 0.9, 2);
+  ConcurrentS3FifoCache cache(20, 2);
   cache.Get(1);
   // Flood so 1 is quick-demoted to the ghost, then returns via main.
   for (ObjectId id = 100; id < 140; ++id) {

@@ -122,6 +122,38 @@ TEST(QdLpFlashTest, WonderHeavyTrafficIsWriteCheap) {
   EXPECT_GT(cache.stats().hits, 0u);
 }
 
+// The flash model's logs, CLOCK counters and ghost make the decisions of
+// the in-memory QD-LP-FIFO, request for request; only the device
+// bookkeeping differs. QDLP_CHECK_INVARIANTS (the debug and sanitizer
+// presets) re-validates the policy after every access, about 0.7 ms each
+// under ASan, so those builds replay only the first 5,000 requests of
+// each trace.
+TEST(QdLpFlashTest, DecisionsMatchQdLpFifoPolicy) {
+  constexpr size_t kRequests = 200000;
+#ifdef QDLP_CHECK_INVARIANTS
+  constexpr size_t kReplayed = 5000;
+#else
+  constexpr size_t kReplayed = kRequests;
+#endif
+  for (const double skew : {0.6, 0.9, 1.1}) {
+    for (const uint64_t seed : {1201u, 1203u, 1205u, 7u, 99u}) {
+      ZipfTraceConfig config;
+      config.num_requests = kRequests;
+      config.num_objects = 8000;
+      config.skew = skew;
+      config.seed = seed;
+      const Trace trace = GenerateZipf(config);
+      QdLpFlashCache flash(1000, 100);
+      const auto policy = MakePolicy("qd-lp-fifo", 1000);
+      for (size_t i = 0; i < kReplayed; ++i) {
+        ASSERT_EQ(flash.Access(trace.requests[i]),
+                  policy->Access(trace.requests[i]))
+            << "skew " << skew << ", seed " << seed << ": diverged at " << i;
+      }
+    }
+  }
+}
+
 TEST(RipqLruFlashTest, MissRatioMatchesPolicyLruExactly) {
   RipqLruFlashCache flash(1000, 100);
   LruPolicy lru(1000);

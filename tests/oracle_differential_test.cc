@@ -169,8 +169,8 @@ TEST_P(ConcurrentDifferentialTest, MatchesOracleRequestForRequest) {
   std::unique_ptr<ConcurrentCache> cache;
   std::unique_ptr<oracle::ReferenceModel> model;
   if (cache_name == "concurrent-s3fifo") {
-    cache = std::make_unique<ConcurrentS3FifoCache>(cache_size, 0.10, 0.9,
-                                                    /*num_shards=*/4);
+    cache = std::make_unique<ConcurrentS3FifoCache>(cache_size,
+                                                    /*num_stripes=*/4);
     model = std::make_unique<oracle::RefS3Fifo>(cache_size, 0.10, 0.9);
   } else if (cache_name == "concurrent-clock") {
     cache = std::make_unique<ConcurrentClockCache>(cache_size, /*bits=*/1,
@@ -227,7 +227,7 @@ std::unique_ptr<ConcurrentCache> MakeOneShardCache(const std::string& name,
         capacity, /*bits=*/name == "clock2" ? 2 : 1, /*num_stripes=*/4);
   }
   if (name == "s3fifo") {
-    return std::make_unique<ConcurrentS3FifoCache>(capacity, 0.10, 0.9,
+    return std::make_unique<ConcurrentS3FifoCache>(capacity,
                                                    /*num_stripes=*/4);
   }
   if (name == "qd-lp-fifo") {
@@ -298,6 +298,105 @@ INSTANTIATE_TEST_SUITE_P(
       return TestName(std::get<0>(info.param) + "_c" +
                       std::to_string(std::get<1>(info.param)));
     });
+
+// The same three lanes on a scripted stream that removes the head (the next
+// victim), a middle entry, the tail (the newest) and a sole entry of each
+// region — probation (S3-FIFO's small queue) and main — then keeps
+// admitting so the freed locations are reused.
+class RemovalPositionTest : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(RemovalPositionTest, EveryLaneMatchesOracleAtEachQueuePosition) {
+  const std::string& name = GetParam();
+  // Both designs split 50 into a 5-entry probation or small target and a
+  // main region that no step below fills.
+  constexpr size_t kCapacity = 50;
+  constexpr uint64_t kKeyspace = 512;
+  const auto flat = MakePolicy(name, kCapacity);
+  const auto dense = MakeDensePolicy(name, kCapacity, kKeyspace);
+  const auto cache = MakeOneShardCache(name, kCapacity);
+  const auto model = oracle::MakeExactOracle(name, kCapacity);
+  ASSERT_NE(flat, nullptr);
+  ASSERT_NE(dense, nullptr);
+  ASSERT_NE(cache, nullptr);
+  ASSERT_NE(model, nullptr);
+
+  size_t step = 0;
+  const auto access = [&](ObjectId first, ObjectId last) {
+    for (ObjectId id = first; id <= last; ++id, ++step) {
+      const bool expected = model->Access(id);
+      EXPECT_EQ(flat->Access(id), expected) << "flat lane, step " << step;
+      EXPECT_EQ(dense->Access(id), expected) << "dense lane, step " << step;
+      EXPECT_EQ(cache->Get(id), expected) << "concurrent lane, step " << step;
+    }
+  };
+  // Removes `id`, which the script placed in `region`, from every lane.
+  const auto remove = [&](ObjectId id, uint64_t CacheStats::*region) {
+    const uint64_t before = flat->Stats().*region;
+    EXPECT_TRUE(model->Remove(id)) << id;
+    EXPECT_TRUE(flat->Remove(id)) << "flat lane, id " << id;
+    EXPECT_TRUE(dense->Remove(id)) << "dense lane, id " << id;
+    EXPECT_TRUE(cache->Remove(id)) << "concurrent lane, id " << id;
+    EXPECT_EQ(flat->Stats().*region, before - 1) << id;
+    for (const CacheStats& stats :
+         {flat->Stats(), dense->Stats(), cache->Stats()}) {
+      EXPECT_EQ(stats.size, model->size()) << id;
+    }
+    flat->CheckInvariants();
+    dense->CheckInvariants();
+    cache->CheckInvariants();
+  };
+  constexpr uint64_t CacheStats::*kProbation = &CacheStats::probation_size;
+  constexpr uint64_t CacheStats::*kMain = &CacheStats::main_size;
+
+  // Probation: 1..5, oldest first.
+  access(1, 5);
+  remove(1, kProbation);  // head
+  remove(3, kProbation);  // middle
+  remove(5, kProbation);  // tail
+  remove(2, kProbation);
+  remove(4, kProbation);  // sole
+  access(6, 15);
+
+  // Main: 20..24, re-read while on probation, are promoted in that order by
+  // a flood of new ids (S3-FIFO first fills its capacity, so the flood is
+  // one capacity long).
+  access(20, 24);
+  access(20, 24);
+  access(100, 100 + kCapacity - 1);
+  remove(20, kMain);  // head
+  remove(22, kMain);  // middle
+  remove(24, kMain);  // tail
+  remove(21, kMain);
+  remove(23, kMain);  // sole
+
+  // The freed main locations are reused by the next promotions, the freed
+  // probation ones by every admission.
+  access(30, 34);
+  access(30, 34);
+  access(200, 200 + kCapacity - 1);
+  access(30, 34);
+  access(1, 300);
+  EXPECT_EQ(flat->size(), model->size());
+  const CacheStats flat_stats = flat->Stats();
+  EXPECT_GT(flat_stats.main_size, 0u);
+  for (const CacheStats& stats : {dense->Stats(), cache->Stats()}) {
+    EXPECT_EQ(stats.size, model->size());
+    EXPECT_EQ(stats.inserts, flat_stats.inserts);
+    EXPECT_EQ(stats.evictions, flat_stats.evictions);
+    EXPECT_EQ(stats.promotions, flat_stats.promotions);
+    EXPECT_EQ(stats.demotions, flat_stats.demotions);
+    EXPECT_EQ(stats.ghost_hits, flat_stats.ghost_hits);
+  }
+  flat->CheckInvariants();
+  dense->CheckInvariants();
+  cache->CheckInvariants();
+}
+
+INSTANTIATE_TEST_SUITE_P(Regions, RemovalPositionTest,
+                         ::testing::Values("s3fifo", "qd-lp-fifo"),
+                         [](const ::testing::TestParamInfo<std::string>& info) {
+                           return TestName(info.param);
+                         });
 
 // ---------------------------------------------------------------------------
 // Bounded divergence: adaptive policies legitimately differ from any naive

@@ -97,9 +97,9 @@ TEST_F(ServerE2eTest, PipelinedBatchPreservesOrder) {
   QdlpdClient client;
   ASSERT_TRUE(client.Connect(server_->port()));
 
-  // Fewer keys than the 10% probation ring (102 slots at capacity 1024):
-  // a never-reaccessed probation entry is quick-demoted once the ring
-  // wraps — correct QD behavior, but this test is about wire ordering.
+  // Fewer keys than the 10% probation FIFO (102 slots at capacity 1024):
+  // a never-reaccessed probation entry is quick-demoted once the FIFO
+  // fills — correct QD behavior, but this test is about wire ordering.
   constexpr ObjectId kKeys = 80;
   for (ObjectId key = 0; key < kKeys; ++key) {
     AppendSetRequest(&client.request_buffer(), key, 0,

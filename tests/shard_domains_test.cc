@@ -107,8 +107,7 @@ TEST_P(ShardSweepTest, ClockMatchesPerShardReferences) {
 TEST_P(ShardSweepTest, S3FifoMatchesPerShardReferences) {
   const size_t requested_shards = GetParam();
   constexpr size_t kCapacity = 240;
-  ConcurrentS3FifoCache cache(kCapacity, /*small_fraction=*/0.10,
-                              /*ghost_factor=*/0.9, /*num_stripes=*/16,
+  ConcurrentS3FifoCache cache(kCapacity, /*num_stripes=*/16,
                               requested_shards);
   EXPECT_EQ(cache.num_shards(), requested_shards);
   std::vector<std::unique_ptr<oracle::ReferenceModel>> oracles;

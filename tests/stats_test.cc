@@ -339,8 +339,7 @@ TEST(ConcurrentStatsTest, SingleThreadedCountsAreExact) {
   ExpectConcurrentCountsExact(
       "concurrent-s3fifo",
       [] {
-        return std::make_unique<ConcurrentS3FifoCache>(kCapacity, 0.10, 0.9,
-                                                       4);
+        return std::make_unique<ConcurrentS3FifoCache>(kCapacity, 4);
       },
       /*has_eviction_domains=*/true);
   ExpectConcurrentCountsExact(

@@ -33,11 +33,6 @@ TEST(StripedIndexTest, InsertFindEraseBasics) {
   EXPECT_TRUE(index.Contains(7));
   EXPECT_FALSE(index.Contains(9));
 
-  EXPECT_TRUE(index.Update(7, 71));
-  ASSERT_TRUE(index.Find(7, &value));
-  EXPECT_EQ(value, 71u);
-  EXPECT_FALSE(index.Update(9, 90));
-
   EXPECT_TRUE(index.Erase(7));
   EXPECT_FALSE(index.Erase(7));
   EXPECT_FALSE(index.Find(7, &value));
@@ -59,8 +54,6 @@ TEST(StripedIndexTest, ReservedSentinelKeysAreRejectedSafely) {
   EXPECT_FALSE(index.Contains(StripedAtomicIndex::kTombstoneKey));
   EXPECT_FALSE(index.Erase(StripedAtomicIndex::kEmptyKey));
   EXPECT_FALSE(index.Erase(StripedAtomicIndex::kTombstoneKey));
-  EXPECT_FALSE(index.Update(StripedAtomicIndex::kEmptyKey, 99));
-  EXPECT_FALSE(index.Update(StripedAtomicIndex::kTombstoneKey, 99));
   // The probes above disturbed nothing: live entries and size are intact.
   EXPECT_EQ(index.size(), 2u);
   ASSERT_TRUE(index.Find(1, &value));
@@ -89,9 +82,10 @@ TEST(StripedIndexTest, ForEachVisitsEveryLiveEntryOnce) {
   }
 }
 
-// Differential: random insert/erase/update churn must agree with FlatMap at
-// every step. Keys are drawn from a small universe, so probe runs are long
-// and most erases shift later entries of the run back into the hole.
+// Differential: random insert/erase churn must agree with FlatMap at every
+// step (rolls of 80 and up only advance the stream). Keys are drawn from a
+// small universe, so probe runs are long and most erases shift later
+// entries of the run back into the hole.
 TEST(StripedIndexTest, ChurnMatchesFlatMap) {
   StripedAtomicIndex index(/*max_entries=*/200, /*num_stripes=*/4);
   FlatMap<uint32_t> model;
@@ -110,14 +104,6 @@ TEST(StripedIndexTest, ChurnMatchesFlatMap) {
     } else if (roll < 80) {
       const bool erased_model = model.Erase(id);
       EXPECT_EQ(index.Erase(id), erased_model);
-    } else {
-      uint32_t* entry = model.Find(id);
-      if (entry != nullptr) {
-        *entry = static_cast<uint32_t>(step);
-        EXPECT_TRUE(index.Update(id, static_cast<uint32_t>(step)));
-      } else {
-        EXPECT_FALSE(index.Update(id, 0));
-      }
     }
     if (step % 512 == 0) {
       index.CheckInvariants();

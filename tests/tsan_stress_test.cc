@@ -118,8 +118,7 @@ TEST(TsanStressTest, ConcurrentClock) {
 }
 
 TEST(TsanStressTest, ConcurrentS3Fifo) {
-  ConcurrentS3FifoCache cache(512, /*small_fraction=*/0.10,
-                              /*ghost_factor=*/0.9, /*num_stripes=*/8);
+  ConcurrentS3FifoCache cache(512, /*num_stripes=*/8);
   HammerFromManyThreads(cache);
 }
 
@@ -139,9 +138,7 @@ TEST(TsanStressTest, ConcurrentClockSharded) {
 }
 
 TEST(TsanStressTest, ConcurrentS3FifoSharded) {
-  ConcurrentS3FifoCache cache(512, /*small_fraction=*/0.10,
-                              /*ghost_factor=*/0.9, /*num_stripes=*/8,
-                              /*num_shards=*/4);
+  ConcurrentS3FifoCache cache(512, /*num_stripes=*/8, /*num_shards=*/4);
   HammerFromManyThreads(cache);
 }
 
@@ -270,9 +267,7 @@ TEST(TsanStressTest, AdmitVsGetVsRemoveStorm) {
   ConcurrentClockCache clock(512, /*bits=*/2, /*num_stripes=*/8,
                              /*num_shards=*/4);
   AdmitGetRemoveStorm(clock);
-  ConcurrentS3FifoCache s3fifo(512, /*small_fraction=*/0.10,
-                               /*ghost_factor=*/0.9, /*num_stripes=*/8,
-                               /*num_shards=*/4);
+  ConcurrentS3FifoCache s3fifo(512, /*num_stripes=*/8, /*num_shards=*/4);
   AdmitGetRemoveStorm(s3fifo);
 }
 
@@ -340,7 +335,7 @@ TEST(TsanStressTest, CountersStayExactAcrossThreadGenerations) {
 // The value-serving storm (ISSUE acceptance): threads mix GetValue /
 // SetValue / Remove on a value-storing ConcurrentQdLpFifo while a reader
 // storms Stats(). Under TSan this races the lock-free seqlock value reads
-// against commits, moves (probation promotion/compaction), and frees on
+// against commits, moves (probation -> main promotion), and frees on
 // the eviction path. Any value that reads as a hit must be a value some
 // thread actually stored for that id — never torn, never another id's
 // bytes.
