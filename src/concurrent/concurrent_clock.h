@@ -45,8 +45,11 @@ class ClockRegions {
   ClockRegions(Core& core, int bits)
       : core_(core), ring_(ShardCapacities(core), MaxCounter(bits)) {}
 
+  // CLOCK keeps no ghost, so every admission is a cold one.
+  static size_t GhostCapacity(size_t) { return 0; }
+
   void Touch(uint32_t slot) { ring_.Touch(slot); }
-  void AdmitLocked(size_t s, ObjectId id);
+  void AdmitLocked(size_t s, ObjectId id, uint32_t entry);
   void UnlinkLocked(size_t s, uint32_t slot) { ring_.Free(s, slot); }
   // Sequential CLOCK reports no per-region occupancy; neither does this.
   void FillOccupancy(size_t, CacheStats*) const {}
@@ -73,7 +76,9 @@ class ClockRegions {
 };
 
 template <typename Core>
-void ClockRegions<Core>::AdmitLocked(size_t s, ObjectId id) {
+void ClockRegions<Core>::AdmitLocked(size_t s, ObjectId id, uint32_t entry) {
+  QDLP_DCHECK(entry == StripedAtomicIndex::kNoEntry);
+  (void)entry;
   if (!ring_.full(s)) {
     core_.index.Insert(id, ring_.Take(s, id));
     return;

@@ -11,15 +11,20 @@
 //   main       — per shard, a region of the 2-bit CLOCK ring that
 //                ConcurrentClockCache also uses (clock_ring.h), over the
 //                share's remainder
-//   ghost      — per shard, a GhostQueue: metadata-only memory of
-//                quick-demoted ids, as large as the shard's main region
+//   ghost      — per shard, an IndexedGhost (eviction_domains.h):
+//                metadata-only memory of quick-demoted ids, as large as
+//                the shard's main region, kept as ghost records in the
+//                index itself
 //
 // One striped atomic index (striped_index.h) maps id -> tagged GLOBAL
-// location (probation position or main slot); a hit is one lock-free
-// probe plus a single relaxed store (the accessed bit) or relaxed RMW
-// (the CLOCK counter) — lazy promotion's "at most one metadata update, no
-// locking" made literal, and entirely shard-oblivious. Misses — admission,
-// quick demotion, ghost resurrection, CLOCK eviction — serialize behind
+// location (probation position, main slot or ghost position); a hit is one
+// lock-free probe plus a single relaxed store (the accessed bit) or
+// relaxed RMW (the CLOCK counter) — lazy promotion's "at most one metadata
+// update, no locking" made literal, and entirely shard-oblivious. A miss's
+// one locked probe also tells a ghost hit from a cold miss, and a lazy
+// promotion, a quick demotion or a ghost resurrection rewrites the id's
+// entry in place. Misses — admission, quick demotion, ghost resurrection,
+// CLOCK eviction — serialize behind
 // the id's home-domain mutex with BP-Wrapper-style MPSC buffering, exactly
 // the DomainCache protocol the other lock-free caches share, so misses to
 // different domains admit and evict fully in parallel.
@@ -47,7 +52,6 @@
 
 #include "src/concurrent/clock_ring.h"
 #include "src/concurrent/eviction_domains.h"
-#include "src/core/ghost_queue.h"
 #include "src/store/slab_store.h"
 #include "src/util/check.h"
 #include "src/util/intrusive_list.h"
@@ -71,10 +75,14 @@ struct QdlpValueOptions {
 template <typename Core>
 class QdLpRegions {
  public:
-  // Index value tag: high bit = main region, low 31 bits = global slot.
+  // Index values: bit 31 set = main slot; the index's ghost tag (bit 30)
+  // set = ghost position; neither = probation position.
   static constexpr uint32_t kMainBit = 0x80000000u;
 
   QdLpRegions(Core& core, const QdlpValueOptions& value_options);
+
+  // The ghost is as large as the main region (factor 1.0).
+  static size_t GhostCapacity(size_t share);
 
   void Touch(uint32_t value) {
     if (value & kMainBit) {
@@ -86,7 +94,7 @@ class QdLpRegions {
       accessed_[value].store(1, std::memory_order_relaxed);
     }
   }
-  void AdmitLocked(size_t s, ObjectId id);
+  void AdmitLocked(size_t s, ObjectId id, uint32_t entry);
   // O(1) in either region; frees the value chunk.
   void UnlinkLocked(size_t s, uint32_t value);
   void FillOccupancy(size_t s, CacheStats* stats) const;
@@ -124,17 +132,17 @@ class QdLpRegions {
   // position probation_base + i, which is its index value and value cell.
   struct alignas(64) Shard {
     Shard(size_t probation_base, size_t probation_capacity,
-          size_t ghost_capacity, const typename Core::IndexFactory& factory)
+          size_t ghost_base, size_t ghost_capacity)
         : probation_base(probation_base),
           probation_capacity(probation_capacity),
-          ghost(ghost_capacity, factory) {
+          ghost(ghost_base, ghost_capacity) {
       probation.Reserve(probation_capacity);
     }
 
     size_t probation_base;
     size_t probation_capacity;
     IntrusiveList<ObjectId> probation;  // front = oldest
-    BasicGhostQueue<typename Core::IndexFactory> ghost;
+    IndexedGhost ghost;
   };
 
   static std::vector<size_t> MainCapacities(const Core& core);
@@ -146,9 +154,10 @@ class QdLpRegions {
   // Evicts the shard's oldest probationary entry: accessed -> main (lazy
   // promotion), untouched -> ghost (quick demotion).
   void EvictFromProbation(size_t s);
-  // Inserts `id` into the shard's main CLOCK region, evicting if full.
+  // Moves indexed `id` into the shard's main CLOCK region, evicting if
+  // full; its entry keeps its old location until the main slot is taken.
   // `from_cell` is the id's previous value cell (a lazy promotion moves
-  // the value with the metadata) or kNoCell for a fresh admission.
+  // the value with the metadata) or kNoCell for a ghost resurrection.
   void MainInsert(size_t s, ObjectId id, uint32_t from_cell);
   // Evicts the object under the main hand. Main evictions leave no ghost
   // trace (only probation demotions do).
@@ -181,6 +190,11 @@ inline size_t QdProbationCapacity(size_t capacity,
 }
 
 template <typename Core>
+size_t QdLpRegions<Core>::GhostCapacity(size_t share) {
+  return share - QdProbationCapacity(share);
+}
+
+template <typename Core>
 std::vector<size_t> QdLpRegions<Core>::MainCapacities(const Core& core) {
   std::vector<size_t> capacities(core.num_shards());
   for (size_t s = 0; s < capacities.size(); ++s) {
@@ -201,9 +215,10 @@ QdLpRegions<Core>::QdLpRegions(Core& core,
     const size_t share = core.shard_capacity(s);
     QDLP_CHECK(share >= 2);  // a probation slot and a main slot
     const size_t probation = QdProbationCapacity(share);
-    // The ghost is as large as the main region (factor 1.0).
-    shards_.emplace_back(probation_total, probation, share - probation,
-                         core.index_factory());
+    // Ghost positions follow the same layout as main slots: shard s's
+    // start at the main capacity of the shards before it.
+    shards_.emplace_back(probation_total, probation, main_capacity_,
+                         GhostCapacity(share));
     probation_total += probation;
     main_capacity_ += share - probation;
   }
@@ -248,10 +263,8 @@ size_t QdLpRegions<Core>::CheckShardLocked(size_t s) const {
   });
   // An object holds space in exactly one region; the tags above prove
   // probation/main disjointness (one index entry per id). Ghost entries
-  // are history, never resident.
-  shard.ghost.ForEachLive(
-      [&](ObjectId id) { QDLP_CHECK(!core_.index.Contains(id)); });
-  shard.ghost.CheckInvariants();
+  // are history, never resident: they are indexed as ghost records.
+  shard.ghost.CheckLocked(core_, s);
   return shard.probation.size() + main;
 }
 
@@ -276,7 +289,7 @@ size_t QdLpRegions<Core>::MemoryBytes() const {
                  main_.MemoryBytes();
   for (const Shard& shard : shards_) {
     bytes += sizeof(Shard) + shard.probation.MemoryBytes() +
-             shard.ghost.ApproxMetadataBytes();
+             shard.ghost.MemoryBytes();
   }
   if (store_) {
     bytes += store_->ApproxMetadataBytes();
@@ -292,9 +305,11 @@ void QdLpRegions<Core>::ClearCell(uint32_t cell) {
 }
 
 template <typename Core>
-void QdLpRegions<Core>::AdmitLocked(size_t s, ObjectId id) {
-  if (shards_[s].ghost.Consume(id)) {
-    // Quick-demoted once already: admit straight into the main cache.
+void QdLpRegions<Core>::AdmitLocked(size_t s, ObjectId id, uint32_t entry) {
+  if (entry != StripedAtomicIndex::kNoEntry) {
+    // A ghost record: quick-demoted once already, so admit straight into
+    // the main cache.
+    shards_[s].ghost.Consume(entry);
     core_.Count(ConcurrentStatsCounters::kGhostHits, id);
     MainInsert(s, id, kNoCell);
   } else {
@@ -329,9 +344,9 @@ void QdLpRegions<Core>::EvictFromProbation(size_t s) {
   const ObjectId victim = shard.probation[slot];
   shard.probation.Erase(slot);
   const bool accessed = accessed_[pos].load(std::memory_order_relaxed) != 0;
-  // Erase before the slot can be recycled: readers stop finding the victim
-  // first (a racing reader at worst sets the next occupant's accessed bit).
-  core_.index.Erase(victim);
+  // Either way the victim's entry moves off `pos` in place before anything
+  // can recycle the slot: readers stop finding the victim there first (a
+  // racing reader at worst sets the next occupant's accessed bit).
   if (accessed) {
     // Lazy promotion: re-accessed while on probation -> main cache. The
     // value cell moves with the metadata.
@@ -340,8 +355,9 @@ void QdLpRegions<Core>::EvictFromProbation(size_t s) {
     return;
   }
   // Quick demotion: one lap through the small FIFO was its only chance.
+  // The victim's entry becomes its ghost record.
+  shard.ghost.Push(core_, victim);
   ClearCell(pos);
-  shard.ghost.Insert(victim);
   core_.Count(ConcurrentStatsCounters::kDemotions, victim);
   core_.CountEviction(s, victim);
 }
@@ -353,7 +369,7 @@ void QdLpRegions<Core>::MainInsert(size_t s, ObjectId id,
     EvictMain(s);
   }
   const uint32_t slot = main_.Take(s, id);
-  core_.index.Insert(id, kMainBit | slot);
+  core_.index.Update(id, kMainBit | slot);
   if (store_) {
     // Every vacant main slot's cell is empty (eviction and removal clear
     // it), so a promotion moves the value with the metadata; a fresh

@@ -18,7 +18,10 @@
 // doubly-linked lists threaded through the same slab slots, so a removal
 // unlinks in O(1), and the index maps id -> global slab slot, which is
 // stable across queue movement — promotion and main-queue reinsertion
-// never touch the index at all.
+// never touch the index at all. The ghost lives in the index too
+// (IndexedGhost, eviction_domains.h): a quick demotion turns the victim's
+// entry into a ghost record and a ghost hit turns it back, each one
+// in-place update.
 //
 // Single-threaded with num_shards == 1 (the default), this cache makes
 // the same decisions as MakePolicy("s3fifo"), which runs these very
@@ -38,13 +41,12 @@
 #include <vector>
 
 #include "src/concurrent/eviction_domains.h"
-#include "src/core/ghost_queue.h"
 #include "src/util/check.h"
 
 namespace qdlp {
 
 // Small and main FIFOs plus a ghost per shard; index values are global
-// slab slots.
+// slab slots, or ghost positions under the index's ghost tag.
 template <typename Core>
 class S3FifoRegions {
  public:
@@ -55,6 +57,10 @@ class S3FifoRegions {
 
   explicit S3FifoRegions(Core& core);
 
+  static size_t GhostCapacity(size_t share) {
+    return Scaled(share, kGhostFactor);
+  }
+
   void Touch(uint32_t slot) {
     std::atomic<uint8_t>& freq = slab_[slot].freq;
     const uint8_t current = freq.load(std::memory_order_relaxed);
@@ -62,7 +68,7 @@ class S3FifoRegions {
       freq.store(current + 1, std::memory_order_relaxed);
     }
   }
-  void AdmitLocked(size_t s, ObjectId id);
+  void AdmitLocked(size_t s, ObjectId id, uint32_t entry);
   void UnlinkLocked(size_t s, uint32_t slot);
   void FillOccupancy(size_t s, CacheStats* stats) const;
   size_t CheckShardLocked(size_t s) const;
@@ -98,16 +104,15 @@ class S3FifoRegions {
   // `slab_used` is a local bump offset within it and `free_head` a
   // freelist of recycled region slots.
   struct alignas(64) Shard {
-    Shard(size_t small_capacity, size_t ghost_capacity,
-          const typename Core::IndexFactory& factory)
-        : small_capacity(small_capacity), ghost(ghost_capacity, factory) {}
+    Shard(size_t small_capacity, size_t ghost_base, size_t ghost_capacity)
+        : small_capacity(small_capacity), ghost(ghost_base, ghost_capacity) {}
 
     Fifo small_fifo;
     Fifo main_fifo;
     uint32_t free_head = kNil;
     size_t slab_used = 0;
     size_t small_capacity;  // small-queue target within the share
-    BasicGhostQueue<typename Core::IndexFactory> ghost;
+    IndexedGhost ghost;
   };
 
   // `fraction` of a shard's capacity share, rounded, at least 1: one shard
@@ -139,10 +144,12 @@ template <typename Core>
 S3FifoRegions<Core>::S3FifoRegions(Core& core)
     : core_(core), slab_(core.capacity()) {
   shards_.reserve(core.num_shards());
+  size_t ghost_base = 0;
   for (size_t s = 0; s < core.num_shards(); ++s) {
     const size_t share = core.shard_capacity(s);
     shards_.emplace_back(std::min(Scaled(share, kSmallFraction), share),
-                         Scaled(share, kGhostFactor), core.index_factory());
+                         ghost_base, GhostCapacity(share));
+    ghost_base += GhostCapacity(share);
   }
 }
 
@@ -189,10 +196,8 @@ size_t S3FifoRegions<Core>::CheckShardLocked(size_t s) const {
     QDLP_CHECK(last == fifo->tail);
     QDLP_CHECK(count == fifo->count);
   }
-  // Ghost entries are evicted history; none may still be resident.
-  shard.ghost.ForEachLive(
-      [&](ObjectId id) { QDLP_CHECK(!core_.index.Contains(id)); });
-  shard.ghost.CheckInvariants();
+  // Ghost entries are evicted history, indexed only as ghost records.
+  shard.ghost.CheckLocked(core_, s);
   return resident;
 }
 
@@ -200,7 +205,7 @@ template <typename Core>
 size_t S3FifoRegions<Core>::MemoryBytes() const {
   size_t bytes = slab_.capacity() * sizeof(Node);
   for (const Shard& shard : shards_) {
-    bytes += sizeof(Shard) + shard.ghost.ApproxMetadataBytes();
+    bytes += sizeof(Shard) + shard.ghost.MemoryBytes();
   }
   return bytes;
 }
@@ -272,11 +277,11 @@ void S3FifoRegions<Core>::EvictSmall(size_t s) {
     core_.Count(ConcurrentStatsCounters::kPromotions, node.id);
     return;
   }
-  // Erase from the index before recycling the slot: readers stop finding
-  // the victim first. A racing reader that already fetched the slot at
-  // worst bumps the successor's frequency once — benign.
-  core_.index.Erase(node.id);
-  shard.ghost.Insert(node.id);
+  // The victim's entry becomes its ghost record before the slot is
+  // recycled: readers stop finding the victim first. A racing reader that
+  // already fetched the slot at worst bumps the successor's frequency
+  // once — benign.
+  shard.ghost.Push(core_, node.id);
   FreeSlot(s, slot);
   core_.Count(ConcurrentStatsCounters::kDemotions, node.id);
   core_.CountEviction(s, node.id);
@@ -320,22 +325,29 @@ void S3FifoRegions<Core>::MakeRoom(size_t s) {
 }
 
 template <typename Core>
-void S3FifoRegions<Core>::AdmitLocked(size_t s, ObjectId id) {
+void S3FifoRegions<Core>::AdmitLocked(size_t s, ObjectId id, uint32_t entry) {
   Shard& shard = shards_[s];
+  // Room first, as RefS3Fifo::Access does: its quick demotions can push
+  // this id's own ghost record out, so the ghost is consulted after.
   MakeRoom(s);
+  const bool ghost_hit = entry != StripedAtomicIndex::kNoEntry &&
+                         shard.ghost.Holds(entry, id);
   const uint32_t slot = AllocSlot(s);
   Node& node = slab_[slot];
   node.id = id;
   node.freq.store(0, std::memory_order_relaxed);
-  if (shard.ghost.Consume(id)) {
+  if (ghost_hit) {
+    shard.ghost.Consume(entry);
     node.where = Where::kMain;
     PushBack(shard.main_fifo, slot);
     core_.Count(ConcurrentStatsCounters::kGhostHits, id);
+    core_.index.Update(id, slot);
   } else {
+    // Cold, or its ghost record was pushed out (and unindexed) above.
     node.where = Where::kSmall;
     PushBack(shard.small_fifo, slot);
+    core_.index.Insert(id, slot);
   }
-  core_.index.Insert(id, slot);
 }
 
 extern template class S3FifoRegions<DomainCore>;

@@ -60,8 +60,8 @@
 #include "src/obs/concurrent_counters.h"
 #include "src/trace/trace.h"
 #include "src/util/check.h"
-#include "src/util/dense_index.h"
 #include "src/util/flat_map.h"
+#include "src/util/intrusive_list.h"
 #include "src/util/thread_ordinal.h"
 
 namespace qdlp {
@@ -172,32 +172,45 @@ class EvictionDomains {
 };
 
 // What DomainCache shares with its Regions: the id index (whose values are
-// the Regions' own location encoding), the domains and the flow counters.
+// the Regions' own location encoding, plus the ghost records of those that
+// keep a ghost), the domains and the flow counters.
 //
 // A Regions type is a template over its core and reaches shared state only
 // through this interface, which the serial core of the single-threaded
 // lane (src/core/regions_policy.h) implements too:
 //
-//   index.Find / Insert / Erase / Contains / ForEach
+//   index.Find / Entry / Insert / Update / Erase / Contains / ForEach
 //   num_shards(), capacity(), shard_capacity(s), shard_base(s), ShardOf(id)
-//   IndexFactory, index_factory()      the ghosts' index backing
 //   Count(kind, id), CountEviction(s, id)
 //
 // The ids on the counting calls are for the serial core's per-object
 // events; this core ignores them.
 struct DomainCore {
-  using IndexFactory = FlatIndexFactory;
+  // Index values are 32-bit locations below the index's ghost tag (bit 30);
+  // QD-LP-FIFO spends bit 31 on a region tag.
+  static constexpr size_t kMaxCapacity = StripedAtomicIndex::kGhostTag - 1;
 
+  // Aborts on a capacity the index values cannot address. The cores run it
+  // before they size anything for that capacity.
+  static size_t CheckedCapacity(size_t capacity) {
+    QDLP_CHECK_MSG(capacity <= kMaxCapacity,
+                   "capacity must be below 2^30: index values carry tags");
+    return capacity;
+  }
+
+  // `ghost_capacity(share)` is the Regions' ghost size for one capacity
+  // share; the index is sized for every resident and ghost at once, so it
+  // never grows (and retires arrays) while the cache fills.
   DomainCore(size_t capacity, size_t num_stripes, size_t num_shards,
-             size_t min_capacity_per_shard)
-      // Stripes >= shards so every eviction domain owns a disjoint stripe
-      // set and the index's per-stripe writer serialization holds under
-      // the per-shard mutexes.
-      : index(capacity, std::max(num_stripes, num_shards)),
-        domains(capacity, num_shards, min_capacity_per_shard) {
-    // Index values are 32-bit locations, and QD-LP-FIFO spends one bit on
-    // a region tag.
-    QDLP_CHECK(capacity <= 0x7FFFFFFFu);
+             size_t min_capacity_per_shard,
+             size_t (*ghost_capacity)(size_t share))
+      : domains(CheckedCapacity(capacity), num_shards,
+                min_capacity_per_shard),
+        // Stripes >= shards so every eviction domain owns a disjoint stripe
+        // set and the index's per-stripe writer serialization holds under
+        // the per-shard mutexes.
+        index(IndexEntries(domains, ghost_capacity),
+              std::max(num_stripes, num_shards)) {
     QDLP_CHECK(index.num_stripes() >= domains.num_shards());
   }
 
@@ -206,7 +219,6 @@ struct DomainCore {
   size_t shard_capacity(size_t s) const { return domains.shard(s).capacity; }
   size_t shard_base(size_t s) const { return domains.shard(s).base; }
   size_t ShardOf(ObjectId id) const { return domains.ShardOf(id); }
-  IndexFactory index_factory() const { return {}; }
 
   void Count(ConcurrentStatsCounters::Counter kind, ObjectId) {
     counters.Add(kind);
@@ -222,9 +234,89 @@ struct DomainCore {
     }
   }
 
-  StripedAtomicIndex index;
   EvictionDomains domains;
+  StripedAtomicIndex index;
   ConcurrentStatsCounters counters;
+
+ private:
+  static size_t IndexEntries(const EvictionDomains& domains,
+                             size_t (*ghost_capacity)(size_t share)) {
+    size_t entries = domains.capacity();
+    for (size_t s = 0; s < domains.num_shards(); ++s) {
+      entries += ghost_capacity(domains.shard(s).capacity);
+    }
+    return entries;
+  }
+};
+
+// A ghost kept in the index (§4's ghost FIFO): the ids a Regions
+// quick-demoted, oldest first, whose index entries stay behind as ghost
+// records. The id in list slot i is indexed as kGhostTag | (base + i), so
+// one probe tells a resident, a ghost and a cold id apart, and a demotion
+// or a resurrection is one in-place index Update. Exact: it remembers the
+// last `capacity` demotions that have not come back, as a GhostQueue does.
+// Runs under the owning shard's mutex.
+class IndexedGhost {
+ public:
+  IndexedGhost(size_t base, size_t capacity)
+      : base_(base), capacity_(capacity) {
+    QDLP_CHECK(capacity >= 1);
+    list_.Reserve(capacity);
+  }
+
+  // Turns resident `id`'s entry into its ghost record, first forgetting
+  // the oldest ghost (from the list and the index) when full.
+  template <typename Core>
+  void Push(Core& core, ObjectId id) {
+    if (list_.size() >= capacity_) {
+      const uint32_t oldest = list_.front();
+      core.index.Erase(list_[oldest]);
+      // Holds() compares a slot's id, and a freed slot keeps its last one.
+      list_[oldest] = StripedAtomicIndex::kEmptyKey;
+      list_.Erase(oldest);
+    }
+    const uint32_t slot = list_.PushBack(id);
+    core.index.Update(id, StripedAtomicIndex::kGhostTag |
+                              static_cast<uint32_t>(base_ + slot));
+  }
+
+  // Whether the ghost record `entry` of `id`, read before some Push()es,
+  // is still live: a Push may have forgotten it, and may even have handed
+  // its list slot to another id.
+  bool Holds(uint32_t entry, ObjectId id) const {
+    return list_[SlotOf(entry)] == id;
+  }
+
+  // Drops `entry`'s id from the list; its caller Updates the id's entry to
+  // the location it resurrects into.
+  void Consume(uint32_t entry) { list_.Erase(SlotOf(entry)); }
+
+  size_t size() const { return list_.size(); }
+  size_t MemoryBytes() const { return list_.MemoryBytes(); }
+
+  // Every listed id belongs to shard s and is indexed as a ghost record at
+  // its own slot (the cores check that the index holds no other ghosts).
+  template <typename Core>
+  void CheckLocked(const Core& core, size_t s) const {
+    QDLP_CHECK(list_.size() <= capacity_);
+    list_.CheckInvariants();
+    list_.ForEach([&](uint32_t slot, ObjectId id) {
+      QDLP_CHECK(core.ShardOf(id) == s);
+      QDLP_CHECK(core.index.Entry(id) ==
+                 (StripedAtomicIndex::kGhostTag |
+                  static_cast<uint32_t>(base_ + slot)));
+    });
+  }
+
+ private:
+  uint32_t SlotOf(uint32_t entry) const {
+    return static_cast<uint32_t>((entry & ~StripedAtomicIndex::kGhostTag) -
+                                 base_);
+  }
+
+  size_t base_;
+  size_t capacity_;
+  IntrusiveList<ObjectId> list_;  // front = oldest
 };
 
 // The eviction-domain protocol of the lock-free caches, written once: the
@@ -237,17 +329,20 @@ struct DomainCore {
 // single-threaded policies (src/core/regions_policy.h):
 //
 //   Regions(Core& core, ...)           extra arguments come from the cache
+//   static size_t GhostCapacity(size_t share)
+//       ghost records a shard of that capacity share keeps (0: no ghost)
 //   void Touch(uint32_t value)         lock-free hit at an index value
-//   void AdmitLocked(size_t s, ObjectId id)
-//       admits a non-resident id into shard s and indexes it; any victim
-//       is unindexed before its location is reused, and counted with
-//       core.CountEviction(s, victim)
+//   void AdmitLocked(size_t s, ObjectId id, uint32_t entry)
+//       admits a non-resident id into shard s and indexes it; `entry` is
+//       its ghost record or kNoEntry (the core's one probe of the miss).
+//       Any victim is unindexed or turned into a ghost record before its
+//       location is reused, and counted with core.CountEviction(s, victim)
 //   void UnlinkLocked(size_t s, uint32_t value)
 //       drops the queue state of an object Remove() just unindexed
 //   void FillOccupancy(size_t s, CacheStats* stats) const
 //   size_t CheckShardLocked(size_t s) const
-//       checks shard s's queues and their index entries; returns the
-//       shard's resident count
+//       checks shard s's queues, ghost and their index entries; returns
+//       the shard's resident count
 //   void CheckSharedLocked() const
 //       checks state no single shard owns
 //   size_t MemoryBytes() const
@@ -360,12 +455,16 @@ class DomainCache : public ConcurrentCache {
       DrainShardLocked(s, /*helping=*/false);
     }
     size_t resident = 0;
+    CacheStats occupancy;
     for (size_t s = 0; s < num_shards(); ++s) {
       resident += regions_.CheckShardLocked(s);
+      regions_.FillOccupancy(s, &occupancy);
     }
-    // Every resident is indexed at its location (checked per shard), so
-    // equal counts mean the index holds nothing else.
+    // Every resident is indexed at its location and every ghost-list id at
+    // its ghost record (checked per shard), so equal counts mean the index
+    // holds nothing else.
     QDLP_CHECK(core_.index.size() == resident);
+    QDLP_CHECK(core_.index.ghosts() == occupancy.ghost_size);
     QDLP_CHECK(resident <= capacity());
     core_.index.CheckInvariants();
     regions_.CheckSharedLocked();
@@ -395,10 +494,12 @@ class DomainCache : public ConcurrentCache {
   template <typename... RegionsArgs>
   DomainCache(size_t capacity, size_t num_stripes, size_t num_shards,
               size_t min_capacity_per_shard, RegionsArgs&&... regions_args)
-      : core_(capacity, num_stripes, num_shards, min_capacity_per_shard),
+      : core_(capacity, num_stripes, num_shards, min_capacity_per_shard,
+              &Regions::GhostCapacity),
         regions_(core_, std::forward<RegionsArgs>(regions_args)...) {}
 
-  // The lock-free hit path: one probe, one Touch, one counter bump.
+  // The lock-free hit path: one probe, one Touch, one counter bump. A
+  // ghost record reads as a miss.
   bool TouchIfResident(ObjectId id) {
     uint32_t value;
     if (!core_.index.Find(id, &value)) {
@@ -420,12 +521,15 @@ class DomainCache : public ConcurrentCache {
   }
 
   // Under shard s's mutex: admits `id` unless it is already resident;
-  // returns true on that raced hit. Counts the insert, not the access.
+  // returns true on that raced hit. Counts the insert, not the access. The
+  // one probe tells a resident from a ghost record (handed to the Regions)
+  // and from an unindexed id; kNoEntry carries the ghost tag too.
   bool MissLocked(size_t s, ObjectId id) {
-    if (core_.index.Contains(id)) {
+    const uint32_t entry = core_.index.Entry(id);
+    if (!StripedAtomicIndex::IsGhost(entry)) {
       return true;  // another thread (or an earlier buffered copy) admitted it
     }
-    regions_.AdmitLocked(s, id);
+    regions_.AdmitLocked(s, id, entry);
     core_.counters.Add(ConcurrentStatsCounters::kInserts);
     return false;
   }
@@ -447,8 +551,12 @@ class DomainCache : public ConcurrentCache {
         domain.buffers.Drain([&](uint64_t id) { MissLocked(s, id); });
     domain.helper_drain = false;
     // Reset, not subtract: a push racing this store is under-counted, which
-    // only delays the next best-effort helping pass.
-    domain.pending.store(0, std::memory_order_relaxed);
+    // only delays the next best-effort helping pass. A zero count is left
+    // unwritten, so a miss with nothing buffered does not pull the line
+    // that contended pushers and helpers touch.
+    if (domain.pending.load(std::memory_order_relaxed) != 0) {
+      domain.pending.store(0, std::memory_order_relaxed);
+    }
     core_.counters.AddDrainBatch(drained);
   }
 

@@ -9,10 +9,22 @@
 // nothing else, which is the property that lets FIFO designs scale where
 // LRU's lock-and-splice hit path cannot.
 //
+// Ghost entries: value bit 30 (kGhostTag) marks an entry as a ghost record,
+// the index-resident memory of an id its cache quick-demoted (§4). The
+// lock-free read side (Find/Contains/ForEach) treats a tagged entry as
+// absent, which costs a lookup one branch on the value it already loads;
+// the writer-side Entry() returns the raw value, so one probe under the
+// writer's lock tells a resident, a ghost and an unindexed id apart.
+// Callers therefore keep their own locations below bit 30 (the caches cap
+// capacity below 2^30, eviction_domains.h). Two counts per stripe:
+//  * `live` counts residents only, so size() is the resident count;
+//  * `entries` counts every entry, ghosts included; it alone drives
+//    growth, since a ghost fills a slot like any other entry.
+//
 // Concurrency contract:
 //  * Readers (Find) are wait-free in the common case and never block.
-//  * Mutations (Insert/Erase) must be serialized by the caller
-//    PER STRIPE. A stripe's writer bookkeeping (its live count and the
+//  * Mutations (Insert/Update/Erase) must be serialized by the caller
+//    PER STRIPE. A stripe's writer bookkeeping (its counts and the
 //    growth machinery) is guarded by whatever lock the caller wraps around
 //    that stripe's mutations. Two valid shapes exist in the caches:
 //      - one global eviction mutex (exactly one writer at a time), or
@@ -22,7 +34,7 @@
 //        same stripe. Both selections mask the same (FlatMapHash >> 32)
 //        bits, which is what makes the ownership exact.
 //    No writer state is shared across stripes: each stripe keeps its own
-//    live count on a cache line of its own, and size() sums them. So no
+//    counts on a cache line of its own, and size() sums them. So no
 //    insert or erase writes a process-global line, and none writes the
 //    line that every Find of its stripe reads.
 //    Either way there is one writer per stripe, which is what makes the
@@ -34,6 +46,10 @@
 //        is published in a slot.
 //      - Insert writes the value first, then publishes the key; a reader
 //        that observes the key (acquire) therefore observes a valid value.
+//      - Update release-stores a new value into the key's slot and leaves
+//        the key alone, so a reader pairs the key with its old value or its
+//        new one, never with another key's. This is how an entry moves
+//        between locations, and between resident and ghost, in place.
 //      - Erase tombstones the key's slot, then pulls the later entries of
 //        the probe run back into the hole (backward-shift deletion): each
 //        move publishes the entry into the hole like an Insert, then
@@ -63,11 +79,12 @@
 //
 // Keys are ObjectIds; the two top values (~0 and ~0-1) are reserved as
 // empty/tombstone sentinels. The read-side entry points (Find/Contains/
-// Erase) treat a reserved key as simply absent — a sentinel probe
+// Entry/Erase) treat a reserved key as simply absent — a sentinel probe
 // must never match a physical empty/tombstone slot, which would hand back
-// a garbage location and corrupt the caller's bookkeeping. Insert hard-
-// checks instead: admitting a reserved key is a caller bug (the server
-// rejects such keys at the wire, protocol.h).
+// a garbage location and corrupt the caller's bookkeeping. Insert and
+// Update hard-check instead: admitting a reserved key, or moving an entry
+// that does not exist, is a caller bug (the server rejects reserved keys
+// at the wire, protocol.h).
 //
 // Striping bounds probe runs, keeps growth O(stripe) instead of O(table),
 // and gives each stripe's header its own cache lines so readers of
@@ -93,9 +110,18 @@ class StripedAtomicIndex {
   static constexpr uint64_t kEmptyKey = ~uint64_t{0};
   // Only ever stored inside Erase (see the header comment).
   static constexpr uint64_t kTombstoneKey = ~uint64_t{0} - 1;
+  // Value bit that marks a ghost record (see the header comment).
+  static constexpr uint32_t kGhostTag = uint32_t{1} << 30;
+  // Entry()'s answer for an unindexed key. It carries the ghost tag too, so
+  // "not resident" is one bit test on whatever Entry() returned.
+  static constexpr uint32_t kNoEntry = ~uint32_t{0};
 
-  // `max_entries` sizes each stripe so the whole table holds that many live
-  // entries at <= 50% load under a perfectly uniform hash; stripes still
+  static constexpr bool IsGhost(uint32_t value) {
+    return (value & kGhostTag) != 0;
+  }
+
+  // `max_entries` sizes each stripe so the whole table holds that many
+  // entries, ghosts included, at <= 50% load under a perfectly uniform hash; stripes still
   // grow individually if the hash is unkind. `num_stripes` is rounded up to
   // a power of two.
   explicit StripedAtomicIndex(size_t max_entries, size_t num_stripes = 8) {
@@ -117,9 +143,10 @@ class StripedAtomicIndex {
     }
   }
 
-  // Lock-free. Returns true and stores the mapped value on success.
-  // Reserved (sentinel) keys are never present. May miss a key that a
-  // concurrent Erase shifts backward past this probe (a false miss).
+  // Lock-free. Returns true and stores the mapped value if `key` is
+  // resident; a ghost record reads as absent. Reserved (sentinel) keys are
+  // never present. May miss a key that a concurrent Erase shifts backward
+  // past this probe (a false miss).
   bool Find(ObjectId key, uint32_t* value) const {
     if (key >= kTombstoneKey) {
       return false;  // would match an empty/tombstone slot, not an entry
@@ -164,10 +191,11 @@ class StripedAtomicIndex {
       std::atomic_thread_fence(std::memory_order_acquire);
       if (v1 == stripe.version.load(std::memory_order_acquire) &&
           (v1 & 1) == 0) {
-        if (slot_key == key) {
-          *value = found_value;
+        if (slot_key != key || IsGhost(found_value)) {
+          return false;
         }
-        return slot_key == key;
+        *value = found_value;
+        return true;
       }
     }
   }
@@ -177,15 +205,25 @@ class StripedAtomicIndex {
     return Find(key, &value);
   }
 
+  // Writer-side (externally serialized): the key's raw value, ghost tag
+  // included, or kNoEntry if the key is not indexed.
+  uint32_t Entry(ObjectId key) const {
+    if (key >= kTombstoneKey) {
+      return kNoEntry;
+    }
+    const Slot* slot = FindSlot(key);
+    return slot != nullptr ? slot->value.load(std::memory_order_relaxed)
+                           : kNoEntry;
+  }
+
   // Writer-side (externally serialized). Key must be absent and must not
   // be a reserved sentinel (hard check: a sentinel insert would alias an
-  // empty slot and corrupt the table).
+  // empty slot and corrupt the table). `value` may carry the ghost tag.
   void Insert(ObjectId key, uint32_t value) {
     QDLP_CHECK(key < kTombstoneKey);
     const uint64_t hash = FlatMapHash(key);
     Stripe& stripe = stripes_[(hash >> 32) & stripe_mask_];
-    const size_t live = stripe.live.load(std::memory_order_relaxed) + 1;
-    MaybeGrow(stripe, live);
+    MaybeGrow(stripe, stripe.entries + 1);
     Slot* slots = stripe.slots.load(std::memory_order_relaxed);
     const uint64_t mask = stripe.mask.load(std::memory_order_relaxed);
     size_t index = hash & mask;
@@ -199,8 +237,25 @@ class StripedAtomicIndex {
       index = (index + 1) & mask;
     }
     Publish(slots[index], key, value);
-    // One writer per stripe: a relaxed load and store, no lock prefix.
-    stripe.live.store(live, std::memory_order_relaxed);
+    ++stripe.entries;
+    if (!IsGhost(value)) {
+      CountResident(stripe, true);
+    }
+  }
+
+  // Writer-side. Moves the key's entry in place: one release store of
+  // `value` into its slot (see the header comment). The key must be indexed
+  // (hard check: there is no slot to store into otherwise).
+  void Update(ObjectId key, uint32_t value) {
+    QDLP_CHECK(key < kTombstoneKey);
+    Slot* slot = FindSlot(key);
+    QDLP_CHECK(slot != nullptr);
+    const bool was_ghost = IsGhost(slot->value.load(std::memory_order_relaxed));
+    slot->value.store(value, std::memory_order_release);
+    if (was_ghost != IsGhost(value)) {
+      CountResident(stripes_[(FlatMapHash(key) >> 32) & stripe_mask_],
+                    was_ghost);
+    }
   }
 
   // Writer-side. Returns true if the key was present and is now removed.
@@ -225,6 +280,8 @@ class StripedAtomicIndex {
       }
       hole = (hole + 1) & mask;
     }
+    const bool was_ghost =
+        IsGhost(slots[hole].value.load(std::memory_order_relaxed));
     // Backward shift. The hole holds a tombstone, which readers probe past,
     // until nothing is left to move into it: an entry of the rest of the run
     // whose home is not in (hole, next] probes through the hole, so it is
@@ -246,14 +303,16 @@ class StripedAtomicIndex {
       hole = next;
     }
     slots[hole].key.store(kEmptyKey, std::memory_order_release);
-    stripe.live.store(stripe.live.load(std::memory_order_relaxed) - 1,
-                      std::memory_order_relaxed);
+    --stripe.entries;
+    if (!was_ghost) {
+      CountResident(stripe, false);
+    }
     return true;
   }
 
-  // Live-entry count, summed over the stripes. Relaxed: exact once the
-  // writers are quiescent, a point-in-time approximation while sharded
-  // writers are mutating.
+  // Resident-entry count, summed over the stripes; ghosts are not counted.
+  // Relaxed: exact once the writers are quiescent, a point-in-time
+  // approximation while sharded writers are mutating.
   size_t size() const {
     size_t total = 0;
     for (const Stripe& stripe : stripes_) {
@@ -262,8 +321,18 @@ class StripedAtomicIndex {
     return total;
   }
 
-  // Writer-quiescent iteration (used by invariant checks under the caches'
-  // eviction lock): fn(ObjectId, uint32_t).
+  // Ghost-record count. Writer-quiescent only (invariant checks under every
+  // writer lock): it reads the writer-only entry counts.
+  size_t ghosts() const {
+    size_t total = 0;
+    for (const Stripe& stripe : stripes_) {
+      total += stripe.entries - stripe.live.load(std::memory_order_relaxed);
+    }
+    return total;
+  }
+
+  // Writer-quiescent iteration over the residents (used by invariant checks
+  // under the caches' eviction lock): fn(ObjectId, uint32_t).
   template <typename Fn>
   void ForEach(Fn&& fn) const {
     for (const Stripe& stripe : stripes_) {
@@ -271,8 +340,9 @@ class StripedAtomicIndex {
       const uint64_t mask = stripe.mask.load(std::memory_order_relaxed);
       for (size_t i = 0; i <= mask; ++i) {
         const uint64_t key = slots[i].key.load(std::memory_order_acquire);
-        if (key != kEmptyKey) {
-          fn(key, slots[i].value.load(std::memory_order_relaxed));
+        const uint32_t value = slots[i].value.load(std::memory_order_relaxed);
+        if (key != kEmptyKey && !IsGhost(value)) {
+          fn(key, value);
         }
       }
     }
@@ -285,6 +355,7 @@ class StripedAtomicIndex {
       const Slot* slots = stripe.slots.load(std::memory_order_acquire);
       const uint64_t mask = stripe.mask.load(std::memory_order_relaxed);
       QDLP_CHECK(((mask + 1) & mask) == 0);
+      size_t entries = 0;
       size_t live = 0;
       for (size_t i = 0; i <= mask; ++i) {
         const uint64_t key = slots[i].key.load(std::memory_order_acquire);
@@ -293,15 +364,19 @@ class StripedAtomicIndex {
         }
         // Erase shifts entries back instead of leaving tombstones.
         QDLP_CHECK(key != kTombstoneKey);
-        ++live;
+        ++entries;
         // Reachability: the probe path from the key's home slot to its
-        // position crosses no empty slot, and ends at this slot.
-        uint32_t value;
-        QDLP_CHECK(Find(key, &value));
-        QDLP_CHECK(value == slots[i].value.load(std::memory_order_relaxed));
+        // position crosses no empty slot, and ends at this slot; the
+        // readers see exactly the residents.
+        const uint32_t value = slots[i].value.load(std::memory_order_relaxed);
+        QDLP_CHECK(Entry(key) == value);
+        uint32_t found;
+        QDLP_CHECK(Find(key, &found) == !IsGhost(value));
+        live += IsGhost(value) ? 0 : 1;
       }
       QDLP_CHECK(live == stripe.live.load(std::memory_order_relaxed));
-      QDLP_CHECK(live * kMaxLoadDen <= (mask + 1) * kMaxLoadNum);
+      QDLP_CHECK(entries == stripe.entries);
+      QDLP_CHECK(entries * kMaxLoadDen <= (mask + 1) * kMaxLoadNum);
     }
   }
 
@@ -331,17 +406,39 @@ class StripedAtomicIndex {
     std::atomic<uint64_t> mask{0};
     // Writer-only bookkeeping (guarded by the external writer lock), on a
     // line of its own so inserts and erases never invalidate the line
-    // above. `live` is atomic only so that size() may sum it concurrently.
+    // above. `live` (residents) is atomic only so that size() may sum it
+    // concurrently; `entries` (residents and ghosts) drives growth.
     alignas(64) std::atomic<size_t> live{0};
+    size_t entries = 0;
     std::unique_ptr<Slot[]> current;
     std::vector<std::unique_ptr<Slot[]>> retired;  // kept for stale readers
     size_t retired_slots = 0;
   };
 
   static constexpr size_t kMinStripeSlots = 16;
-  // A stripe doubles when its live entries would pass 7/10 of its slots.
+  // A stripe doubles when its entries would pass 7/10 of its slots.
   static constexpr size_t kMaxLoadNum = 7;
   static constexpr size_t kMaxLoadDen = 10;
+
+  // Writer-side probe: the key's slot, or nullptr if it is not indexed.
+  // Only the stripe's writer moves slots, so no seqlock. Callers screen out
+  // the reserved keys, which would match an empty slot.
+  Slot* FindSlot(ObjectId key) const {
+    const uint64_t hash = FlatMapHash(key);
+    const Stripe& stripe = stripes_[(hash >> 32) & stripe_mask_];
+    Slot* slots = stripe.slots.load(std::memory_order_relaxed);
+    const uint64_t mask = stripe.mask.load(std::memory_order_relaxed);
+    for (size_t index = hash & mask;; index = (index + 1) & mask) {
+      const uint64_t slot_key =
+          slots[index].key.load(std::memory_order_relaxed);
+      if (slot_key == key) {
+        return &slots[index];
+      }
+      if (slot_key == kEmptyKey) {
+        return nullptr;
+      }
+    }
+  }
 
   // Publish order: value first, key last, both release, so a reader that
   // acquires the key sees the value, and one that loads the value sees the
@@ -351,11 +448,18 @@ class StripedAtomicIndex {
     slot.key.store(key, std::memory_order_release);
   }
 
-  // Doubles the stripe if `live` entries would pass its load limit.
-  void MaybeGrow(Stripe& stripe, size_t live) {
+  // Counts a resident in or out of the stripe. One writer per stripe: a
+  // relaxed load and store, no lock prefix.
+  static void CountResident(Stripe& stripe, bool in) {
+    const size_t live = stripe.live.load(std::memory_order_relaxed);
+    stripe.live.store(in ? live + 1 : live - 1, std::memory_order_relaxed);
+  }
+
+  // Doubles the stripe if `entries` entries would pass its load limit.
+  void MaybeGrow(Stripe& stripe, size_t entries) {
     const uint64_t mask = stripe.mask.load(std::memory_order_relaxed);
     const size_t capacity = mask + 1;
-    if (live * kMaxLoadDen <= capacity * kMaxLoadNum) {
+    if (entries * kMaxLoadDen <= capacity * kMaxLoadNum) {
       return;
     }
     // The new array stays private until published, and the writer is the

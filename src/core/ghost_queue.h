@@ -8,9 +8,10 @@
 //
 // Backed by a slab intrusive FIFO plus an id index; refreshing an id is an
 // O(1) splice to the queue tail and consuming one is an O(1) unlink, so
-// there are no stale records to skip while trimming. The index backing is a
-// template parameter so the dense-id policy variants (batched sweep engine)
-// carry a direct-indexed ghost as well.
+// there are no stale records to skip while trimming. The qd-<base> wrapper
+// (QdCache) and the flash model keep their ghosts here; the FIFO designs
+// that own their index keep theirs in it instead (IndexedGhost,
+// src/concurrent/eviction_domains.h).
 
 #ifndef QDLP_SRC_CORE_GHOST_QUEUE_H_
 #define QDLP_SRC_CORE_GHOST_QUEUE_H_
@@ -20,18 +21,16 @@
 
 #include "src/trace/trace.h"
 #include "src/util/check.h"
-#include "src/util/dense_index.h"
+#include "src/util/flat_map.h"
 #include "src/util/intrusive_list.h"
 
 namespace qdlp {
 
-template <typename IndexFactory>
-class BasicGhostQueue {
+class GhostQueue {
  public:
   // A capacity of 0 is a valid degenerate queue: it remembers nothing, every
   // Insert is dropped and every Consume misses (QD with no history).
-  explicit BasicGhostQueue(size_t capacity, IndexFactory factory = {})
-      : capacity_(capacity), live_(factory.template Make<uint32_t>()) {
+  explicit GhostQueue(size_t capacity) : capacity_(capacity) {
     fifo_.Reserve(capacity);
     live_.Reserve(capacity);
   }
@@ -102,14 +101,8 @@ class BasicGhostQueue {
  private:
   size_t capacity_;
   IntrusiveList<ObjectId> fifo_;  // front = oldest
-  typename IndexFactory::template Index<uint32_t> live_;  // id -> fifo slot
+  FlatMap<uint32_t> live_;        // id -> fifo slot
 };
-
-using GhostQueue = BasicGhostQueue<FlatIndexFactory>;
-using DenseGhostQueue = BasicGhostQueue<DenseIndexFactory>;
-
-extern template class BasicGhostQueue<FlatIndexFactory>;
-extern template class BasicGhostQueue<DenseIndexFactory>;
 
 }  // namespace qdlp
 

@@ -9,8 +9,9 @@
 // The policy is its Regions' core (the interface in eviction_domains.h):
 // one shard spanning the whole capacity, with no mutex and no insert
 // buffers. Its index is a FlatMap (MakePolicy) or, over dense-id traces, a
-// DenseIndex (MakeDensePolicy), and the ghosts are BasicGhostQueues over
-// the same backing. Each count the Regions make becomes the matching
+// DenseIndex (MakeDensePolicy), with the striped index's ghost-tag rules,
+// so the ghosts live in it as they do in the lock-free caches' index and
+// an access is one probe. Each count the Regions make becomes the matching
 // Notify* event, so the counters and any AccessEventSink (Fig 3's
 // residency accounting, TtlCache's reaper) see every insert, eviction,
 // promotion, demotion and ghost hit as it happens.
@@ -40,16 +41,15 @@ template <template <typename> class Regions, typename Factory>
 class RegionsPolicy final : public EvictionPolicy {
  public:
   // `regions_args` follow the Regions' core argument, as in DomainCache.
+  // The index is sized for every resident and ghost record at once.
   template <typename... RegionsArgs>
   RegionsPolicy(size_t capacity, std::string name, const Factory& factory,
                 RegionsArgs&&... regions_args)
       : EvictionPolicy(capacity, std::move(name)),
-        index(capacity, factory),
-        factory_(factory),
-        regions_(*this, std::forward<RegionsArgs>(regions_args)...) {
-    // Index values are 32-bit locations, QD-LP-FIFO's with a region tag.
-    QDLP_CHECK(capacity <= 0x7FFFFFFFu);
-  }
+        index(DomainCore::CheckedCapacity(capacity) +
+                  Regions<RegionsPolicy>::GhostCapacity(capacity),
+              factory),
+        regions_(*this, std::forward<RegionsArgs>(regions_args)...) {}
 
   size_t size() const override { return index.size(); }
   bool Contains(ObjectId id) const override { return index.Contains(id); }
@@ -75,9 +75,12 @@ class RegionsPolicy final : public EvictionPolicy {
   // The region/index agreement DomainCache::CheckInvariants asserts.
   void CheckInvariants() const override {
     const size_t resident = regions_.CheckShardLocked(0);
-    // Every resident is indexed at its location, so equal counts mean the
-    // index holds nothing else.
+    CacheStats occupancy;
+    regions_.FillOccupancy(0, &occupancy);
+    // Every resident is indexed at its location and every ghost-list id at
+    // its ghost record, so equal counts mean the index holds nothing else.
     QDLP_CHECK(index.size() == resident);
+    QDLP_CHECK(index.ghosts() == occupancy.ghost_size);
     QDLP_CHECK(resident <= capacity());
     index.CheckInvariants();
     regions_.CheckSharedLocked();
@@ -88,13 +91,15 @@ class RegionsPolicy final : public EvictionPolicy {
   }
 
  protected:
+  // One probe: a resident is touched; a ghost record or kNoEntry (which
+  // carries the ghost tag too) goes to the Regions' admission.
   bool OnAccess(ObjectId id) override {
-    uint32_t value;
-    if (index.Find(id, &value)) {
-      regions_.Touch(value);
+    const uint32_t entry = index.Entry(id);
+    if (!StripedAtomicIndex::IsGhost(entry)) {
+      regions_.Touch(entry);
       return true;
     }
-    regions_.AdmitLocked(0, id);
+    regions_.AdmitLocked(0, id, entry);
     NotifyInsert(id);
     return false;
   }
@@ -105,48 +110,86 @@ class RegionsPolicy final : public EvictionPolicy {
 
  private:
   friend Regions<RegionsPolicy>;
+  friend IndexedGhost;  // the Regions' ghost writes ghost records
 
-  // The id index, with the calls the Regions make on StripedAtomicIndex.
+  // The id index, with the calls the Regions make on StripedAtomicIndex
+  // and its ghost-tag rules: the read side (Find/Contains/ForEach, size())
+  // sees residents only, Entry() the raw value.
   class Index {
    public:
-    Index(size_t capacity, const Factory& factory)
+    Index(size_t entries, const Factory& factory)
         : map_(factory.template Make<uint32_t>()) {
-      map_.Reserve(capacity);
+      map_.Reserve(entries);
     }
 
     bool Find(ObjectId id, uint32_t* value) const {
       const uint32_t* found = map_.Find(id);
-      if (found == nullptr) {
+      if (found == nullptr || StripedAtomicIndex::IsGhost(*found)) {
         return false;
       }
       *value = *found;
       return true;
     }
-    bool Contains(ObjectId id) const { return map_.Contains(id); }
-    void Insert(ObjectId id, uint32_t value) { map_[id] = value; }
-    bool Erase(ObjectId id) { return map_.Erase(id); }
+    bool Contains(ObjectId id) const {
+      uint32_t value;
+      return Find(id, &value);
+    }
+    uint32_t Entry(ObjectId id) const {
+      const uint32_t* found = map_.Find(id);
+      return found != nullptr ? *found : StripedAtomicIndex::kNoEntry;
+    }
+    void Insert(ObjectId id, uint32_t value) {
+      map_[id] = value;
+      ghosts_ += StripedAtomicIndex::IsGhost(value) ? 1 : 0;
+    }
+    // The id must be indexed, as StripedAtomicIndex::Update requires.
+    void Update(ObjectId id, uint32_t value) {
+      uint32_t* entry = map_.Find(id);
+      QDLP_CHECK(entry != nullptr);
+      ghosts_ += StripedAtomicIndex::IsGhost(value) ? 1 : 0;
+      ghosts_ -= StripedAtomicIndex::IsGhost(*entry) ? 1 : 0;
+      *entry = value;
+    }
+    bool Erase(ObjectId id) {
+      uint32_t erased;
+      if (!map_.Erase(id, &erased)) {
+        return false;
+      }
+      ghosts_ -= StripedAtomicIndex::IsGhost(erased) ? 1 : 0;
+      return true;
+    }
     template <typename Fn>
     void ForEach(Fn&& fn) const {
-      map_.ForEach(fn);
+      map_.ForEach([&](ObjectId id, uint32_t value) {
+        if (!StripedAtomicIndex::IsGhost(value)) {
+          fn(id, value);
+        }
+      });
     }
 
-    size_t size() const { return map_.size(); }
+    size_t size() const { return map_.size() - ghosts_; }
+    size_t ghosts() const { return ghosts_; }
     void Prefetch(ObjectId id) const { map_.Prefetch(id); }
-    void CheckInvariants() const { map_.CheckInvariants(); }
+    void CheckInvariants() const {
+      map_.CheckInvariants();
+      size_t ghosts = 0;
+      map_.ForEach([&](ObjectId, uint32_t value) {
+        ghosts += StripedAtomicIndex::IsGhost(value) ? 1 : 0;
+      });
+      QDLP_CHECK(ghosts == ghosts_);
+    }
     size_t MemoryBytes() const { return map_.MemoryBytes(); }
 
    private:
     typename Factory::template Index<uint32_t> map_;  // id -> location
+    size_t ghosts_ = 0;                                // tagged entries
   };
 
   // ---- The core interface. ----
-  using IndexFactory = Factory;
-
   size_t num_shards() const { return 1; }
   size_t shard_capacity(size_t) const { return capacity(); }
   size_t shard_base(size_t) const { return 0; }
   size_t ShardOf(ObjectId) const { return 0; }
-  const Factory& index_factory() const { return factory_; }
 
   void Count(ConcurrentStatsCounters::Counter kind, ObjectId id) {
     switch (kind) {
@@ -166,7 +209,6 @@ class RegionsPolicy final : public EvictionPolicy {
   void CountEviction(size_t, ObjectId id) { NotifyEvict(id); }
 
   Index index;
-  Factory factory_;
   Regions<RegionsPolicy> regions_;
 };
 

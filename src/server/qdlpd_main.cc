@@ -3,13 +3,15 @@
 //   qdlpd --port=7070 --capacity=1048576 --arena-mb=256
 //         --workers=2 --shards=2
 //
-// Runs until SIGINT/SIGTERM, then prints a final stats line. See
-// docs/SERVER.md for the protocol and bench/server_qps for the matching
-// load generator.
+// Runs until SIGINT/SIGTERM, then prints a final stats line. A flag value
+// that is not a decimal count in its range prints the usage and exits 2
+// before anything is allocated. See docs/SERVER.md for the protocol and
+// bench/server_qps for the matching load generator.
 
 #include <signal.h>
 
 #include <atomic>
+#include <charconv>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -18,6 +20,7 @@
 #include <string>
 #include <thread>
 
+#include "src/concurrent/eviction_domains.h"
 #include "src/obs/cache_stats.h"
 #include "src/server/server.h"
 
@@ -36,6 +39,19 @@ bool ParseFlag(const char* arg, const char* name, std::string* out) {
   return true;
 }
 
+// A decimal count in [min, max]: no sign, no trailing text, no overflow.
+bool ParseCount(const std::string& text, uint64_t min, uint64_t max,
+                uint64_t* out) {
+  uint64_t value = 0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc() || ptr != end || value < min || value > max) {
+    return false;
+  }
+  *out = value;
+  return true;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -43,24 +59,37 @@ int main(int argc, char** argv) {
   options.port = 7070;
   options.cache.capacity = 1 << 20;
   options.cache.value_arena_bytes = 256u << 20;
+  constexpr uint64_t kMaxSize = SIZE_MAX;
   for (int i = 1; i < argc; ++i) {
     std::string value;
+    uint64_t n = 0;
+    bool ok = false;
     if (ParseFlag(argv[i], "--port", &value)) {
-      options.port = static_cast<uint16_t>(std::stoul(value));
+      ok = ParseCount(value, 0, 65535, &n);
+      options.port = static_cast<uint16_t>(n);
     } else if (ParseFlag(argv[i], "--capacity", &value)) {
-      options.cache.capacity = std::stoull(value);
+      ok = ParseCount(value, 1, qdlp::DomainCore::kMaxCapacity, &n);
+      options.cache.capacity = n;
     } else if (ParseFlag(argv[i], "--arena-mb", &value)) {
-      options.cache.value_arena_bytes = std::stoull(value) << 20;
+      ok = ParseCount(value, 1, kMaxSize >> 20, &n);
+      options.cache.value_arena_bytes = n << 20;
     } else if (ParseFlag(argv[i], "--workers", &value)) {
-      options.num_workers = std::stoull(value);
+      ok = ParseCount(value, 1, kMaxSize, &n);
+      options.num_workers = n;
     } else if (ParseFlag(argv[i], "--shards", &value)) {
-      options.cache.num_shards = std::stoull(value);
+      ok = ParseCount(value, 1, kMaxSize, &n);
+      options.cache.num_shards = n;
     } else if (ParseFlag(argv[i], "--stripes", &value)) {
-      options.cache.num_stripes = std::stoull(value);
-    } else {
+      ok = ParseCount(value, 1, kMaxSize, &n);
+      options.cache.num_stripes = n;
+    }
+    if (!ok) {
       fprintf(stderr,
               "usage: qdlpd [--port=N] [--capacity=N] [--arena-mb=N]\n"
-              "             [--workers=N] [--shards=N] [--stripes=N]\n");
+              "             [--workers=N] [--shards=N] [--stripes=N]\n"
+              "  each N a decimal count of at least 1, except --port "
+              "(0 = any free port,\n"
+              "  at most 65535) and --capacity (at most 2^30 - 1)\n");
       return 2;
     }
   }

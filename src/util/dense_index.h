@@ -79,11 +79,15 @@ class DenseIndex {
 
   Value& operator[](Key key) { return *Emplace(key).first; }
 
-  bool Erase(Key key) {
+  // As FlatMap::Erase: `erased`, when given, receives the removed value.
+  bool Erase(Key key, Value* erased = nullptr) {
     QDLP_DCHECK(key < slots_.size());
     Slot& slot = slots_[key];
     if (!slot.present) {
       return false;
+    }
+    if (erased != nullptr) {
+      *erased = std::move(slot.value);
     }
     slot.present = false;
     slot.value = Value{};

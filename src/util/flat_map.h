@@ -140,11 +140,15 @@ class FlatMap {
     }
   }
 
-  // Returns true if the key was present and has been removed.
-  bool Erase(Key key) {
+  // Returns true if the key was present and has been removed; `erased`,
+  // when given, receives the value it mapped to.
+  bool Erase(Key key, Value* erased = nullptr) {
     const size_t slot = FindSlot(key);
     if (slot == kNotFound) {
       return false;
+    }
+    if (erased != nullptr) {
+      *erased = std::move(slots_[slot].value);
     }
     slots_[slot].state = kTombstone;
     slots_[slot].value = Value{};

@@ -5,6 +5,7 @@
 #include "src/core/cache_api.h"
 
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 
 #include <atomic>
 #include <memory>
@@ -77,6 +78,37 @@ TEST(CacheApiTest, MakeCacheRejectsBadConfigs) {
   EXPECT_EQ(MakeCache(config), nullptr);
   config.policy = "lru";
   EXPECT_EQ(MakeCache(config), nullptr);
+}
+
+// Caps a death-test child's address space at 2 GiB, so that a capacity
+// check placed after the index allocation fails on that allocation, with
+// another message, instead of drawing tens of GiB from the machine. ASan
+// and TSan reserve terabytes of shadow address space up front, so under
+// them the cap is left off.
+void CapAddressSpace() {
+#if !defined(__SANITIZE_ADDRESS__) && !defined(__SANITIZE_THREAD__)
+  const rlim_t bytes = rlim_t{2} << 30;
+  const rlimit limit{bytes, bytes};
+  setrlimit(RLIMIT_AS, &limit);
+#endif
+}
+
+// Index values carry tag bits, so capacity stays below 2^30. Both cores
+// check that before they size anything for the capacity: at 2^30 the
+// index alone would take tens of GiB.
+TEST(CacheApiDeathTest, CapacityBoundIsCheckedBeforeAnyAllocation) {
+  for (const char* policy : {"concurrent-qdlp-fifo", "qd-lp-fifo"}) {
+    CacheConfig config;
+    config.policy = policy;
+    config.capacity = size_t{1} << 30;
+    EXPECT_DEATH(
+        {
+          CapAddressSpace();
+          MakeCache(config);
+        },
+        "capacity must be below 2\\^30")
+        << policy;
+  }
 }
 
 TEST(CacheApiTest, MakeCacheRoutesValueEngine) {

@@ -1,6 +1,6 @@
-// StripedAtomicIndex: single-writer semantics, differential testing against
-// FlatMap, and lock-free-reader stress (a data-race hunting ground for the
-// tsan preset; see docs/TESTING.md).
+// StripedAtomicIndex: single-writer semantics, ghost records, differential
+// testing against FlatMap, and lock-free-reader stress (a data-race hunting
+// ground for the tsan preset; see docs/TESTING.md).
 
 #include <gtest/gtest.h>
 
@@ -17,6 +17,9 @@
 namespace qdlp {
 namespace {
 
+constexpr uint32_t kGhostTag = StripedAtomicIndex::kGhostTag;
+constexpr uint32_t kNoEntry = StripedAtomicIndex::kNoEntry;
+
 TEST(StripedIndexTest, InsertFindEraseBasics) {
   StripedAtomicIndex index(/*max_entries=*/64, /*num_stripes=*/4);
   uint32_t value = 0;
@@ -32,6 +35,13 @@ TEST(StripedIndexTest, InsertFindEraseBasics) {
   EXPECT_EQ(value, 80u);
   EXPECT_TRUE(index.Contains(7));
   EXPECT_FALSE(index.Contains(9));
+
+  index.Update(7, 71);
+  ASSERT_TRUE(index.Find(7, &value));
+  EXPECT_EQ(value, 71u);
+  EXPECT_EQ(index.Entry(7), 71u);
+  EXPECT_EQ(index.Entry(9), kNoEntry);
+  EXPECT_EQ(index.size(), 2u);
 
   EXPECT_TRUE(index.Erase(7));
   EXPECT_FALSE(index.Erase(7));
@@ -54,12 +64,80 @@ TEST(StripedIndexTest, ReservedSentinelKeysAreRejectedSafely) {
   EXPECT_FALSE(index.Contains(StripedAtomicIndex::kTombstoneKey));
   EXPECT_FALSE(index.Erase(StripedAtomicIndex::kEmptyKey));
   EXPECT_FALSE(index.Erase(StripedAtomicIndex::kTombstoneKey));
+  EXPECT_EQ(index.Entry(StripedAtomicIndex::kEmptyKey), kNoEntry);
+  EXPECT_EQ(index.Entry(StripedAtomicIndex::kTombstoneKey), kNoEntry);
   // The probes above disturbed nothing: live entries and size are intact.
   EXPECT_EQ(index.size(), 2u);
   ASSERT_TRUE(index.Find(1, &value));
   EXPECT_EQ(value, 10u);
   ASSERT_TRUE(index.Find(2, &value));
   EXPECT_EQ(value, 20u);
+  index.CheckInvariants();
+}
+
+// Update has no slot to store into for a key that is not indexed, and a
+// reserved key would alias an empty slot: both are caller bugs.
+TEST(StripedIndexDeathTest, UpdateNeedsAnIndexedKey) {
+  StripedAtomicIndex index(/*max_entries=*/64, /*num_stripes=*/4);
+  index.Insert(1, 10);
+  EXPECT_DEATH(index.Update(2, 20), "QDLP_CHECK failed");
+  EXPECT_DEATH(index.Update(StripedAtomicIndex::kEmptyKey, 99),
+               "QDLP_CHECK failed");
+  EXPECT_DEATH(index.Update(StripedAtomicIndex::kTombstoneKey, 99),
+               "QDLP_CHECK failed");
+}
+
+// A ghost record (value tagged kGhostTag) is absent to the readers and to
+// size(), present to the writer-side Entry(), counted for growth, and moves
+// to and from resident in place through Update.
+TEST(StripedIndexTest, GhostRecordsAreAbsentToReadersButFillTheTable) {
+  // One stripe of 32 slots, which doubles past 22 entries.
+  StripedAtomicIndex index(/*max_entries=*/16, /*num_stripes=*/1);
+  const size_t bytes_at_start = index.MemoryBytes();
+  EXPECT_TRUE(StripedAtomicIndex::IsGhost(kNoEntry));
+  index.Insert(1, 10);
+  index.Insert(2, kGhostTag | 20);
+  uint32_t value = 0;
+  EXPECT_FALSE(index.Find(2, &value));
+  EXPECT_FALSE(index.Contains(2));
+  EXPECT_EQ(index.Entry(2), kGhostTag | 20);
+  EXPECT_EQ(index.size(), 1u);
+  EXPECT_EQ(index.ghosts(), 1u);
+  size_t visited = 0;
+  index.ForEach([&](ObjectId id, uint32_t) {
+    EXPECT_EQ(id, 1u);
+    ++visited;
+  });
+  EXPECT_EQ(visited, 1u);
+
+  // Resident -> ghost and ghost -> resident, each in place.
+  index.Update(1, kGhostTag | 11);
+  EXPECT_FALSE(index.Contains(1));
+  EXPECT_EQ(index.Entry(1), kGhostTag | 11);
+  index.Update(2, 21);
+  ASSERT_TRUE(index.Find(2, &value));
+  EXPECT_EQ(value, 21u);
+  EXPECT_EQ(index.size(), 1u);
+  EXPECT_EQ(index.ghosts(), 1u);
+  index.CheckInvariants();
+
+  // Erasing a ghost leaves the resident count alone.
+  EXPECT_TRUE(index.Erase(1));
+  EXPECT_EQ(index.Entry(1), kNoEntry);
+  EXPECT_EQ(index.size(), 1u);
+  EXPECT_EQ(index.ghosts(), 0u);
+
+  // Ghosts alone grow the stripe: they occupy slots like residents.
+  for (ObjectId id = 100; id < 130; ++id) {
+    index.Insert(id, kGhostTag | static_cast<uint32_t>(id));
+  }
+  EXPECT_GT(index.MemoryBytes(), bytes_at_start);
+  EXPECT_EQ(index.size(), 1u);
+  EXPECT_EQ(index.ghosts(), 30u);
+  for (ObjectId id = 100; id < 130; ++id) {
+    EXPECT_EQ(index.Entry(id), kGhostTag | static_cast<uint32_t>(id));
+    EXPECT_FALSE(index.Contains(id));
+  }
   index.CheckInvariants();
 }
 
@@ -82,10 +160,10 @@ TEST(StripedIndexTest, ForEachVisitsEveryLiveEntryOnce) {
   }
 }
 
-// Differential: random insert/erase churn must agree with FlatMap at every
-// step (rolls of 80 and up only advance the stream). Keys are drawn from a
-// small universe, so probe runs are long and most erases shift later
-// entries of the run back into the hole.
+// Differential: random insert/erase/update churn must agree with FlatMap at
+// every step, where updates also turn entries into ghost records and back.
+// Keys are drawn from a small universe, so probe runs are long and most
+// erases shift later entries of the run back into the hole.
 TEST(StripedIndexTest, ChurnMatchesFlatMap) {
   StripedAtomicIndex index(/*max_entries=*/200, /*num_stripes=*/4);
   FlatMap<uint32_t> model;
@@ -104,15 +182,28 @@ TEST(StripedIndexTest, ChurnMatchesFlatMap) {
     } else if (roll < 80) {
       const bool erased_model = model.Erase(id);
       EXPECT_EQ(index.Erase(id), erased_model);
+    } else if (uint32_t* entry = model.Find(id)) {
+      // Odd rolls make the entry a ghost record, even ones a resident.
+      *entry = static_cast<uint32_t>(step) | (roll % 2 == 1 ? kGhostTag : 0);
+      index.Update(id, *entry);
     }
     if (step % 512 == 0) {
       index.CheckInvariants();
-      EXPECT_EQ(index.size(), model.size());
+      size_t ghosts = 0;
+      model.ForEach([&](ObjectId, uint32_t value) {
+        ghosts += StripedAtomicIndex::IsGhost(value) ? 1 : 0;
+      });
+      EXPECT_EQ(index.size(), model.size() - ghosts);
+      EXPECT_EQ(index.ghosts(), ghosts);
       for (ObjectId probe = 0; probe < kUniverse; ++probe) {
         uint32_t value;
         const uint32_t* expected = model.Find(probe);
-        ASSERT_EQ(index.Find(probe, &value), expected != nullptr);
-        if (expected != nullptr) {
+        ASSERT_EQ(index.Entry(probe),
+                  expected != nullptr ? *expected : kNoEntry);
+        const bool resident =
+            expected != nullptr && !StripedAtomicIndex::IsGhost(*expected);
+        ASSERT_EQ(index.Find(probe, &value), resident);
+        if (resident) {
           EXPECT_EQ(value, *expected);
         }
       }
@@ -166,29 +257,36 @@ TEST(StripedIndexTest, ChurnAtConstantSizeKeepsMemoryFlat) {
 }
 
 // Lock-free readers vs one mutating writer. The writer maintains the
-// self-certifying mapping value == f(id), so any torn/stale read a reader
-// could observe would break the equality; under TSan this is also the
-// data-race probe for the seqlock + release/acquire slot protocol. Two
-// inputs: four stripes at about half load, and one stripe whose live count
-// hovers near 60% of its slots and never grows. In the second, most erases
-// shift several entries back, so a reader that paired a key with a shifted
-// neighbour's value would show up there.
+// self-certifying mapping value == f(id) for residents (f keeps the ghost
+// tag clear), so any torn/stale read a reader could observe would break the
+// equality; under TSan this is also the data-race probe for the seqlock +
+// release/acquire slot protocol. Three inputs: four stripes at about half
+// load; one stripe whose live count hovers near 60% of its slots and never
+// grows, where most erases shift several entries back, so a reader that
+// paired a key with a shifted neighbour's value would show up; and four
+// growing stripes whose writer also flips entries between resident and
+// ghost record with in-place Updates, where a reader must never take a
+// ghost value for a hit.
 TEST(StripedIndexTest, ReadersNeverSeeTornValuesUnderChurn) {
   struct Input {
     size_t max_entries;
     size_t num_stripes;
     uint64_t universe;
     bool never_grows;
+    bool flips_ghosts;
   };
   // One stripe of 1024 slots; toggling a universe of 1228 ids keeps about
   // 614 live, below the 717 that would double it.
-  for (const Input& input : {Input{256, 4, 512, false},
-                             Input{512, 1, 1228, true}}) {
-    SCOPED_TRACE(input.num_stripes);
+  for (const Input& input : {Input{256, 4, 512, false, false},
+                             Input{512, 1, 1228, true, false},
+                             Input{256, 4, 512, false, true}}) {
+    SCOPED_TRACE(testing::Message() << input.num_stripes << " stripes, "
+                                    << (input.flips_ghosts ? "" : "no ")
+                                    << "ghost flips");
     StripedAtomicIndex index(input.max_entries, input.num_stripes);
     const size_t bytes_at_start = index.MemoryBytes();
     const auto value_of = [](ObjectId id) {
-      return static_cast<uint32_t>(id * 2654435761u + 17);
+      return static_cast<uint32_t>(id * 2654435761u + 17) & ~kGhostTag;
     };
     std::atomic<bool> stop{false};
     std::atomic<uint64_t> reader_hits{0};
@@ -214,15 +312,19 @@ TEST(StripedIndexTest, ReadersNeverSeeTornValuesUnderChurn) {
     }
 
     Rng rng(99);
-    FlatMap<uint32_t> present;
+    FlatMap<uint32_t> present;  // id -> whether it is a ghost record
     for (int step = 0; step < 200000; ++step) {
       const ObjectId id = rng.NextBounded(input.universe);
-      if (present.Contains(id)) {
+      uint32_t* ghost = present.Find(id);
+      if (ghost == nullptr) {
+        *present.Emplace(id).first = 0;
+        index.Insert(id, value_of(id));
+      } else if (input.flips_ghosts && rng.NextBounded(3) != 0) {
+        *ghost = *ghost == 0 ? 1 : 0;
+        index.Update(id, *ghost ? kGhostTag | value_of(id) : value_of(id));
+      } else {
         present.Erase(id);
         index.Erase(id);
-      } else {
-        *present.Emplace(id).first = 1;
-        index.Insert(id, value_of(id));
       }
     }
     stop.store(true, std::memory_order_release);
