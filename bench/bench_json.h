@@ -91,7 +91,6 @@ inline const std::vector<BenchStatsField>& BenchStatsFields() {
       {"lock_acquisitions", &CacheStats::lock_acquisitions},
       {"lock_failures", &CacheStats::lock_failures},
       {"buffer_drops", &CacheStats::buffer_drops},
-      {"cross_shard_demotions", &CacheStats::cross_shard_demotions},
       {"drain_batch_le8", &CacheStats::drain_batch_le8},
       {"drain_batch_le64", &CacheStats::drain_batch_le64},
       {"drain_batch_gt64", &CacheStats::drain_batch_gt64},

@@ -188,13 +188,13 @@ BENCHMARK(BM_ConcurrentQdLpFifoSkew)
     ->Threads(2)
     ->UseRealTime();
 
-// The headline contest (the ISSUE's acceptance bar): QD-LP-FIFO under a
-// miss-heavy workload — small cache (1<<14) vs the full 1<<18 key space at
-// low skew, so most Gets take the eviction path — with one eviction domain
-// vs eight, at the highest measured thread count. With shards:1 every miss
-// fights for the single mutex; shards:8 spreads the same misses across
-// eight domains (plus the helping pass), which is exactly where the
-// sharded design must win.
+// The headline contest: QD-LP-FIFO under a miss-heavy workload — small
+// cache (1<<14) vs the full 1<<18 key space at low skew, so most Gets take
+// the eviction path — with one eviction domain vs eight, at the highest
+// measured thread count. With shards:1 every miss fights for the single
+// mutex; shards:8 spreads the same misses across eight domains, each
+// drained by its own next lock holder, which is exactly where the sharded
+// design must win.
 constexpr size_t kMissHeavyCapacity = 1 << 14;
 void BM_ConcurrentQdLpFifoMissHeavy(benchmark::State& state) {
   BM_ConcurrentGet<ConcurrentQdLpFifo>(

@@ -1,6 +1,6 @@
 // CLI: replay your own trace through any policy.
 //
-//   $ ./examples/replay_trace <trace.{csv,bin}> <policy>[,policy...] \
+//   $ ./examples/replay_trace <trace.{csv,bin}> <policy>[,policy...]
 //         [cache_fraction]
 //
 // The trace is one object id per line (CSV) or the qdlp binary format

@@ -11,10 +11,10 @@
 // each with its own mutex, hand, bump allocator, free list, and BP-Wrapper
 // insert buffers. A missing thread try-locks its id's home domain; on
 // failure it buffers the id in that domain's MPSC rings and returns; the
-// next holder drains the batch under its single acquisition, then makes
-// one helping pass over backlogged foreign domains. Misses to different
-// domains admit and evict fully in parallel. DomainCache implements that
-// protocol; ClockRegions below is only the ring.
+// next holder of that domain's lock drains the batch under its single
+// acquisition. Misses to different domains admit and evict fully in
+// parallel. DomainCache implements that protocol; ClockRegions below is
+// only the ring.
 //
 // Driven from a single thread with num_shards == 1 (the default) the
 // behavior is exactly the sequential CLOCK spec (the try_lock always
@@ -89,7 +89,7 @@ void ClockRegions<Core>::AdmitLocked(size_t s, ObjectId id, uint32_t entry) {
   });
   const ObjectId evicted = ring_.id(victim);
   core_.index.Erase(evicted);
-  core_.CountEviction(s, evicted);
+  core_.Count(ConcurrentStatsCounters::kEvictions, evicted);
   // No slot is free, so the newcomer takes the victim's.
   ring_.Replace(victim, id);
   core_.index.Insert(id, victim);
@@ -111,7 +111,7 @@ extern template class DomainCache<ClockRegions<DomainCore>>;
 
 class ConcurrentClockCache : public DomainCache<ClockRegions<DomainCore>> {
  public:
-  // `num_shards` eviction domains (rounded/clamped by EvictionDomains);
+  // `num_shards` eviction domains (rounded/clamped by DomainCore);
   // the index gets max(num_stripes, shard count) stripes so every domain
   // owns a disjoint stripe set (see eviction_domains.h).
   ConcurrentClockCache(size_t capacity, int bits = 1, size_t num_stripes = 16,

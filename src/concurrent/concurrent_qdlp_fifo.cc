@@ -13,7 +13,7 @@ ConcurrentQdLpFifo::ConcurrentQdLpFifo(size_t capacity, size_t num_stripes,
                                        size_t num_shards,
                                        QdlpValueOptions value_options)
     // Every shard needs a probation slot and a main slot, so shares must
-    // be at least 2; EvictionDomains halves the shard count until so.
+    // be at least 2; DomainCore halves the shard count until so.
     : DomainCache(capacity, num_stripes, num_shards,
                   /*min_capacity_per_shard=*/2, value_options) {}
 

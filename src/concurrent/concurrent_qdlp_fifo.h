@@ -359,7 +359,7 @@ void QdLpRegions<Core>::EvictFromProbation(size_t s) {
   shard.ghost.Push(core_, victim);
   ClearCell(pos);
   core_.Count(ConcurrentStatsCounters::kDemotions, victim);
-  core_.CountEviction(s, victim);
+  core_.Count(ConcurrentStatsCounters::kEvictions, victim);
 }
 
 template <typename Core>
@@ -391,7 +391,7 @@ void QdLpRegions<Core>::EvictMain(size_t s) {
   core_.index.Erase(victim);
   ClearCell(CellOf(kMainBit | slot));
   main_.Free(s, slot);
-  core_.CountEviction(s, victim);
+  core_.Count(ConcurrentStatsCounters::kEvictions, victim);
 }
 
 template <typename Core>

@@ -9,9 +9,9 @@
 // (eviction_domains.h): each domain owns a slab region, its own
 // small/main FIFOs and ghost, one mutex, and BP-Wrapper insert buffers.
 // Contended misses buffer their id into the home domain's MPSC rings and
-// return; the next holder drains the batch under its single acquisition,
-// then makes one helping pass over backlogged foreign domains.
-// DomainCache implements that protocol; S3FifoRegions below is the queues.
+// return; the next holder of that domain's lock drains the batch under its
+// single acquisition. DomainCache implements that protocol; S3FifoRegions
+// below is the queues.
 //
 // Storage is one fixed slab of nodes (no per-object allocation),
 // partitioned by shard: the small and main FIFOs are intrusive
@@ -284,7 +284,7 @@ void S3FifoRegions<Core>::EvictSmall(size_t s) {
   shard.ghost.Push(core_, node.id);
   FreeSlot(s, slot);
   core_.Count(ConcurrentStatsCounters::kDemotions, node.id);
-  core_.CountEviction(s, node.id);
+  core_.Count(ConcurrentStatsCounters::kEvictions, node.id);
 }
 
 template <typename Core>
@@ -302,7 +302,7 @@ void S3FifoRegions<Core>::EvictMain(size_t s) {
     }
     core_.index.Erase(node.id);
     FreeSlot(s, slot);
-    core_.CountEviction(s, node.id);
+    core_.Count(ConcurrentStatsCounters::kEvictions, node.id);
     return;
   }
 }
@@ -357,7 +357,7 @@ class ConcurrentS3FifoCache
     : public DomainCache<S3FifoRegions<DomainCore>> {
  public:
   // `num_stripes` sizes the lock-free index's striping; `num_shards` the
-  // eviction domains (rounded/clamped by EvictionDomains). The index gets
+  // eviction domains (rounded/clamped by DomainCore). The index gets
   // max(num_stripes, shard count) stripes so every domain owns a disjoint
   // stripe set (see eviction_domains.h).
   explicit ConcurrentS3FifoCache(size_t capacity, size_t num_stripes = 16,

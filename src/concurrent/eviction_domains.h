@@ -3,11 +3,11 @@
 // DomainCache, the one implementation of the protocol over them.
 //
 // Each cache partitions its queue storage into S independent domains
-// selected by id hash; a domain owns a slab region, one mutex, one bank of
-// per-thread-ordinal insert buffers (BP-Wrapper, mpsc_ring.h), and an
-// approximate count of buffered misses. Misses to different domains
-// admit/evict fully in parallel; the lock-free striped_index hit path
-// stays global and untouched.
+// selected by id hash; a domain owns a slab region, one mutex and one bank
+// of per-thread-ordinal insert buffers (BP-Wrapper, mpsc_ring.h). Misses
+// to different domains admit/evict fully in parallel; the lock-free
+// striped_index hit path stays global and untouched. DomainCore holds the
+// domains next to the index and the counters they share.
 //
 // Shard selection is deliberately the same bit extraction the striped
 // index uses for stripe selection — (FlatMapHash(id) >> 32) masked by a
@@ -25,28 +25,27 @@
 // split into regions), so tiny caches degrade to fewer shards instead of
 // failing.
 //
-// Drain protocol (implemented by DomainCache below):
+// Drain protocol (implemented by DomainCache below), BP-Wrapper's: a
+// domain's buffered misses are admitted by the next thread that takes its
+// lock, and by nothing else.
 //   * A missing thread try-locks its id's home domain; on success it
 //     drains that domain's buffers and admits inline.
-//   * On failure it buffers the id in the home domain's rings (bumping
-//     `pending`) and returns — Get() never blocks. A full ring drops the
-//     admission (counted as a buffer_drop).
-//   * After a successful inline miss, the thread makes one
-//     thread-ordinal-affine helping pass: starting from its own ordinal's
-//     shard, it try-locks any other domain whose `pending` exceeds
-//     help_threshold() and drains it. Evictions performed during such a
-//     helper drain are the cross-shard demotions surfaced in CacheStats.
+//   * On failure it buffers the id in the home domain's rings and returns
+//     — Get() never blocks. A full ring drops the admission (counted as a
+//     buffer_drop).
+//   * Every other holder of the lock (a blocking Admit, Remove or
+//     SetValue, and CheckInvariants) drains the buffers first too, so no
+//     buffered miss lands after the holder's operation. When a domain's
+//     misses stop, its buffered ids wait for that next holder.
 //
-// With S == 1 (the default everywhere) there is exactly one domain, the
-// helping pass has nothing to scan, and a single-threaded caller's
-// try_lock always succeeds — behavior is bit-identical to the pre-sharded
-// single-mutex caches.
+// With S == 1 (the default everywhere) there is exactly one domain, and a
+// single-threaded caller's try_lock always succeeds — behavior is
+// bit-identical to the pre-sharded single-mutex caches.
 
 #ifndef QDLP_SRC_CONCURRENT_EVICTION_DOMAINS_H_
 #define QDLP_SRC_CONCURRENT_EVICTION_DOMAINS_H_
 
 #include <algorithm>
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -62,118 +61,26 @@
 #include "src/util/check.h"
 #include "src/util/flat_map.h"
 #include "src/util/intrusive_list.h"
-#include "src/util/thread_ordinal.h"
 
 namespace qdlp {
 
 // One eviction domain. The mutex guards the owning cache's per-shard queue
-// state and this struct's `helper_drain` flag; `pending` is an approximate
-// relaxed counter of ids sitting in `buffers`.
+// state and is the only consumer of `buffers`.
 struct EvictionDomain {
   // Mutable so const observers (Stats) can lock for a coherent snapshot.
   alignas(64) mutable std::mutex mu;
-  // True while the current lock holder is draining on behalf of another
-  // shard's miss (the helping pass): evictions under this flag are counted
-  // as cross-shard demotions. Guarded by mu.
-  bool helper_drain = false;
   // This shard's capacity share and the first slot of its slab region.
   size_t capacity = 0;
   size_t base = 0;
-  // Buffered misses awaiting the next drain. Approximate: pushes bump it,
-  // drains reset it to zero, and a push racing a drain can be zeroed early
-  // — it only steers the best-effort helping pass.
-  std::atomic<size_t> pending{0};
   InsertBuffers buffers;
 
   explicit EvictionDomain(size_t num_rings, size_t ring_capacity)
       : buffers(num_rings, ring_capacity) {}
 };
 
-class EvictionDomains {
- public:
-  // `num_shards` is rounded up to a power of two (capped at kMaxShards,
-  // matching the striped index's stripe cap) and halved until every
-  // shard's capacity share is >= min_capacity_per_shard.
-  EvictionDomains(size_t capacity, size_t num_shards,
-                  size_t min_capacity_per_shard)
-      : capacity_(capacity) {
-    QDLP_CHECK(num_shards >= 1);
-    QDLP_CHECK(min_capacity_per_shard >= 1);
-    QDLP_CHECK(capacity >= min_capacity_per_shard);
-    size_t shards = 1;
-    while (shards < num_shards && shards < kMaxShards) {
-      shards *= 2;
-    }
-    while (shards > 1 && capacity / shards < min_capacity_per_shard) {
-      shards /= 2;
-    }
-    mask_ = shards - 1;
-    // One domain keeps the historical 8x256 buffer bank; with many domains
-    // each keeps its own (smaller) bank so aggregate buffer space grows
-    // sub-linearly with the shard count.
-    const size_t rings = shards == 1 ? 8 : 4;
-    const size_t ring_capacity = shards == 1 ? 256 : 128;
-    shards_.reserve(shards);
-    const size_t base_share = capacity / shards;
-    size_t remainder = capacity % shards;
-    size_t next_base = 0;
-    size_t buffer_slots = 0;
-    for (size_t i = 0; i < shards; ++i) {
-      auto domain = std::make_unique<EvictionDomain>(rings, ring_capacity);
-      domain->capacity = base_share + (remainder > 0 ? 1 : 0);
-      if (remainder > 0) {
-        --remainder;
-      }
-      domain->base = next_base;
-      next_base += domain->capacity;
-      buffer_slots += rings * ring_capacity;
-      shards_.push_back(std::move(domain));
-    }
-    QDLP_CHECK(next_base == capacity);
-    // A helper steps in once a shard has a meaningful batch queued: a
-    // quarter of its buffer space, never more than its capacity share (a
-    // tiny shard overflows its share quickly), never less than one.
-    const size_t per_shard_slots = buffer_slots / shards;
-    help_threshold_ = std::max<size_t>(
-        1, std::min(shards_[0]->capacity, per_shard_slots / 4));
-  }
-
-  size_t num_shards() const { return shards_.size(); }
-  size_t capacity() const { return capacity_; }
-  size_t help_threshold() const { return help_threshold_; }
-
-  // Same bit extraction as the striped index's stripe choice: shard s owns
-  // the disjoint stripe set {t : t & mask_ == s} whenever the index has at
-  // least num_shards() stripes.
-  size_t ShardOf(ObjectId id) const {
-    return (FlatMapHash(id) >> 32) & mask_;
-  }
-
-  EvictionDomain& shard(size_t s) { return *shards_[s]; }
-  const EvictionDomain& shard(size_t s) const { return *shards_[s]; }
-
-  size_t MemoryBytes() const {
-    size_t bytes = 0;
-    for (const auto& domain : shards_) {
-      bytes += sizeof(EvictionDomain) + domain->buffers.MemoryBytes();
-    }
-    return bytes;
-  }
-
- private:
-  // Matches the striped index's 256-stripe cap so shard selection can
-  // always align with a stripe set.
-  static constexpr size_t kMaxShards = 256;
-
-  const size_t capacity_;
-  size_t mask_ = 0;
-  size_t help_threshold_ = 1;
-  std::vector<std::unique_ptr<EvictionDomain>> shards_;
-};
-
-// What DomainCache shares with its Regions: the id index (whose values are
-// the Regions' own location encoding, plus the ghost records of those that
-// keep a ghost), the domains and the flow counters.
+// What DomainCache shares with its Regions: the eviction domains, the id
+// index (whose values are the Regions' own location encoding, plus the
+// ghost records of those that keep a ghost) and the flow counters.
 //
 // A Regions type is a template over its core and reaches shared state only
 // through this interface, which the serial core of the single-threaded
@@ -181,11 +88,12 @@ class EvictionDomains {
 //
 //   index.Find / Entry / Insert / Update / Erase / Contains / ForEach
 //   num_shards(), capacity(), shard_capacity(s), shard_base(s), ShardOf(id)
-//   Count(kind, id), CountEviction(s, id)
+//   Count(kind, id)
 //
-// The ids on the counting calls are for the serial core's per-object
-// events; this core ignores them.
-struct DomainCore {
+// The id on Count is for the serial core's per-object events; this core
+// ignores it.
+class DomainCore {
+ public:
   // Index values are 32-bit locations below the index's ghost tag (bit 30);
   // QD-LP-FIFO spends bit 31 on a region tag.
   static constexpr size_t kMaxCapacity = StripedAtomicIndex::kGhostTag - 1;
@@ -198,55 +106,107 @@ struct DomainCore {
     return capacity;
   }
 
+  // `num_shards` is rounded up to a power of two (capped at kMaxShards,
+  // matching the striped index's stripe cap) and halved until every
+  // shard's capacity share is >= min_capacity_per_shard.
   // `ghost_capacity(share)` is the Regions' ghost size for one capacity
   // share; the index is sized for every resident and ghost at once, so it
-  // never grows (and retires arrays) while the cache fills.
+  // never grows (and retires arrays) while the cache fills. Its
+  // max(num_stripes, shard count) stripes give every eviction domain a
+  // disjoint stripe set, so the index's per-stripe writer serialization
+  // holds under the per-shard mutexes.
   DomainCore(size_t capacity, size_t num_stripes, size_t num_shards,
              size_t min_capacity_per_shard,
              size_t (*ghost_capacity)(size_t share))
-      : domains(CheckedCapacity(capacity), num_shards,
-                min_capacity_per_shard),
-        // Stripes >= shards so every eviction domain owns a disjoint stripe
-        // set and the index's per-stripe writer serialization holds under
-        // the per-shard mutexes.
-        index(IndexEntries(domains, ghost_capacity),
-              std::max(num_stripes, num_shards)) {
-    QDLP_CHECK(index.num_stripes() >= domains.num_shards());
+      : capacity_(CheckedCapacity(capacity)),
+        shards_(MakeShards(capacity, num_shards, min_capacity_per_shard)),
+        mask_(shards_.size() - 1),
+        index(IndexEntries(capacity, shards_, ghost_capacity),
+              std::max(num_stripes, shards_.size())) {
+    QDLP_CHECK(index.num_stripes() >= shards_.size());
   }
 
-  size_t num_shards() const { return domains.num_shards(); }
-  size_t capacity() const { return domains.capacity(); }
-  size_t shard_capacity(size_t s) const { return domains.shard(s).capacity; }
-  size_t shard_base(size_t s) const { return domains.shard(s).base; }
-  size_t ShardOf(ObjectId id) const { return domains.ShardOf(id); }
+  size_t num_shards() const { return shards_.size(); }
+  size_t capacity() const { return capacity_; }
+  size_t shard_capacity(size_t s) const { return shards_[s]->capacity; }
+  size_t shard_base(size_t s) const { return shards_[s]->base; }
+
+  // Same bit extraction as the striped index's stripe choice: shard s owns
+  // the disjoint stripe set {t : t & mask_ == s} whenever the index has at
+  // least num_shards() stripes.
+  size_t ShardOf(ObjectId id) const {
+    return (FlatMapHash(id) >> 32) & mask_;
+  }
+
+  EvictionDomain& shard(size_t s) { return *shards_[s]; }
+  const EvictionDomain& shard(size_t s) const { return *shards_[s]; }
 
   void Count(ConcurrentStatsCounters::Counter kind, ObjectId) {
     counters.Add(kind);
   }
 
-  // Counts an eviction from shard s. Evictions performed while draining
-  // for another shard's miss (the helping pass) are also cross-shard
-  // demotions.
-  void CountEviction(size_t s, ObjectId) {
-    counters.Add(ConcurrentStatsCounters::kEvictions);
-    if (domains.shard(s).helper_drain) {
-      counters.Add(ConcurrentStatsCounters::kCrossShardDemotions);
+  size_t MemoryBytes() const {
+    size_t bytes = index.MemoryBytes() + counters.MemoryBytes();
+    for (const auto& domain : shards_) {
+      bytes += sizeof(EvictionDomain) + domain->buffers.MemoryBytes();
     }
+    return bytes;
   }
 
-  EvictionDomains domains;
-  StripedAtomicIndex index;
-  ConcurrentStatsCounters counters;
-
  private:
-  static size_t IndexEntries(const EvictionDomains& domains,
-                             size_t (*ghost_capacity)(size_t share)) {
-    size_t entries = domains.capacity();
-    for (size_t s = 0; s < domains.num_shards(); ++s) {
-      entries += ghost_capacity(domains.shard(s).capacity);
+  // Matches the striped index's 256-stripe cap so shard selection can
+  // always align with a stripe set.
+  static constexpr size_t kMaxShards = 256;
+
+  static std::vector<std::unique_ptr<EvictionDomain>> MakeShards(
+      size_t capacity, size_t num_shards, size_t min_capacity_per_shard) {
+    QDLP_CHECK(num_shards >= 1);
+    QDLP_CHECK(min_capacity_per_shard >= 1);
+    QDLP_CHECK(capacity >= min_capacity_per_shard);
+    size_t shards = 1;
+    while (shards < num_shards && shards < kMaxShards) {
+      shards *= 2;
+    }
+    while (shards > 1 && capacity / shards < min_capacity_per_shard) {
+      shards /= 2;
+    }
+    // One domain keeps the historical 8x256 buffer bank; with many domains
+    // each keeps its own (smaller) bank so aggregate buffer space grows
+    // sub-linearly with the shard count.
+    const size_t rings = shards == 1 ? 8 : 4;
+    const size_t ring_capacity = shards == 1 ? 256 : 128;
+    std::vector<std::unique_ptr<EvictionDomain>> domains;
+    domains.reserve(shards);
+    size_t next_base = 0;
+    for (size_t i = 0; i < shards; ++i) {
+      auto domain = std::make_unique<EvictionDomain>(rings, ring_capacity);
+      domain->capacity = capacity / shards + (i < capacity % shards ? 1 : 0);
+      domain->base = next_base;
+      next_base += domain->capacity;
+      domains.push_back(std::move(domain));
+    }
+    return domains;
+  }
+
+  static size_t IndexEntries(
+      size_t capacity,
+      const std::vector<std::unique_ptr<EvictionDomain>>& shards,
+      size_t (*ghost_capacity)(size_t share)) {
+    size_t entries = capacity;
+    for (const auto& domain : shards) {
+      entries += ghost_capacity(domain->capacity);
     }
     return entries;
   }
+
+  // Declared before the index, which is sized from them.
+  const size_t capacity_;
+  std::vector<std::unique_ptr<EvictionDomain>> shards_;
+  const size_t mask_;
+
+ public:
+  StripedAtomicIndex index;
+  ConcurrentStatsCounters counters;
 };
 
 // A ghost kept in the index (§4's ghost FIFO): the ids a Regions
@@ -320,8 +280,8 @@ class IndexedGhost {
 };
 
 // The eviction-domain protocol of the lock-free caches, written once: the
-// lock-free hit path, the miss path's try-lock / buffer / drain / help
-// sequence, blocking Admit and Remove, Stats and the invariant sweep. Each
+// lock-free hit path, the miss path's try-lock / buffer / drain sequence,
+// blocking Admit and Remove, Stats and the invariant sweep. Each
 // design (concurrent_clock.h, concurrent_s3fifo.h, concurrent_qdlp_fifo.h)
 // is a Regions type that supplies only its shard-local queue logic,
 // composed at compile time so a hit stays one index probe plus one relaxed
@@ -336,7 +296,8 @@ class IndexedGhost {
 //       admits a non-resident id into shard s and indexes it; `entry` is
 //       its ghost record or kNoEntry (the core's one probe of the miss).
 //       Any victim is unindexed or turned into a ghost record before its
-//       location is reused, and counted with core.CountEviction(s, victim)
+//       location is reused, and counted with
+//       core.Count(ConcurrentStatsCounters::kEvictions, victim)
 //   void UnlinkLocked(size_t s, uint32_t value)
 //       drops the queue state of an object Remove() just unindexed
 //   void FillOccupancy(size_t s, CacheStats* stats) const
@@ -358,7 +319,8 @@ class DomainCache : public ConcurrentCache {
     }
     // Miss path. Uncontended (and always, single-threaded): take the home
     // domain's lock, drain its buffered misses, admit. Contended: buffer the
-    // id for the current holder to admit and return without blocking.
+    // id for the next holder of the lock to admit and return without
+    // blocking.
     // Hit/miss is counted where the outcome is known: the locked re-probe
     // can discover the object was admitted by another thread (or an earlier
     // buffered copy of this miss) after the lock-free probe above failed,
@@ -368,33 +330,26 @@ class DomainCache : public ConcurrentCache {
     // stripe can run. If the try-lock fails instead, the miss is counted
     // and the buffered admission finds the id resident and admits nothing.
     const size_t s = ShardOf(id);
-    EvictionDomain& domain = core_.domains.shard(s);
+    EvictionDomain& domain = core_.shard(s);
     if (domain.mu.try_lock()) {
-      bool hit;
-      {
-        std::lock_guard<std::mutex> lock(domain.mu, std::adopt_lock);
-        core_.counters.Add(ConcurrentStatsCounters::kLockAcquisitions);
-        DrainShardLocked(s, /*helping=*/false);
-        hit = MissLocked(s, id);
-        CountAccess(hit);
-      }
-      // With the home domain settled (and its lock released), one pass over
-      // backlogged foreign domains; no-op when num_shards == 1.
-      HelpDrainOthers(s);
+      std::lock_guard<std::mutex> lock(domain.mu, std::adopt_lock);
+      core_.counters.Add(ConcurrentStatsCounters::kLockAcquisitions);
+      DrainShardLocked(s);
+      const bool hit = MissLocked(s, id);
+      CountAccess(hit);
       return hit;
     }
     core_.counters.Add(ConcurrentStatsCounters::kLockFailures);
     core_.counters.Add(ConcurrentStatsCounters::kMisses);
-    if (domain.buffers.TryPush(id)) {
-      domain.pending.fetch_add(1, std::memory_order_relaxed);
-      return false;
+    if (!domain.buffers.TryPush(id)) {
+      // Buffers full while the lock is held elsewhere — on an
+      // oversubscribed machine that usually means the lock holder was
+      // preempted mid-drain. Blocking here would convoy every missing
+      // thread behind the sleeping holder, so admission is best-effort
+      // instead: drop this one (the object is buffered or admitted on its
+      // next miss) and keep Get() non-blocking.
+      core_.counters.Add(ConcurrentStatsCounters::kBufferDrops);
     }
-    // Buffers full while the lock is held elsewhere — on an oversubscribed
-    // machine that usually means the lock holder was preempted mid-drain.
-    // Blocking here would convoy every missing thread behind the sleeping
-    // holder, so admission is best-effort instead: drop this one (the object
-    // is buffered or admitted on its next miss) and keep Get() non-blocking.
-    core_.counters.Add(ConcurrentStatsCounters::kBufferDrops);
     return false;
   }
 
@@ -438,7 +393,7 @@ class DomainCache : public ConcurrentCache {
   CacheStats Stats() const override {
     CacheStats stats = core_.counters.Snapshot();
     for (size_t s = 0; s < num_shards(); ++s) {
-      std::lock_guard<std::mutex> lock(core_.domains.shard(s).mu);
+      std::lock_guard<std::mutex> lock(core_.shard(s).mu);
       regions_.FillOccupancy(s, &stats);
     }
     stats.size = core_.index.size();
@@ -451,8 +406,8 @@ class DomainCache : public ConcurrentCache {
   void CheckInvariants() override {
     std::vector<std::unique_lock<std::mutex>> locks;
     for (size_t s = 0; s < num_shards(); ++s) {
-      locks.emplace_back(core_.domains.shard(s).mu);
-      DrainShardLocked(s, /*helping=*/false);
+      locks.emplace_back(core_.shard(s).mu);
+      DrainShardLocked(s);
     }
     size_t resident = 0;
     CacheStats occupancy;
@@ -471,24 +426,21 @@ class DomainCache : public ConcurrentCache {
   }
 
   size_t ApproxMetadataBytes() const override {
-    return core_.index.MemoryBytes() + core_.domains.MemoryBytes() +
-           core_.counters.MemoryBytes() + regions_.MemoryBytes();
+    return core_.MemoryBytes() + regions_.MemoryBytes();
   }
 
-  size_t capacity() const override { return core_.domains.capacity(); }
+  size_t capacity() const override { return core_.capacity(); }
 
   // Resident object count (approximate under concurrency).
   size_t size() const { return core_.index.size(); }
 
-  size_t num_shards() const { return core_.domains.num_shards(); }
-  size_t ShardOf(ObjectId id) const { return core_.domains.ShardOf(id); }
+  size_t num_shards() const { return core_.num_shards(); }
+  size_t ShardOf(ObjectId id) const { return core_.ShardOf(id); }
   // The shard's capacity share.
-  size_t shard_capacity(size_t s) const {
-    return core_.domains.shard(s).capacity;
-  }
+  size_t shard_capacity(size_t s) const { return core_.shard_capacity(s); }
 
  protected:
-  // `num_shards` eviction domains (rounded/clamped by EvictionDomains, so
+  // `num_shards` eviction domains (rounded/clamped by DomainCore, so
   // every share is >= min_capacity_per_shard); the index gets
   // max(num_stripes, shard count) stripes.
   template <typename... RegionsArgs>
@@ -514,9 +466,9 @@ class DomainCache : public ConcurrentCache {
   // counted, with the domain's buffered misses settled first so none of
   // them lands after the caller's operation.
   std::unique_lock<std::mutex> LockShard(size_t s) {
-    std::unique_lock<std::mutex> lock(core_.domains.shard(s).mu);
+    std::unique_lock<std::mutex> lock(core_.shard(s).mu);
     core_.counters.Add(ConcurrentStatsCounters::kLockAcquisitions);
-    DrainShardLocked(s, /*helping=*/false);
+    DrainShardLocked(s);
     return lock;
   }
 
@@ -543,50 +495,10 @@ class DomainCache : public ConcurrentCache {
   Regions regions_;
 
  private:
-  // Drains shard s's insert buffers; `helping` marks a cross-shard drain.
-  void DrainShardLocked(size_t s, bool helping) {
-    EvictionDomain& domain = core_.domains.shard(s);
-    domain.helper_drain = helping;
-    const size_t drained =
-        domain.buffers.Drain([&](uint64_t id) { MissLocked(s, id); });
-    domain.helper_drain = false;
-    // Reset, not subtract: a push racing this store is under-counted, which
-    // only delays the next best-effort helping pass. A zero count is left
-    // unwritten, so a miss with nothing buffered does not pull the line
-    // that contended pushers and helpers touch.
-    if (domain.pending.load(std::memory_order_relaxed) != 0) {
-      domain.pending.store(0, std::memory_order_relaxed);
-    }
-    core_.counters.AddDrainBatch(drained);
-  }
-
-  // One thread-ordinal-affine pass over the other shards: try-lock and
-  // drain any domain whose buffered backlog crossed the help threshold.
-  void HelpDrainOthers(size_t miss_shard) {
-    const size_t shards = num_shards();
-    if (shards == 1) {
-      return;
-    }
-    // Thread-ordinal affinity: each thread starts its scan at "its" shard so
-    // concurrent helpers fan out instead of convoying on the same backlog.
-    const size_t start = ThreadOrdinal() & (shards - 1);
-    for (size_t i = 0; i < shards; ++i) {
-      const size_t t = (start + i) & (shards - 1);
-      if (t == miss_shard) {
-        continue;
-      }
-      EvictionDomain& domain = core_.domains.shard(t);
-      if (domain.pending.load(std::memory_order_relaxed) <
-          core_.domains.help_threshold()) {
-        continue;
-      }
-      if (!domain.mu.try_lock()) {
-        continue;
-      }
-      std::lock_guard<std::mutex> lock(domain.mu, std::adopt_lock);
-      core_.counters.Add(ConcurrentStatsCounters::kLockAcquisitions);
-      DrainShardLocked(t, /*helping=*/true);
-    }
+  // Admits shard s's buffered misses.
+  void DrainShardLocked(size_t s) {
+    core_.counters.AddDrainBatch(core_.shard(s).buffers.Drain(
+        [&](uint64_t id) { MissLocked(s, id); }));
   }
 };
 

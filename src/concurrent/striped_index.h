@@ -71,11 +71,16 @@
 //    under the home-domain lock, and no shift of that stripe can run while
 //    it is held (eviction_domains.h).
 //  * Stripe growth swaps in a doubled slot array under a seqlock: readers
-//    validate the stripe version around the probe and retry on change. Old
-//    slot arrays are retired, not freed — a stale reader probes
-//    stale-but-valid memory and then notices the version bump (no
-//    use-after-free, no hazard pointers, no epochs). A stripe only grows,
-//    so its retired arrays together hold fewer slots than its current one.
+//    validate the stripe version around the probe and retry on change.
+//    Every probe load (mask, array, keys, value and the key re-check) is an
+//    acquire load, and each is sequenced before the version re-read, so
+//    the re-read sees any growth a probe load observed. That takes no
+//    standalone fence, which ThreadSanitizer does not model; on x86 an
+//    acquire load is a plain load. Old slot arrays are retired, not freed
+//    — a stale reader probes stale-but-valid memory and then notices the
+//    version bump (no use-after-free, no hazard pointers, no epochs). A
+//    stripe only grows, so its retired arrays together hold fewer slots
+//    than its current one.
 //
 // Keys are ObjectIds; the two top values (~0 and ~0-1) are reserved as
 // empty/tombstone sentinels. The read-side entry points (Find/Contains/
@@ -176,19 +181,19 @@ class StripedAtomicIndex {
         // shift of this key + a shift or insert of another key into the
         // same slot between our two loads would otherwise pair our key with
         // its value). On a change the key may have moved back toward its
-        // home, so the probe restarts there.
+        // home, so the probe restarts there. The re-check is acquire too,
+        // like every probe load, so the version re-read below cannot hoist
+        // above any of them.
         found_value = slots[index].value.load(std::memory_order_acquire);
-        if (slots[index].key.load(std::memory_order_relaxed) != key) {
+        if (slots[index].key.load(std::memory_order_acquire) != key) {
           continue;
         }
       }
       // Seqlock validation: an odd version means growth is in flight; a
       // changed version means the probe may have straddled one and read an
-      // array writers no longer update. The fence orders every probe load
-      // before the re-read, Boehm-style. Either way the probe re-runs
+      // array writers no longer update. Either way the probe re-runs
       // against the (new) current array. Growth is rare — steady state pays
       // only these two version loads.
-      std::atomic_thread_fence(std::memory_order_acquire);
       if (v1 == stripe.version.load(std::memory_order_acquire) &&
           (v1 & 1) == 0) {
         if (slot_key != key || IsGhost(found_value)) {

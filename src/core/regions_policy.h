@@ -193,6 +193,9 @@ class RegionsPolicy final : public EvictionPolicy {
 
   void Count(ConcurrentStatsCounters::Counter kind, ObjectId id) {
     switch (kind) {
+      case ConcurrentStatsCounters::kEvictions:
+        NotifyEvict(id);
+        return;
       case ConcurrentStatsCounters::kPromotions:
         NotifyPromote(id);
         return;
@@ -206,7 +209,6 @@ class RegionsPolicy final : public EvictionPolicy {
         QDLP_CHECK(false && "the Regions count no other kind");
     }
   }
-  void CountEviction(size_t, ObjectId id) { NotifyEvict(id); }
 
   Index index;
   Regions<RegionsPolicy> regions_;

@@ -38,8 +38,6 @@ struct CacheStats {
   uint64_t lock_acquisitions = 0;  // eviction-domain mutexes acquired
   uint64_t lock_failures = 0;      // failed try_locks (miss was buffered)
   uint64_t buffer_drops = 0;       // ring-full drops: admissions abandoned
-  uint64_t cross_shard_demotions = 0;  // evictions done by a helping
-                                       //   thread draining a foreign shard
   // Drain batch size histogram: non-empty buffer drains bucketed by how
   // many buffered misses one lock acquisition amortized.
   uint64_t drain_batch_le8 = 0;   // 1..8 drained
@@ -68,7 +66,6 @@ struct CacheStats {
     delta.lock_acquisitions -= before.lock_acquisitions;
     delta.lock_failures -= before.lock_failures;
     delta.buffer_drops -= before.buffer_drops;
-    delta.cross_shard_demotions -= before.cross_shard_demotions;
     delta.drain_batch_le8 -= before.drain_batch_le8;
     delta.drain_batch_le64 -= before.drain_batch_le64;
     delta.drain_batch_gt64 -= before.drain_batch_gt64;

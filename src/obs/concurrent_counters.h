@@ -47,7 +47,6 @@ class ConcurrentStatsCounters {
     kLockAcquisitions,
     kLockFailures,
     kBufferDrops,
-    kCrossShardDemotions,
     kDrainBatchLe8,
     kDrainBatchLe64,
     kDrainBatchGt64,
@@ -91,8 +90,6 @@ class ConcurrentStatsCounters {
           cell.v[kLockFailures].load(std::memory_order_relaxed);
       stats.buffer_drops +=
           cell.v[kBufferDrops].load(std::memory_order_relaxed);
-      stats.cross_shard_demotions +=
-          cell.v[kCrossShardDemotions].load(std::memory_order_relaxed);
       stats.drain_batch_le8 +=
           cell.v[kDrainBatchLe8].load(std::memory_order_relaxed);
       stats.drain_batch_le64 +=
@@ -120,7 +117,7 @@ class ConcurrentStatsCounters {
   // per cache, plus the overflow cell.
   static constexpr size_t kCells = 64;
 
-  // Two cache lines per cell since the contention counters joined (14 x 8
+  // Two cache lines per cell since the contention counters joined (13 x 8
   // bytes); a cell is still exclusively owned by one live thread ordinal,
   // so the no-ping-pong property is what matters, not the line count.
   struct alignas(128) Cell {

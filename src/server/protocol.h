@@ -236,7 +236,6 @@ inline const StatsWireField* StatsWireFields(size_t* count) {
       {"lock_acquisitions", &CacheStats::lock_acquisitions},
       {"lock_failures", &CacheStats::lock_failures},
       {"buffer_drops", &CacheStats::buffer_drops},
-      {"cross_shard_demotions", &CacheStats::cross_shard_demotions},
       {"drain_batch_le8", &CacheStats::drain_batch_le8},
       {"drain_batch_le64", &CacheStats::drain_batch_le64},
       {"drain_batch_gt64", &CacheStats::drain_batch_gt64},
@@ -250,7 +249,8 @@ inline const StatsWireField* StatsWireFields(size_t* count) {
 }
 
 // STATS response body: u32 field count, then count x u64 counters. The
-// explicit count lets an old client read a newer server's prefix.
+// explicit count lets an old client read a newer server's prefix, which
+// holds only for appended fields: removing one shifts every later field.
 inline std::string EncodeStatsBody(const CacheStats& stats) {
   size_t count = 0;
   const StatsWireField* fields = StatsWireFields(&count);

@@ -60,6 +60,9 @@ int main(int argc, char** argv) {
   options.cache.capacity = 1 << 20;
   options.cache.value_arena_bytes = 256u << 20;
   constexpr uint64_t kMaxSize = SIZE_MAX;
+  // Each worker is a thread with three fds (listener, epoll, eventfd): 256,
+  // the shard and stripe cap, stays under the default 1,024-fd soft limit.
+  constexpr uint64_t kMaxWorkers = 256;
   for (int i = 1; i < argc; ++i) {
     std::string value;
     uint64_t n = 0;
@@ -74,7 +77,7 @@ int main(int argc, char** argv) {
       ok = ParseCount(value, 1, kMaxSize >> 20, &n);
       options.cache.value_arena_bytes = n << 20;
     } else if (ParseFlag(argv[i], "--workers", &value)) {
-      ok = ParseCount(value, 1, kMaxSize, &n);
+      ok = ParseCount(value, 1, kMaxWorkers, &n);
       options.num_workers = n;
     } else if (ParseFlag(argv[i], "--shards", &value)) {
       ok = ParseCount(value, 1, kMaxSize, &n);
@@ -89,7 +92,8 @@ int main(int argc, char** argv) {
               "             [--workers=N] [--shards=N] [--stripes=N]\n"
               "  each N a decimal count of at least 1, except --port "
               "(0 = any free port,\n"
-              "  at most 65535) and --capacity (at most 2^30 - 1)\n");
+              "  at most 65535); --capacity is at most 2^30 - 1 and "
+              "--workers at most 256\n");
       return 2;
     }
   }

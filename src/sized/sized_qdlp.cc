@@ -10,45 +10,33 @@ SizedGhost::SizedGhost(uint64_t byte_budget) : byte_budget_(byte_budget) {
 }
 
 void SizedGhost::Insert(ObjectId id, uint64_t size) {
-  // Invariant: charged_ is the byte sum of live_ entries. A refresh only
-  // supersedes the old fifo record (which becomes stale and is skipped when
-  // trimmed); the byte charge moves with the live entry.
-  const uint64_t generation = next_generation_++;
-  const auto [it, inserted] = live_.try_emplace(id, Live{generation, size});
-  if (inserted) {
-    charged_ += size;
+  // Invariant: charged_ is the byte sum of the fifo_ records. A refresh
+  // re-ages the entry and moves its charge to the new size.
+  const uint32_t* slot = live_.Find(id);
+  if (slot != nullptr) {
+    Record& record = fifo_[*slot];
+    charged_ += size - record.size;
+    record.size = size;
+    fifo_.MoveToBack(*slot);
   } else {
-    charged_ += size - it->second.size;
-    it->second = Live{generation, size};
+    live_[id] = fifo_.PushBack(Record{id, size});
+    charged_ += size;
   }
-  fifo_.push_back(Record{id, generation});
   while (charged_ > byte_budget_ && !fifo_.empty()) {
-    const Record oldest = fifo_.front();
-    fifo_.pop_front();
-    const auto live_it = live_.find(oldest.id);
-    if (live_it != live_.end() && live_it->second.generation == oldest.generation) {
-      charged_ -= live_it->second.size;
-      live_.erase(live_it);
-    }
+    const uint32_t oldest = fifo_.front();
+    charged_ -= fifo_[oldest].size;
+    live_.Erase(fifo_[oldest].id);
+    fifo_.Erase(oldest);
   }
 }
 
 bool SizedGhost::Consume(ObjectId id) {
-  const auto it = live_.find(id);
-  if (it == live_.end()) {
+  uint32_t slot;
+  if (!live_.Erase(id, &slot)) {
     return false;
   }
-  charged_ -= it->second.size;
-  live_.erase(it);
-  // Drop leading stale records so fifo_ cannot outgrow live_ unboundedly.
-  while (!fifo_.empty()) {
-    const Record& front = fifo_.front();
-    const auto live_it = live_.find(front.id);
-    if (live_it != live_.end() && live_it->second.generation == front.generation) {
-      break;
-    }
-    fifo_.pop_front();
-  }
+  charged_ -= fifo_[slot].size;
+  fifo_.Erase(slot);
   return true;
 }
 

@@ -23,36 +23,38 @@
 
 #include "src/sized/sized_basic.h"
 #include "src/sized/sized_policy.h"
+#include "src/util/flat_map.h"
+#include "src/util/intrusive_list.h"
 
 namespace qdlp {
 
 // Byte-budgeted ghost: entries are metadata-only but *charged* at object
 // size so that the ghost covers the same byte-window of history regardless
-// of object-size mix.
+// of object-size mix. Built as GhostQueue is, on an intrusive FIFO plus an
+// id index: a refresh is an O(1) move to the back and a Consume an O(1)
+// unlink, so the FIFO holds exactly one record per live entry.
 class SizedGhost {
  public:
   explicit SizedGhost(uint64_t byte_budget);
 
   void Insert(ObjectId id, uint64_t size);
   bool Consume(ObjectId id);
-  bool Contains(ObjectId id) const { return live_.contains(id); }
+  bool Contains(ObjectId id) const { return live_.Contains(id); }
   uint64_t charged_bytes() const { return charged_; }
+  size_t ApproxMetadataBytes() const {
+    return fifo_.MemoryBytes() + live_.MemoryBytes();
+  }
 
  private:
   struct Record {
     ObjectId id;
-    uint64_t generation;
-  };
-  struct Live {
-    uint64_t generation;
     uint64_t size;
   };
 
   uint64_t byte_budget_;
-  uint64_t charged_ = 0;  // bytes of live entries (invariant)
-  std::deque<Record> fifo_;
-  std::unordered_map<ObjectId, Live> live_;
-  uint64_t next_generation_ = 0;
+  uint64_t charged_ = 0;        // bytes of live entries (invariant)
+  IntrusiveList<Record> fifo_;  // front = oldest
+  FlatMap<uint32_t> live_;      // id -> fifo slot
 };
 
 // Size-aware QD wrapper over an arbitrary main policy. The main policy must

@@ -194,8 +194,7 @@ TEST(BenchJsonTest, StatsBlockEmitsEveryDocumentedField) {
   }
   for (const char* key :
        {"lock_acquisitions", "lock_failures", "buffer_drops",
-        "cross_shard_demotions", "drain_batch_le8", "drain_batch_le64",
-        "drain_batch_gt64"}) {
+        "drain_batch_le8", "drain_batch_le64", "drain_batch_gt64"}) {
     EXPECT_NE(json.find(key), std::string::npos) << "missing: " << key;
   }
   ExpectStructurallyValidJson(json);

@@ -9,7 +9,7 @@ foreach(flag IN ITEMS
     --capacity=1073741824 --capacity=99999999999999999999999
     --port=abc --port=70000 --port=-1
     --arena-mb=0 --arena-mb=abc --arena-mb=17592186044416
-    --workers=0 --shards=0 --stripes=0 --bogus)
+    --workers=0 --workers=257 --shards=0 --stripes=0 --bogus)
   execute_process(COMMAND ${QDLPD_BIN} ${flag}
     RESULT_VARIABLE status
     OUTPUT_VARIABLE out

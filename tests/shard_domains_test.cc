@@ -4,8 +4,9 @@
 // independent sequential reference models sized to the shards' capacity
 // shares — the sharded generalization of the S == 1 oracle differential
 // tests. Plus: capacity-share arithmetic (remainder distribution, tiny-cache
-// clamping) and the quiescent contention-counter identities that pin the
-// telemetry's meaning (docs/OBSERVABILITY.md).
+// clamping), the quiescent contention-counter identities that pin the
+// telemetry's meaning (docs/OBSERVABILITY.md), and the drain path: a
+// buffered miss is admitted by the next holder of its domain's lock.
 
 #include <gtest/gtest.h>
 
@@ -13,6 +14,8 @@
 #include <cmath>
 #include <cstddef>
 #include <memory>
+#include <mutex>
+#include <thread>
 #include <vector>
 
 #include "src/concurrent/concurrent_clock.h"
@@ -45,16 +48,15 @@ size_t QdLpProbationShare(size_t share) {
 }
 
 // Quiescent single-threaded identities: the miss path's try_lock always
-// succeeds (nothing ever buffers, drops, or needs help), so the contention
-// counters must read as pure bookkeeping — one acquisition per miss and
-// zeros everywhere else. These are the assertions that make buffer_drops
+// succeeds (nothing ever buffers or drops), so the contention counters
+// must read as pure bookkeeping — one acquisition per miss and zeros
+// everywhere else. These are the assertions that make buffer_drops
 // and friends trustworthy when a concurrent run reports them nonzero.
 void ExpectQuiescentContentionCounters(const CacheStats& stats,
                                        const char* label) {
   EXPECT_EQ(stats.lock_acquisitions, stats.misses) << label;
   EXPECT_EQ(stats.lock_failures, 0u) << label;
   EXPECT_EQ(stats.buffer_drops, 0u) << label;
-  EXPECT_EQ(stats.cross_shard_demotions, 0u) << label;
   EXPECT_EQ(stats.drain_batch_le8, 0u) << label;
   EXPECT_EQ(stats.drain_batch_le64, 0u) << label;
   EXPECT_EQ(stats.drain_batch_gt64, 0u) << label;
@@ -180,6 +182,59 @@ TEST(ShardDomainsTest, ShardSelectionIsStableAndInRange) {
     EXPECT_LT(s, cache.num_shards());
     EXPECT_EQ(s, cache.ShardOf(id));  // pure function of the id
   }
+}
+
+// ConcurrentClockCache with its eviction-domain mutexes exposed, so a test
+// can hold one while another thread misses into that domain.
+class LockableClockCache : public ConcurrentClockCache {
+ public:
+  using ConcurrentClockCache::ConcurrentClockCache;
+  std::mutex& ShardMutex(size_t s) { return core_.shard(s).mu; }
+};
+
+// The first id at or after `from` whose home is shard s.
+ObjectId FirstIdOfShard(const LockableClockCache& cache, size_t s,
+                        ObjectId from) {
+  ObjectId id = from;
+  while (cache.ShardOf(id) != s) {
+    ++id;
+  }
+  return id;
+}
+
+// A miss that finds its domain locked is buffered, and only the next holder
+// of that domain's lock admits it: a miss into another domain leaves it
+// buffered, the next miss into its own domain admits it first.
+TEST(ShardDomainsTest, BufferedMissWaitsForTheNextHolderOfItsLock) {
+  LockableClockCache cache(1024, /*bits=*/1, /*num_stripes=*/8,
+                           /*num_shards=*/4);
+  ASSERT_EQ(cache.num_shards(), 4u);
+  const ObjectId a = FirstIdOfShard(cache, 0, 0);
+  const ObjectId b = FirstIdOfShard(cache, 0, a + 1);
+  const ObjectId c = FirstIdOfShard(cache, 1, 0);
+
+  {
+    const std::lock_guard<std::mutex> hold(cache.ShardMutex(0));
+    bool hit = true;
+    std::thread([&] { hit = cache.Get(a); }).join();
+    EXPECT_FALSE(hit);
+  }
+  CacheStats stats = cache.Stats();
+  EXPECT_EQ(stats.lock_failures, 1u);
+  EXPECT_EQ(stats.misses, 1u);
+  EXPECT_EQ(stats.inserts, 0u);
+  EXPECT_EQ(stats.buffer_drops, 0u);
+
+  EXPECT_FALSE(cache.Get(c));
+  stats = cache.Stats();
+  EXPECT_EQ(stats.inserts, 1u);  // c only: a waits for shard 0's lock
+
+  EXPECT_FALSE(cache.Get(b));
+  stats = cache.Stats();
+  EXPECT_EQ(stats.inserts, 3u);  // a drained, then b admitted
+  EXPECT_EQ(stats.drain_batch_le8, 1u);
+  EXPECT_TRUE(cache.Get(a));
+  cache.CheckInvariants();
 }
 
 }  // namespace

@@ -222,6 +222,24 @@ TEST(SizedGhostTest, ConsumeReleasesCharge) {
   EXPECT_FALSE(ghost.Consume(1));
 }
 
+TEST(SizedGhostTest, ConsumeChurnKeepsOneRecordPerLiveEntry) {
+  // A million ids ghosted and consumed behind one old live entry: each
+  // consumed id must leave no record behind.
+  SizedGhost ghost(100);
+  ghost.Insert(0, 1);
+  for (ObjectId id = 1; id <= 1000000; ++id) {
+    ghost.Insert(id, 1);
+    ASSERT_TRUE(ghost.Consume(id));
+  }
+  EXPECT_TRUE(ghost.Contains(0));
+  EXPECT_EQ(ghost.charged_bytes(), 1u);
+  SizedGhost full(1024);
+  for (ObjectId id = 0; id < 1024; ++id) {
+    full.Insert(id, 1);
+  }
+  EXPECT_LE(ghost.ApproxMetadataBytes(), full.ApproxMetadataBytes());
+}
+
 TEST(SizedQdLpFifoTest, FlowCountersBehave) {
   SizedQdLpFifo cache(10000, 0.10);  // probation = 1000 bytes
   cache.Access(1, 300);

@@ -310,12 +310,11 @@ void ExpectConcurrentCountsExact(const char* label, MakeCache make,
     // Quiescent contention identities (docs/OBSERVABILITY.md): a
     // single-threaded caller's try_lock always succeeds, so there is
     // exactly one acquisition per miss and every failure-path counter —
-    // failed try-locks, ring-full drops, helper-pass demotions, the drain
-    // histogram — must be zero.
+    // failed try-locks, ring-full drops, the drain histogram — must be
+    // zero.
     EXPECT_EQ(stats.lock_acquisitions, stats.misses) << label;
     EXPECT_EQ(stats.lock_failures, 0u) << label;
     EXPECT_EQ(stats.buffer_drops, 0u) << label;
-    EXPECT_EQ(stats.cross_shard_demotions, 0u) << label;
     EXPECT_EQ(stats.drain_batch_le8 + stats.drain_batch_le64 +
                   stats.drain_batch_gt64,
               0u)

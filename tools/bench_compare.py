@@ -55,9 +55,8 @@ import sys
 STATS_FIELDS = (
     "requests", "hits", "misses", "inserts", "evictions", "promotions",
     "demotions", "ghost_hits", "lock_acquisitions", "lock_failures",
-    "buffer_drops", "cross_shard_demotions", "drain_batch_le8",
-    "drain_batch_le64", "drain_batch_gt64", "size", "probation_size",
-    "main_size", "ghost_size",
+    "buffer_drops", "drain_batch_le8", "drain_batch_le64",
+    "drain_batch_gt64", "size", "probation_size", "main_size", "ghost_size",
 )
 
 

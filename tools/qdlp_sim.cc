@@ -3,7 +3,7 @@
 // Replays a trace (file or synthetic workload) through any set of policies
 // at a ladder of cache sizes and prints a miss-ratio grid.
 //
-//   qdlp_sim --workload zipf,objects=50000,skew=1.0,requests=500000 \
+//   qdlp_sim --workload zipf,objects=50000,skew=1.0,requests=500000
 //            --policies lru,arc,qd-lp-fifo,s3fifo --sizes 0.001,0.01,0.1
 //   qdlp_sim --trace prod.oracleGeneral --policies lru,sieve --sizes 0.05
 //

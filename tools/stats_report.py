@@ -18,9 +18,9 @@ picture for each cache:
     i.e. how often quick demotion discarded an object the workload still
     wanted;
   * contention (concurrent caches only) — eviction-lock acquisitions vs
-    failed try-locks, buffered misses dropped on full rings, cross-shard
-    demotions performed by helping threads, and the drain-batch size
-    histogram. All zero (and omitted) for the sequential policies;
+    failed try-locks, buffered misses dropped on full rings, and the
+    drain-batch size histogram. All zero (and omitted) for the sequential
+    policies;
   * latency (serving benches only) — client-observed p50/p99/p999/max
     request latency in microseconds from the row's "latency_us" block
     (bench/server_qps emits it; replay benches omit it).
@@ -99,21 +99,16 @@ def render_row(name, stats, out, latency=None):
     lock_acq = stats.get("lock_acquisitions", 0)
     lock_fail = stats.get("lock_failures", 0)
     drops = stats.get("buffer_drops", 0)
-    cross = stats.get("cross_shard_demotions", 0)
     le8 = stats.get("drain_batch_le8", 0)
     le64 = stats.get("drain_batch_le64", 0)
     gt64 = stats.get("drain_batch_gt64", 0)
-    if lock_acq or lock_fail or drops or cross:
+    if lock_acq or lock_fail or drops:
         attempts = lock_acq + lock_fail
         out.append(
             f"  contention: lock acquired {fmt_count(lock_acq)}  "
             f"try-lock failed {fmt_count(lock_fail)} "
             f"({fmt_ratio(lock_fail, attempts).strip()} of attempts)  "
             f"drops {fmt_count(drops)}")
-        if cross:
-            out.append(
-                f"  cross-shard demotions: {fmt_count(cross)} (helper-pass"
-                " evictions on behalf of a contended shard)")
         if le8 or le64 or gt64:
             out.append(
                 f"  drain batches: <=8: {fmt_count(le8)}  "
