@@ -70,38 +70,6 @@ struct BenchJsonResult {
   bool has_latency = false;
 };
 
-// The stats block's field list — one source of truth for the JSON writer,
-// the google-benchmark counter bridge ("stats_" + key, see
-// bench_json_reporter.h), and tools/bench_compare.py --check-stats.
-struct BenchStatsField {
-  const char* key;
-  uint64_t CacheStats::*member;
-};
-
-inline const std::vector<BenchStatsField>& BenchStatsFields() {
-  static const std::vector<BenchStatsField> fields = {
-      {"requests", &CacheStats::requests},
-      {"hits", &CacheStats::hits},
-      {"misses", &CacheStats::misses},
-      {"inserts", &CacheStats::inserts},
-      {"evictions", &CacheStats::evictions},
-      {"promotions", &CacheStats::promotions},
-      {"demotions", &CacheStats::demotions},
-      {"ghost_hits", &CacheStats::ghost_hits},
-      {"lock_acquisitions", &CacheStats::lock_acquisitions},
-      {"lock_failures", &CacheStats::lock_failures},
-      {"buffer_drops", &CacheStats::buffer_drops},
-      {"drain_batch_le8", &CacheStats::drain_batch_le8},
-      {"drain_batch_le64", &CacheStats::drain_batch_le64},
-      {"drain_batch_gt64", &CacheStats::drain_batch_gt64},
-      {"size", &CacheStats::size},
-      {"probation_size", &CacheStats::probation_size},
-      {"main_size", &CacheStats::main_size},
-      {"ghost_size", &CacheStats::ghost_size},
-  };
-  return fields;
-}
-
 inline std::string BenchJsonOutputPath() {
   return GetEnvString("QDLP_BENCH_JSON", "BENCH_throughput.json");
 }
@@ -204,13 +172,12 @@ inline std::string BenchJsonToString(
     if (r.has_stats) {
       // Counters are exact integers; no BenchJsonNumber float formatting.
       out += ",\n      \"stats\": { ";
-      const std::vector<BenchStatsField>& fields = BenchStatsFields();
-      for (size_t f = 0; f < fields.size(); ++f) {
-        if (f != 0) {
-          out += ", ";
-        }
-        out += "\"" + std::string(fields[f].key) +
-               "\": " + std::to_string(r.stats.*fields[f].member);
+      const char* separator = "";
+      for (const CacheStatsField& field : kCacheStatsFields) {
+        out += separator;
+        out += "\"" + std::string(field.key) +
+               "\": " + std::to_string(r.stats.*field.member);
+        separator = ", ";
       }
       out += " }";
     }

@@ -49,9 +49,9 @@ class JsonCaptureReporter : public benchmark::ConsoleReporter {
         result.bytes_per_object = static_cast<double>(bytes_it->second);
       }
       // Benches publish the cache's Stats() through "stats_<key>" counters
-      // (one per BenchStatsFields() entry); collect them into the typed
+      // (one per kCacheStatsFields entry); collect them into the typed
       // stats block.
-      for (const BenchStatsField& field : BenchStatsFields()) {
+      for (const CacheStatsField& field : kCacheStatsFields) {
         const auto stat_it = run.counters.find(std::string("stats_") +
                                                field.key);
         if (stat_it != run.counters.end()) {

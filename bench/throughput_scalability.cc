@@ -48,7 +48,6 @@
 #include "src/concurrent/concurrent_clock.h"
 #include "src/concurrent/concurrent_qdlp_fifo.h"
 #include "src/concurrent/concurrent_s3fifo.h"
-#include "src/concurrent/locked_lru.h"
 #include "src/concurrent/sharded_lru.h"
 #include "src/util/random.h"
 #include "src/util/zipf.h"
@@ -114,7 +113,7 @@ void BM_ConcurrentGet(benchmark::State& state, double skew, Args... args) {
     // (bench_json_reporter.h strips these from the console and emits the
     // JSON "stats" block). Thread 0 only: one snapshot per run.
     const CacheStats stats = cache->Stats();
-    for (const BenchStatsField& field : BenchStatsFields()) {
+    for (const CacheStatsField& field : kCacheStatsFields) {
       state.counters[std::string("stats_") + field.key] =
           benchmark::Counter(static_cast<double>(stats.*field.member));
     }
@@ -125,7 +124,7 @@ void BM_ConcurrentGet(benchmark::State& state, double skew, Args... args) {
 // Thread-scaling sweep at the canonical skew 1.0 (family names are stable:
 // bench_compare.py keys on them).
 void BM_GlobalLockLru(benchmark::State& state) {
-  BM_ConcurrentGet<GlobalLockLruCache>(state, 1.0, kCapacity);
+  BM_ConcurrentGet<ShardedLruCache>(state, 1.0, kCapacity, size_t{1});
 }
 void BM_ShardedLru(benchmark::State& state) {
   BM_ConcurrentGet<ShardedLruCache>(state, 1.0, kCapacity, size_t{16});

@@ -5,10 +5,10 @@
 // exclusive lock, so FIFO-family caches are faster and scale with cores.
 // These implementations make that concrete:
 //
-//  * GlobalLockLruCache   — one mutex around an LRU (the naive
-//                           memcached-style design the paper argues against)
-//  * ShardedLruCache      — N LRU shards, each with its own mutex (the
-//                           common mitigation)
+//  * ShardedLruCache      — N shards, each the serial LruPolicy behind its
+//                           own mutex (the common mitigation); with one
+//                           shard it is the global-lock LRU, the naive
+//                           memcached-style design the paper argues against
 //  * ConcurrentClockCache — lock-free hit path (striped atomic index + one
 //                           relaxed RMW on a reference counter); misses
 //                           batch behind hash-selected eviction-domain
@@ -27,11 +27,11 @@
 // ApproxMetadataBytes/CheckInvariants) with the sequential EvictionPolicy
 // hierarchy, so the bench JSON writer and the stats report consume one type.
 // Telemetry in the lock-free caches is kept in striped, cache-line-exclusive
-// relaxed atomics (src/obs/concurrent_counters.h); lock-based caches count
-// under the locks they already hold. There is deliberately NO AccessEventSink
-// on this hierarchy: a virtual call per event would poison the lock-free hit
-// path the paper's throughput argument rests on — Stats() snapshots are the
-// concurrent observability surface.
+// relaxed atomics (src/obs/concurrent_counters.h); the LRU caches count in
+// each shard's LruPolicy, under the shard lock. There is deliberately NO
+// AccessEventSink on this hierarchy: a virtual call per event would poison
+// the lock-free hit path the paper's throughput argument rests on — Stats()
+// snapshots are the concurrent observability surface.
 
 #ifndef QDLP_SRC_CONCURRENT_CONCURRENT_CACHE_H_
 #define QDLP_SRC_CONCURRENT_CONCURRENT_CACHE_H_

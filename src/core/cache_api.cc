@@ -8,7 +8,6 @@
 #include "src/concurrent/concurrent_clock.h"
 #include "src/concurrent/concurrent_qdlp_fifo.h"
 #include "src/concurrent/concurrent_s3fifo.h"
-#include "src/concurrent/locked_lru.h"
 #include "src/concurrent/sharded_lru.h"
 #include "src/core/policy_factory.h"
 #include "src/policies/eviction_policy.h"
@@ -178,7 +177,7 @@ std::unique_ptr<Cache> MakeCache(const CacheConfig& config) {
     concurrent = std::make_unique<ConcurrentS3FifoCache>(
         config.capacity, config.num_stripes, config.num_shards);
   } else if (config.policy == "global-lock-lru") {
-    concurrent = std::make_unique<GlobalLockLruCache>(config.capacity);
+    concurrent = std::make_unique<ShardedLruCache>(config.capacity, 1);
   } else if (config.policy == "sharded-lru") {
     concurrent = std::make_unique<ShardedLruCache>(config.capacity,
                                                    config.num_shards);

@@ -53,24 +53,7 @@ struct CacheStats {
 
   // Flow counters over the window since `before` was snapped (occupancy
   // fields stay as this snapshot's — occupancy is a level, not a flow).
-  CacheStats DeltaSince(const CacheStats& before) const {
-    CacheStats delta = *this;
-    delta.requests -= before.requests;
-    delta.hits -= before.hits;
-    delta.misses -= before.misses;
-    delta.inserts -= before.inserts;
-    delta.evictions -= before.evictions;
-    delta.promotions -= before.promotions;
-    delta.demotions -= before.demotions;
-    delta.ghost_hits -= before.ghost_hits;
-    delta.lock_acquisitions -= before.lock_acquisitions;
-    delta.lock_failures -= before.lock_failures;
-    delta.buffer_drops -= before.buffer_drops;
-    delta.drain_batch_le8 -= before.drain_batch_le8;
-    delta.drain_batch_le64 -= before.drain_batch_le64;
-    delta.drain_batch_gt64 -= before.drain_batch_gt64;
-    return delta;
-  }
+  CacheStats DeltaSince(const CacheStats& before) const;
 
   double hit_ratio() const {
     return requests == 0 ? 0.0
@@ -94,6 +77,47 @@ struct CacheStats {
                                  static_cast<double>(departures);
   }
 };
+
+// Every CacheStats field, in declaration order: the one table that the STATS
+// wire body (StatsWireFields(), src/server/protocol.h), the bench JSON stats
+// block (bench/bench_json.h) and DeltaSince read. A flow is monotone over a
+// cache's lifetime; a level (flow == false) is an occupancy snapshot.
+struct CacheStatsField {
+  const char* key;
+  uint64_t CacheStats::*member;
+  bool flow;
+};
+
+inline constexpr CacheStatsField kCacheStatsFields[] = {
+    {"requests", &CacheStats::requests, true},
+    {"hits", &CacheStats::hits, true},
+    {"misses", &CacheStats::misses, true},
+    {"inserts", &CacheStats::inserts, true},
+    {"evictions", &CacheStats::evictions, true},
+    {"promotions", &CacheStats::promotions, true},
+    {"demotions", &CacheStats::demotions, true},
+    {"ghost_hits", &CacheStats::ghost_hits, true},
+    {"lock_acquisitions", &CacheStats::lock_acquisitions, true},
+    {"lock_failures", &CacheStats::lock_failures, true},
+    {"buffer_drops", &CacheStats::buffer_drops, true},
+    {"drain_batch_le8", &CacheStats::drain_batch_le8, true},
+    {"drain_batch_le64", &CacheStats::drain_batch_le64, true},
+    {"drain_batch_gt64", &CacheStats::drain_batch_gt64, true},
+    {"size", &CacheStats::size, false},
+    {"probation_size", &CacheStats::probation_size, false},
+    {"main_size", &CacheStats::main_size, false},
+    {"ghost_size", &CacheStats::ghost_size, false},
+};
+
+inline CacheStats CacheStats::DeltaSince(const CacheStats& before) const {
+  CacheStats delta = *this;
+  for (const CacheStatsField& field : kCacheStatsFields) {
+    if (field.flow) {
+      delta.*field.member -= before.*field.member;
+    }
+  }
+  return delta;
+}
 
 }  // namespace qdlp
 

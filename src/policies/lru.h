@@ -48,6 +48,12 @@ class BasicLruPolicy : public EvictionPolicy {
   }
   bool SupportsRemoval() const override { return true; }
 
+  // Visits every resident id, most recent first.
+  template <typename Fn>
+  void ForEach(Fn&& fn) const {
+    mru_list_.ForEach([&](uint32_t, ObjectId id) { fn(id); });
+  }
+
   // Recency-list/index consistency.
   void CheckInvariants() const override {
     QDLP_CHECK(index_.size() <= capacity());

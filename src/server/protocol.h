@@ -42,6 +42,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <iterator>
 #include <string>
 
 #include "src/obs/cache_stats.h"
@@ -215,37 +216,14 @@ inline void AppendPingRequest(std::string* out) {
   AppendFrame(out, Op::kPing, Status::kOk, 0, nullptr, 0);
 }
 
-// CacheStats fields on the wire, in declaration order (cache_stats.h).
-// Kept in sync with BenchStatsFields() (bench/bench_json.h) by
-// server_protocol_test.
-struct StatsWireField {
-  const char* key;
-  uint64_t CacheStats::*member;
-};
+// CacheStats fields on the wire: the kCacheStatsFields table, in
+// declaration order (cache_stats.h), which the bench JSON stats block reads
+// too.
+using StatsWireField = CacheStatsField;
 
 inline const StatsWireField* StatsWireFields(size_t* count) {
-  static const StatsWireField fields[] = {
-      {"requests", &CacheStats::requests},
-      {"hits", &CacheStats::hits},
-      {"misses", &CacheStats::misses},
-      {"inserts", &CacheStats::inserts},
-      {"evictions", &CacheStats::evictions},
-      {"promotions", &CacheStats::promotions},
-      {"demotions", &CacheStats::demotions},
-      {"ghost_hits", &CacheStats::ghost_hits},
-      {"lock_acquisitions", &CacheStats::lock_acquisitions},
-      {"lock_failures", &CacheStats::lock_failures},
-      {"buffer_drops", &CacheStats::buffer_drops},
-      {"drain_batch_le8", &CacheStats::drain_batch_le8},
-      {"drain_batch_le64", &CacheStats::drain_batch_le64},
-      {"drain_batch_gt64", &CacheStats::drain_batch_gt64},
-      {"size", &CacheStats::size},
-      {"probation_size", &CacheStats::probation_size},
-      {"main_size", &CacheStats::main_size},
-      {"ghost_size", &CacheStats::ghost_size},
-  };
-  *count = sizeof(fields) / sizeof(fields[0]);
-  return fields;
+  *count = std::size(kCacheStatsFields);
+  return kCacheStatsFields;
 }
 
 // STATS response body: u32 field count, then count x u64 counters. The

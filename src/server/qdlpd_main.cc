@@ -63,6 +63,10 @@ int main(int argc, char** argv) {
   // Each worker is a thread with three fds (listener, epoll, eventfd): 256,
   // the shard and stripe cap, stays under the default 1,024-fd soft limit.
   constexpr uint64_t kMaxWorkers = 256;
+  // A domain's arena is addressed by 32-bit word offsets, so it holds at
+  // most 32 GiB (SlabStore checks this). The arena is split across the
+  // domains, so the cap applies to the total.
+  constexpr uint64_t kMaxArenaMb = 32768;
   for (int i = 1; i < argc; ++i) {
     std::string value;
     uint64_t n = 0;
@@ -74,7 +78,7 @@ int main(int argc, char** argv) {
       ok = ParseCount(value, 1, qdlp::DomainCore::kMaxCapacity, &n);
       options.cache.capacity = n;
     } else if (ParseFlag(argv[i], "--arena-mb", &value)) {
-      ok = ParseCount(value, 1, kMaxSize >> 20, &n);
+      ok = ParseCount(value, 1, kMaxArenaMb, &n);
       options.cache.value_arena_bytes = n << 20;
     } else if (ParseFlag(argv[i], "--workers", &value)) {
       ok = ParseCount(value, 1, kMaxWorkers, &n);
@@ -92,8 +96,10 @@ int main(int argc, char** argv) {
               "             [--workers=N] [--shards=N] [--stripes=N]\n"
               "  each N a decimal count of at least 1, except --port "
               "(0 = any free port,\n"
-              "  at most 65535); --capacity is at most 2^30 - 1 and "
-              "--workers at most 256\n");
+              "  at most 65535); --capacity is at most 2^30 - 1, "
+              "--workers at most 256\n"
+              "  and --arena-mb (the total, split across shards) at most "
+              "32768\n");
       return 2;
     }
   }

@@ -34,13 +34,13 @@ void SlabStore::PushFree(Domain& domain, size_t offset, size_t cls) {
   const size_t head = domain.free_head[cls];
   // Every link access is an atomic word op: a stale reader may still be
   // copying a just-freed chunk, and its seqlock re-check rejects the torn
-  // copy — same contract as the value stores.
-  domain.words[offset].store(PackLink(0, head), std::memory_order_relaxed);
+  // copy — same contract (release stores) as the value stores.
+  domain.words[offset].store(PackLink(0, head), std::memory_order_release);
   if (head != 0) {
     const uint64_t head_link =
         domain.words[head].load(std::memory_order_relaxed);
     domain.words[head].store(PackLink(offset, LinkNext(head_link)),
-                             std::memory_order_relaxed);
+                             std::memory_order_release);
   }
   domain.free_head[cls] = offset;
   domain.free_class[offset] = static_cast<uint8_t>(cls + 1);
@@ -54,7 +54,7 @@ void SlabStore::UnlinkFree(Domain& domain, size_t offset, size_t cls) {
     const uint64_t prev_link =
         domain.words[prev].load(std::memory_order_relaxed);
     domain.words[prev].store(PackLink(LinkPrev(prev_link), next),
-                             std::memory_order_relaxed);
+                             std::memory_order_release);
   } else {
     domain.free_head[cls] = next;
   }
@@ -62,7 +62,7 @@ void SlabStore::UnlinkFree(Domain& domain, size_t offset, size_t cls) {
     const uint64_t next_link =
         domain.words[next].load(std::memory_order_relaxed);
     domain.words[next].store(PackLink(prev, LinkNext(next_link)),
-                             std::memory_order_relaxed);
+                             std::memory_order_release);
   }
   domain.free_class[offset] = 0;
 }
@@ -140,13 +140,24 @@ void SlabStore::WriteChunk(ChunkRef chunk, const void* data, size_t len) {
   for (; i + 8 <= len; i += 8) {
     uint64_t w;
     std::memcpy(&w, src + i, 8);
-    words[i / 8].store(w, std::memory_order_relaxed);
+    words[i / 8].store(w, std::memory_order_release);
   }
   if (i < len) {
     uint64_t w = 0;
     std::memcpy(&w, src + i, len - i);
-    words[i / 8].store(w, std::memory_order_relaxed);
+    words[i / 8].store(w, std::memory_order_release);
   }
+}
+
+void SlabStore::WriteCell(Cell& c, uint64_t id, ChunkRef chunk,
+                          uint64_t expiry_s) {
+  const uint64_t v = c.version.load(std::memory_order_relaxed);
+  QDLP_DCHECK((v & 1) == 0);
+  c.version.store(v + 1, std::memory_order_relaxed);
+  c.id.store(id, std::memory_order_release);
+  c.chunk.store(chunk, std::memory_order_release);
+  c.expiry.store(expiry_s, std::memory_order_release);
+  c.version.store(v + 2, std::memory_order_release);
 }
 
 SlabStore::ChunkRef SlabStore::Commit(uint32_t cell, uint64_t id,
@@ -154,14 +165,7 @@ SlabStore::ChunkRef SlabStore::Commit(uint32_t cell, uint64_t id,
   QDLP_DCHECK(cell < cells_.size());
   Cell& c = cells_[cell];
   const ChunkRef old = c.chunk.load(std::memory_order_relaxed);
-  const uint64_t v = c.version.load(std::memory_order_relaxed);
-  QDLP_DCHECK((v & 1) == 0);
-  c.version.store(v + 1, std::memory_order_relaxed);
-  std::atomic_thread_fence(std::memory_order_release);
-  c.id.store(id, std::memory_order_relaxed);
-  c.chunk.store(chunk, std::memory_order_relaxed);
-  c.expiry.store(expiry_s, std::memory_order_relaxed);
-  c.version.store(v + 2, std::memory_order_release);
+  WriteCell(c, id, chunk, expiry_s);
   if (chunk != kNullChunk) {
     domains_[ChunkDomain(chunk)].live_bytes.fetch_add(
         ChunkLen(chunk), std::memory_order_relaxed);
@@ -177,14 +181,7 @@ SlabStore::ChunkRef SlabStore::ClearCell(uint32_t cell) {
   QDLP_DCHECK(cell < cells_.size());
   Cell& c = cells_[cell];
   const ChunkRef old = c.chunk.load(std::memory_order_relaxed);
-  const uint64_t v = c.version.load(std::memory_order_relaxed);
-  QDLP_DCHECK((v & 1) == 0);
-  c.version.store(v + 1, std::memory_order_relaxed);
-  std::atomic_thread_fence(std::memory_order_release);
-  c.id.store(0, std::memory_order_relaxed);
-  c.chunk.store(kNullChunk, std::memory_order_relaxed);
-  c.expiry.store(0, std::memory_order_relaxed);
-  c.version.store(v + 2, std::memory_order_release);
+  WriteCell(c, 0, kNullChunk, 0);
   if (old != kNullChunk) {
     domains_[ChunkDomain(old)].live_bytes.fetch_sub(
         ChunkLen(old), std::memory_order_relaxed);
@@ -201,28 +198,15 @@ void SlabStore::MoveCell(uint32_t from, uint32_t to) {
   Cell& src = cells_[from];
   Cell& dst = cells_[to];
   QDLP_DCHECK(dst.chunk.load(std::memory_order_relaxed) == kNullChunk);
-  const uint64_t id = src.id.load(std::memory_order_relaxed);
-  const ChunkRef chunk = src.chunk.load(std::memory_order_relaxed);
-  const uint64_t expiry = src.expiry.load(std::memory_order_relaxed);
   // Publish the destination before clearing the source: a reader chasing a
   // just-updated index entry finds the value already in place, and a
   // reader still holding the old location fails the id check and
   // re-probes. live_bytes is untouched — the chunk neither appears nor
   // disappears, it changes owners.
-  const uint64_t dv = dst.version.load(std::memory_order_relaxed);
-  dst.version.store(dv + 1, std::memory_order_relaxed);
-  std::atomic_thread_fence(std::memory_order_release);
-  dst.id.store(id, std::memory_order_relaxed);
-  dst.chunk.store(chunk, std::memory_order_relaxed);
-  dst.expiry.store(expiry, std::memory_order_relaxed);
-  dst.version.store(dv + 2, std::memory_order_release);
-  const uint64_t sv = src.version.load(std::memory_order_relaxed);
-  src.version.store(sv + 1, std::memory_order_relaxed);
-  std::atomic_thread_fence(std::memory_order_release);
-  src.id.store(0, std::memory_order_relaxed);
-  src.chunk.store(kNullChunk, std::memory_order_relaxed);
-  src.expiry.store(0, std::memory_order_relaxed);
-  src.version.store(sv + 2, std::memory_order_release);
+  WriteCell(dst, src.id.load(std::memory_order_relaxed),
+            src.chunk.load(std::memory_order_relaxed),
+            src.expiry.load(std::memory_order_relaxed));
+  WriteCell(src, 0, kNullChunk, 0);
 }
 
 void SlabStore::FreeChunk(ChunkRef chunk) {
@@ -247,9 +231,9 @@ SlabStore::ReadResult SlabStore::Read(uint32_t cell, uint64_t id,
     if ((v1 & 1) != 0) {
       continue;  // writer mid-update; it finishes in a handful of stores
     }
-    const uint64_t cell_id = c.id.load(std::memory_order_relaxed);
-    const ChunkRef chunk = c.chunk.load(std::memory_order_relaxed);
-    const uint64_t expiry = c.expiry.load(std::memory_order_relaxed);
+    const uint64_t cell_id = c.id.load(std::memory_order_acquire);
+    const ChunkRef chunk = c.chunk.load(std::memory_order_acquire);
+    const uint64_t expiry = c.expiry.load(std::memory_order_acquire);
     ReadResult result;
     if (cell_id != id) {
       result = ReadResult::kStale;
@@ -265,18 +249,17 @@ SlabStore::ReadResult SlabStore::Read(uint32_t cell, uint64_t id,
       out->resize(len);
       size_t i = 0;
       for (; i + 8 <= len; i += 8) {
-        const uint64_t w = words[i / 8].load(std::memory_order_relaxed);
+        const uint64_t w = words[i / 8].load(std::memory_order_acquire);
         std::memcpy(&(*out)[i], &w, 8);
       }
       if (i < len) {
-        const uint64_t w = words[i / 8].load(std::memory_order_relaxed);
+        const uint64_t w = words[i / 8].load(std::memory_order_acquire);
         std::memcpy(&(*out)[i], &w, len - i);
       }
       result = ReadResult::kHit;
     }
     // Validate even the non-copy outcomes: a torn header read (id and
     // chunk from different commits) must never escape as kStale/kExpired.
-    std::atomic_thread_fence(std::memory_order_acquire);
     if (c.version.load(std::memory_order_acquire) == v1) {
       return result;
     }

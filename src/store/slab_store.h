@@ -32,8 +32,20 @@
 //    copies the value words, and validates the version. A concurrent
 //    Commit/Clear/Move of the same cell, or a Free+reuse of the chunk the
 //    reader is copying, bumps the version and the reader retries (the
-//    arena is atomic words with relaxed ops, so a torn copy is detected,
-//    never undefined behavior).
+//    arena is atomic words, so a torn copy is detected, never undefined
+//    behavior).
+//  * The seqlock uses no fences, which ThreadSanitizer does not model.
+//    Every writer store to a cell's id, chunk or expiry and to an arena
+//    word is a release store; Read() loads them, and the version both
+//    times, with acquire. If one of a reader's loads returns a store made
+//    after its first version read, the reader synchronizes with that
+//    store, so its re-check sees the newer odd version and retries. This
+//    also orders what fences would leave out of the C++ model: one thread
+//    clears a cell and frees its chunk, and another reuses the chunk under
+//    the same domain mutex. A fence synchronizes only through stores
+//    sequenced after it in its own thread, and the reusing thread's
+//    stores are not. On x86-64 a release store or an acquire load is the
+//    same mov as a relaxed one.
 //  * A reader passes the id it expects the cell to hold; an id mismatch
 //    (the cache moved or replaced the occupant between the caller's index
 //    probe and the cell read) returns kStale and the caller re-probes.
@@ -90,7 +102,7 @@ class SlabStore {
   // caller should report the value as too large).
   ChunkRef Allocate(size_t domain, size_t len);
 
-  // Copies `len` value bytes into the chunk (relaxed atomic word stores).
+  // Copies `len` value bytes into the chunk (release atomic word stores).
   // Must happen before the chunk is published via Commit.
   void WriteChunk(ChunkRef chunk, const void* data, size_t len);
 
@@ -143,6 +155,12 @@ class SlabStore {
     std::atomic<uint64_t> chunk{kNullChunk};
     std::atomic<uint64_t> expiry{0};
   };
+
+  // The seqlock write section, the one place a cell changes: the odd
+  // version (relaxed), then id, chunk and expiry as release stores, then
+  // the even version (release). Caller holds the cell's domain mutex.
+  static void WriteCell(Cell& c, uint64_t id, ChunkRef chunk,
+                        uint64_t expiry_s);
 
   struct alignas(64) Domain {
     std::unique_ptr<std::atomic<uint64_t>[]> words;

@@ -185,9 +185,9 @@ TEST(BenchJsonTest, StatsBlockEmitsEveryDocumentedField) {
   row.stats.requests = 7;
   const std::string json = BenchJsonToString("b", {row});
   // The writer, the reporter bridge, and tools/bench_compare.py all walk
-  // BenchStatsFields(); every key must appear in the emitted block,
+  // kCacheStatsFields; every key must appear in the emitted block,
   // including the sharded-eviction contention counters.
-  for (const BenchStatsField& field : BenchStatsFields()) {
+  for (const CacheStatsField& field : kCacheStatsFields) {
     EXPECT_NE(json.find("\"" + std::string(field.key) + "\": "),
               std::string::npos)
         << "missing stats field: " << field.key;

@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "src/concurrent/concurrent_clock.h"
-#include "src/concurrent/locked_lru.h"
 #include "src/concurrent/sharded_lru.h"
 #include "src/policies/lru.h"
 #include "src/trace/generators.h"
@@ -25,7 +24,7 @@ TEST(GlobalLockLruTest, MatchesSequentialLruSingleThreaded) {
   config.num_objects = 500;
   config.seed = 401;
   const Trace trace = GenerateZipf(config);
-  GlobalLockLruCache concurrent(100);
+  ShardedLruCache concurrent(100, 1);
   LruPolicy sequential(100);
   for (const ObjectId id : trace.requests) {
     ASSERT_EQ(concurrent.Get(id), sequential.Access(id));
@@ -38,7 +37,7 @@ class ConcurrentStressTest
   std::unique_ptr<ConcurrentCache> MakeCache(size_t capacity) {
     const std::string& kind = GetParam();
     if (kind == "global-lru") {
-      return std::make_unique<GlobalLockLruCache>(capacity);
+      return std::make_unique<ShardedLruCache>(capacity, 1);
     }
     if (kind == "sharded-lru") {
       return std::make_unique<ShardedLruCache>(capacity, 8);
@@ -195,6 +194,13 @@ TEST(ShardedLruTest, RemainderCapacityIsDistributed) {
   // Sum of shard sizes can reach the full 7 under a spread key set.
   ShardedLruCache one_each(5, 5);
   one_each.CheckInvariants();
+}
+
+// A zero capacity must be rejected before the shard count is clamped to
+// it: a cache with no shards has nothing for Get() to hash into.
+TEST(ShardedLruTest, ZeroCapacityIsACheckedError) {
+  EXPECT_DEATH(ShardedLruCache(0, 4), "QDLP_CHECK failed");
+  EXPECT_DEATH(ShardedLruCache(0, 1), "QDLP_CHECK failed");
 }
 
 }  // namespace

@@ -53,6 +53,15 @@ bool RefLru::Access(ObjectId id) {
   return false;
 }
 
+bool RefLru::Remove(ObjectId id) {
+  const auto it = std::find(mru_.begin(), mru_.end(), id);
+  if (it == mru_.end()) {
+    return false;
+  }
+  mru_.erase(it);
+  return true;
+}
+
 bool RefLru::Contains(ObjectId id) const {
   return std::find(mru_.begin(), mru_.end(), id) != mru_.end();
 }

@@ -68,6 +68,7 @@ class RefLru : public ReferenceModel {
   explicit RefLru(size_t capacity) : capacity_(capacity) {}
 
   bool Access(ObjectId id) override;
+  bool Remove(ObjectId id) override;
   size_t size() const override { return mru_.size(); }
   bool Contains(ObjectId id) const override;
   const char* name() const override { return "ref-lru"; }

@@ -19,7 +19,6 @@
 #include "src/concurrent/concurrent_clock.h"
 #include "src/concurrent/concurrent_qdlp_fifo.h"
 #include "src/concurrent/concurrent_s3fifo.h"
-#include "src/concurrent/locked_lru.h"
 #include "src/concurrent/sharded_lru.h"
 #include "src/core/policy_factory.h"
 #include "src/trace/generators.h"
@@ -179,12 +178,10 @@ TEST_P(ConcurrentDifferentialTest, MatchesOracleRequestForRequest) {
   } else if (cache_name == "concurrent-qdlp-fifo") {
     cache = std::make_unique<ConcurrentQdLpFifo>(cache_size, /*num_stripes=*/4);
     model = oracle::MakeExactOracle("qd-lp-fifo", cache_size);
-  } else if (cache_name == "sharded-lru") {
-    // One shard: sharded LRU degenerates to exact global LRU.
+  } else if (cache_name == "sharded-lru" || cache_name == "global-lock-lru") {
+    // One shard: sharded LRU degenerates to exact global LRU, which is what
+    // MakeCache builds for global-lock-lru.
     cache = std::make_unique<ShardedLruCache>(cache_size, /*num_shards=*/1);
-    model = std::make_unique<oracle::RefLru>(cache_size);
-  } else if (cache_name == "global-lock-lru") {
-    cache = std::make_unique<GlobalLockLruCache>(cache_size);
     model = std::make_unique<oracle::RefLru>(cache_size);
   }
   ASSERT_NE(cache, nullptr) << cache_name;
@@ -213,10 +210,11 @@ INSTANTIATE_TEST_SUITE_P(
     CaseName);
 
 // ---------------------------------------------------------------------------
-// Exact lockstep with removals: every lane of each design whose one
-// implementation is the lock-free caches' Regions — MakePolicy's serial
-// policy, MakeDensePolicy's sweep-lane variant and the concurrent cache at
-// one shard — takes the same Get/Remove stream as the oracle.
+// Exact lockstep with removals: every lane of each design with one
+// implementation — the lock-free caches' Regions for the FIFO designs,
+// LruPolicy for LRU — takes the same Get/Remove stream as the oracle:
+// MakePolicy's serial policy, MakeDensePolicy's sweep-lane variant and the
+// concurrent cache at one shard.
 
 using RemovalCase = std::tuple<std::string, size_t>;
 
@@ -232,6 +230,9 @@ std::unique_ptr<ConcurrentCache> MakeOneShardCache(const std::string& name,
   }
   if (name == "qd-lp-fifo") {
     return std::make_unique<ConcurrentQdLpFifo>(capacity, /*num_stripes=*/4);
+  }
+  if (name == "lru") {
+    return std::make_unique<ShardedLruCache>(capacity, /*num_shards=*/1);
   }
   return nullptr;
 }
@@ -255,6 +256,7 @@ TEST_P(RemovalDifferentialTest, EveryLaneMatchesOracleWithRemovals) {
   const uint64_t seed_tag = name == "fifo-reinsertion" ? 1
                             : name == "clock2"         ? 2
                             : name == "s3fifo"         ? 3
+                            : name == "lru"            ? 5
                                                        : 4;
   Rng rng(0xC10C + capacity * 10 + seed_tag);
   for (int op = 0; op < 200000; ++op) {
@@ -292,7 +294,7 @@ TEST_P(RemovalDifferentialTest, EveryLaneMatchesOracleWithRemovals) {
 INSTANTIATE_TEST_SUITE_P(
     Regions, RemovalDifferentialTest,
     ::testing::Combine(::testing::Values("fifo-reinsertion", "clock2",
-                                         "s3fifo", "qd-lp-fifo"),
+                                         "s3fifo", "qd-lp-fifo", "lru"),
                        ::testing::ValuesIn(kRemovalCacheSizes)),
     [](const ::testing::TestParamInfo<RemovalCase>& info) {
       return TestName(std::get<0>(info.param) + "_c" +

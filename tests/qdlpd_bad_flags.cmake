@@ -8,7 +8,7 @@ foreach(flag IN ITEMS
     --capacity=abc --capacity= --capacity=12k --capacity=-1 --capacity=0
     --capacity=1073741824 --capacity=99999999999999999999999
     --port=abc --port=70000 --port=-1
-    --arena-mb=0 --arena-mb=abc --arena-mb=17592186044416
+    --arena-mb=0 --arena-mb=abc --arena-mb=32769 --arena-mb=17592186044416
     --workers=0 --workers=257 --shards=0 --stripes=0 --bogus)
   execute_process(COMMAND ${QDLPD_BIN} ${flag}
     RESULT_VARIABLE status

@@ -1,7 +1,5 @@
 // Wire-protocol codec tests: frame round-trips, incremental parsing,
-// hostile-input rejection, and the STATS body encoding — plus the
-// cross-check that keeps StatsWireFields() and BenchStatsFields() (the
-// bench JSON schema) identical.
+// hostile-input rejection, and the STATS body encoding.
 
 #include "src/server/protocol.h"
 
@@ -9,9 +7,7 @@
 
 #include <cstring>
 #include <string>
-#include <vector>
 
-#include "bench/bench_json.h"
 #include "src/obs/cache_stats.h"
 
 namespace qdlp {
@@ -213,19 +209,6 @@ TEST(ServerProtocolTest, StatsBodyIsForwardAndBackwardCompatible) {
   EXPECT_EQ(decoded.requests, 5u);
   EXPECT_EQ(decoded.hits, 6u);
   EXPECT_EQ(decoded.misses, 0u);
-}
-
-// The wire schema and the bench JSON schema must stay field-for-field
-// identical — stats_report.py and bench_compare.py consume both.
-TEST(ServerProtocolTest, WireFieldsMatchBenchJsonFields) {
-  size_t wire_count = 0;
-  const StatsWireField* wire = StatsWireFields(&wire_count);
-  const std::vector<BenchStatsField>& bench = BenchStatsFields();
-  ASSERT_EQ(wire_count, bench.size());
-  for (size_t i = 0; i < wire_count; ++i) {
-    EXPECT_STREQ(wire[i].key, bench[i].key) << i;
-    EXPECT_EQ(wire[i].member, bench[i].member) << wire[i].key;
-  }
 }
 
 TEST(ServerProtocolTest, PipelinedFramesParseInOrder) {

@@ -22,7 +22,6 @@
 #include "src/concurrent/concurrent_clock.h"
 #include "src/concurrent/concurrent_qdlp_fifo.h"
 #include "src/concurrent/concurrent_s3fifo.h"
-#include "src/concurrent/locked_lru.h"
 #include "src/concurrent/sharded_lru.h"
 #include "src/core/policy_factory.h"
 #include "src/core/qd_cache.h"
@@ -326,7 +325,7 @@ void ExpectConcurrentCountsExact(const char* label, MakeCache make,
 TEST(ConcurrentStatsTest, SingleThreadedCountsAreExact) {
   static constexpr size_t kCapacity = 101;
   ExpectConcurrentCountsExact("global-lock-lru", [] {
-    return std::make_unique<GlobalLockLruCache>(kCapacity);
+    return std::make_unique<ShardedLruCache>(kCapacity, 1);
   });
   ExpectConcurrentCountsExact("sharded-lru", [] {
     return std::make_unique<ShardedLruCache>(kCapacity, 4);

@@ -21,7 +21,6 @@
 #include "src/concurrent/concurrent_clock.h"
 #include "src/concurrent/concurrent_qdlp_fifo.h"
 #include "src/concurrent/concurrent_s3fifo.h"
-#include "src/concurrent/locked_lru.h"
 #include "src/concurrent/mpsc_ring.h"
 #include "src/concurrent/sharded_lru.h"
 #include "src/concurrent/striped_index.h"
@@ -103,7 +102,7 @@ void HammerFromManyThreads(ConcurrentCache& cache) {
 }
 
 TEST(TsanStressTest, GlobalLockLru) {
-  GlobalLockLruCache cache(512);
+  ShardedLruCache cache(512, 1);
   HammerFromManyThreads(cache);
 }
 

@@ -51,7 +51,7 @@ import json
 import os
 import sys
 
-# Keep in sync with BenchStatsFields() in bench/bench_json.h.
+# Keep in sync with kCacheStatsFields in src/obs/cache_stats.h.
 STATS_FIELDS = (
     "requests", "hits", "misses", "inserts", "evictions", "promotions",
     "demotions", "ghost_hits", "lock_acquisitions", "lock_failures",
