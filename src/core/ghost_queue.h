@@ -8,9 +8,9 @@
 //
 // Backed by a slab intrusive FIFO plus an id index; refreshing an id is an
 // O(1) splice to the queue tail and consuming one is an O(1) unlink, so
-// there are no stale records to skip while trimming. The qd-<base> wrapper
-// (QdCache) and the flash model keep their ghosts here; the FIFO designs
-// that own their index keep theirs in it instead (IndexedGhost,
+// there are no stale records to skip while trimming. The flash model keeps
+// its ghost here; the FIFO designs and the qd-<base> wrapper (QdCache)
+// keep theirs in their id index instead (IndexedGhost,
 // src/concurrent/eviction_domains.h).
 
 #ifndef QDLP_SRC_CORE_GHOST_QUEUE_H_

@@ -57,15 +57,56 @@ std::unique_ptr<EvictionPolicy> MakeRegionsPolicy(const std::string& name,
   return nullptr;
 }
 
+// The designs with one implementation over either index backing: the
+// flat one is MakePolicy's, the dense one MakeDensePolicy's. Each is built
+// with its constructor's defaults.
+template <typename IndexFactory>
+std::unique_ptr<EvictionPolicy> MakeIndexedBase(const std::string& name,
+                                                size_t capacity,
+                                                const IndexFactory& factory) {
+  if (name == "fifo") {
+    return std::make_unique<BasicFifoPolicy<IndexFactory>>(capacity, factory);
+  }
+  if (name == "lru") {
+    return std::make_unique<BasicLruPolicy<IndexFactory>>(capacity, factory);
+  }
+  if (name == "sieve") {
+    return std::make_unique<BasicSievePolicy<IndexFactory>>(capacity, factory);
+  }
+  if (name == "arc") {
+    return std::make_unique<BasicArcPolicy<IndexFactory>>(capacity, 1.0, -1.0,
+                                                          factory);
+  }
+  if (name == "arc-slow") {
+    return std::make_unique<BasicArcPolicy<IndexFactory>>(
+        capacity, /*adaptation_rate=*/0.25, -1.0, factory);
+  }
+  if (name == "arc-fixed") {
+    return std::make_unique<BasicArcPolicy<IndexFactory>>(
+        capacity, 1.0, /*fixed_p_fraction=*/0.1, factory);
+  }
+  if (name == "lirs") {
+    return std::make_unique<BasicLirsPolicy<IndexFactory>>(capacity, 0.01, 3.0,
+                                                           factory);
+  }
+  if (name == "lecar") {
+    return std::make_unique<BasicLecarPolicy<IndexFactory>>(capacity, 7, 0.45,
+                                                            factory);
+  }
+  if (name == "cacheus") {
+    return std::make_unique<BasicCacheusPolicy<IndexFactory>>(capacity, 11,
+                                                              factory);
+  }
+  if (name == "lhd") {
+    return std::make_unique<BasicLhdPolicy<IndexFactory>>(capacity, 13,
+                                                          factory);
+  }
+  return MakeRegionsPolicy(name, capacity, factory);
+}
+
 std::unique_ptr<EvictionPolicy> MakeBase(const std::string& name,
                                          size_t capacity,
                                          const std::vector<ObjectId>* trace) {
-  if (name == "fifo") {
-    return std::make_unique<FifoPolicy>(capacity);
-  }
-  if (name == "lru") {
-    return std::make_unique<LruPolicy>(capacity);
-  }
   if (name == "lfu") {
     return std::make_unique<LfuPolicy>(capacity);
   }
@@ -77,15 +118,6 @@ std::unique_ptr<EvictionPolicy> MakeBase(const std::string& name,
   }
   if (name == "2q") {
     return std::make_unique<TwoQPolicy>(capacity);
-  }
-  if (name == "arc") {
-    return std::make_unique<ArcPolicy>(capacity);
-  }
-  if (name == "arc-slow") {
-    return std::make_unique<ArcPolicy>(capacity, /*adaptation_rate=*/0.25);
-  }
-  if (name == "arc-fixed") {
-    return std::make_unique<ArcPolicy>(capacity, 1.0, /*fixed_p_fraction=*/0.1);
   }
   if (name == "car") {
     return std::make_unique<CarPolicy>(capacity);
@@ -105,26 +137,11 @@ std::unique_ptr<EvictionPolicy> MakeBase(const std::string& name,
   if (name == "lru-promote-old") {
     return std::make_unique<PromoteOldOnlyLru>(capacity);
   }
-  if (name == "lirs") {
-    return std::make_unique<LirsPolicy>(capacity);
-  }
-  if (name == "lecar") {
-    return std::make_unique<LecarPolicy>(capacity);
-  }
-  if (name == "cacheus") {
-    return std::make_unique<CacheusPolicy>(capacity);
-  }
-  if (name == "lhd") {
-    return std::make_unique<LhdPolicy>(capacity);
-  }
   if (name == "hyperbolic") {
     return std::make_unique<HyperbolicPolicy>(capacity);
   }
   if (name == "clockpro") {
     return std::make_unique<ClockProPolicy>(capacity);
-  }
-  if (name == "sieve") {
-    return std::make_unique<SievePolicy>(capacity);
   }
   if (name == "belady") {
     if (trace == nullptr) {
@@ -132,7 +149,46 @@ std::unique_ptr<EvictionPolicy> MakeBase(const std::string& name,
     }
     return std::make_unique<BeladyPolicy>(capacity, *trace);
   }
-  return MakeRegionsPolicy(name, capacity, FlatIndexFactory{});
+  return MakeIndexedBase(name, capacity, FlatIndexFactory{});
+}
+
+// The paper's budget split: QdCache over the main policy `make_main`
+// builds for the remainder of `total_capacity` after probation.
+template <typename IndexFactory, typename MakeMain>
+std::unique_ptr<EvictionPolicy> MakeQdCache(size_t total_capacity,
+                                            const QdOptions& options,
+                                            const IndexFactory& factory,
+                                            MakeMain&& make_main) {
+  QDLP_CHECK(total_capacity >= 2);
+  QDLP_CHECK(options.probation_fraction > 0.0 && options.probation_fraction < 1.0);
+  const size_t probation =
+      QdProbationCapacity(total_capacity, options.probation_fraction);
+  auto main = make_main(total_capacity - probation);
+  if (main == nullptr) {
+    return nullptr;
+  }
+  return std::make_unique<BasicQdCache<IndexFactory>>(
+      probation, std::move(main), options, factory);
+}
+
+// Base names MakeIndexedBase builds.
+bool IsIndexedBase(const std::string& name) {
+  static const char* const kIndexed[] = {
+      "fifo",       "lru",     "sieve",  "arc",    "arc-slow",
+      "arc-fixed",  "lirs",    "lecar",  "cacheus", "lhd",
+      "fifo-reinsertion",      "clock",  "clock1", "clock2",
+      "clock3",     "s3fifo",  "qd-lp-fifo",
+  };
+  for (const char* indexed : kIndexed) {
+    if (name == indexed) {
+      return true;
+    }
+  }
+  return false;
+}
+
+bool IsQdComposition(const std::string& name) {
+  return name.rfind("qd-", 0) == 0 && name != "qd-lp-fifo";
 }
 
 }  // namespace
@@ -141,57 +197,50 @@ std::unique_ptr<EvictionPolicy> MakeQdPolicy(const std::string& base_name,
                                              size_t total_capacity,
                                              const QdOptions& options,
                                              const std::vector<ObjectId>* trace) {
-  QDLP_CHECK(total_capacity >= 2);
-  QDLP_CHECK(options.probation_fraction > 0.0 && options.probation_fraction < 1.0);
-  if (base_name == "belady" || base_name.rfind("qd-", 0) == 0) {
-    // Belady consumes the trace positionally; behind a QD filter its
-    // next-use bookkeeping would desynchronize from the request stream.
-    // And QD composes over plain bases only.
-    return nullptr;
-  }
-  const size_t probation =
-      QdProbationCapacity(total_capacity, options.probation_fraction);
-  const size_t main_capacity = total_capacity - probation;
-  auto main = MakeBase(base_name, main_capacity, trace);
-  if (main == nullptr) {
-    return nullptr;
-  }
-  return std::make_unique<QdCache>(probation, std::move(main), options);
+  return MakeQdCache(
+      total_capacity, options, FlatIndexFactory{},
+      [&](size_t main_capacity) -> std::unique_ptr<EvictionPolicy> {
+        if (base_name == "belady" || base_name.rfind("qd-", 0) == 0) {
+          // Belady consumes the trace positionally; behind a QD filter its
+          // next-use bookkeeping would desynchronize from the request
+          // stream. And QD composes over plain bases only.
+          return nullptr;
+        }
+        return MakeBase(base_name, main_capacity, trace);
+      });
 }
 
-bool HasDenseVariant(const std::string& name) {
-  static const char* const kDense[] = {
-      "fifo",   "lru",    "fifo-reinsertion", "clock",  "clock1",
-      "clock2", "clock3", "sieve",            "s3fifo", "qd-lp-fifo",
-  };
-  for (const char* dense_name : kDense) {
-    if (name == dense_name) {
-      return true;
-    }
-  }
-  return false;
-}
-
-// Dense variants exist only for policies whose decisions depend on ids
-// solely through index lookups and queue order — never on the id's value,
-// hash, or hash-table iteration order — so a bijective remap to dense ids
+// Every name MakeIndexedBase builds has a dense variant, and so does
+// qd-<base> over each of them (QD composes over plain bases only). None of
+// these policies reads an id's value or hash, or iterates a hash table:
+// their decisions depend on ids only through index lookups and their own
+// lists' order (LHD samples its object vector by position, which the
+// access sequence alone determines), so a bijective remap to dense ids
 // cannot change any eviction decision. Policies that sample the index
-// (random, lhd, hyperbolic, ...) or hash ids into sketches (wtinylfu) are
-// excluded even where a dense index would mechanically work.
+// (random, hyperbolic) or hash ids into sketches (wtinylfu) have none.
+bool HasDenseVariant(const std::string& name) {
+  if (IsQdComposition(name)) {
+    const std::string base = name.substr(3);
+    return base.rfind("qd-", 0) != 0 && IsIndexedBase(base);
+  }
+  return IsIndexedBase(name);
+}
+
 std::unique_ptr<EvictionPolicy> MakeDensePolicy(const std::string& name,
                                                 size_t capacity,
                                                 uint64_t universe) {
+  if (!HasDenseVariant(name)) {
+    return nullptr;
+  }
   const DenseIndexFactory factory{universe};
-  if (name == "fifo") {
-    return std::make_unique<DenseFifoPolicy>(capacity, factory);
+  if (IsQdComposition(name)) {
+    return MakeQdCache(capacity, QdOptions{}, factory,
+                       [&](size_t main_capacity) {
+                         return MakeIndexedBase(name.substr(3), main_capacity,
+                                                factory);
+                       });
   }
-  if (name == "lru") {
-    return std::make_unique<DenseLruPolicy>(capacity, factory);
-  }
-  if (name == "sieve") {
-    return std::make_unique<DenseSievePolicy>(capacity, factory);
-  }
-  return MakeRegionsPolicy(name, capacity, factory);
+  return MakeIndexedBase(name, capacity, factory);
 }
 
 std::unique_ptr<EvictionPolicy> MakePolicy(const std::string& name,

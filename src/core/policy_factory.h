@@ -15,6 +15,13 @@
 // one implementation across MakePolicy, MakeDensePolicy and the concurrent
 // caches.
 //
+// Two lanes (the replay engine picks per cell, src/sim/replay_engine.cc):
+// MakePolicy's policies take original ids over FlatMap indexes;
+// MakeDensePolicy's take dense ids over direct-indexed slot arrays. The
+// dense lane covers fifo, lru, sieve, the CLOCK family, s3fifo, qd-lp-fifo,
+// Fig 5's arc, arc-slow, arc-fixed, lirs, lecar, cacheus and lhd, and
+// qd-<base> over each of those.
+//
 // For QD-composed policies the capacity is the *total* budget: 10% goes to
 // the probationary FIFO and 90% to the main policy, as in the paper.
 
@@ -45,7 +52,8 @@ std::unique_ptr<EvictionPolicy> MakeQdPolicy(
 // True if `name` has a dense-index variant (MakeDensePolicy accepts it) AND
 // its eviction decisions are invariant under a bijective id remap, so
 // feeding it dense ids yields bit-identical miss ratios. The batched sweep
-// engine uses this to pick the fast path per cell.
+// engine uses this to pick the fast path per cell. A qd-<base> name has one
+// exactly when its base does.
 bool HasDenseVariant(const std::string& name);
 
 // Builds the dense-index variant of `name`: identical eviction logic, but

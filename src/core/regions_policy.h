@@ -8,13 +8,14 @@
 //
 // The policy is its Regions' core (the interface in eviction_domains.h):
 // one shard spanning the whole capacity, with no mutex and no insert
-// buffers. Its index is a FlatMap (MakePolicy) or, over dense-id traces, a
-// DenseIndex (MakeDensePolicy), with the striped index's ghost-tag rules,
-// so the ghosts live in it as they do in the lock-free caches' index and
-// an access is one probe. Each count the Regions make becomes the matching
-// Notify* event, so the counters and any AccessEventSink (Fig 3's
-// residency accounting, TtlCache's reaper) see every insert, eviction,
-// promotion, demotion and ghost hit as it happens.
+// buffers. Its index is a TaggedIndex (tagged_index.h) over a FlatMap
+// (MakePolicy) or, over dense-id traces, a DenseIndex (MakeDensePolicy),
+// with the striped index's ghost-tag rules, so the ghosts live in it as
+// they do in the lock-free caches' index and an access is one probe. Each
+// count the Regions make becomes the matching Notify* event, so the
+// counters and any AccessEventSink (Fig 3's residency accounting,
+// TtlCache's reaper) see every insert, eviction, promotion, demotion and
+// ghost hit as it happens.
 
 #ifndef QDLP_SRC_CORE_REGIONS_POLICY_H_
 #define QDLP_SRC_CORE_REGIONS_POLICY_H_
@@ -27,6 +28,7 @@
 #include "src/concurrent/concurrent_clock.h"
 #include "src/concurrent/concurrent_qdlp_fifo.h"
 #include "src/concurrent/concurrent_s3fifo.h"
+#include "src/core/tagged_index.h"
 #include "src/obs/concurrent_counters.h"
 #include "src/policies/eviction_policy.h"
 #include "src/util/check.h"
@@ -112,79 +114,6 @@ class RegionsPolicy final : public EvictionPolicy {
   friend Regions<RegionsPolicy>;
   friend IndexedGhost;  // the Regions' ghost writes ghost records
 
-  // The id index, with the calls the Regions make on StripedAtomicIndex
-  // and its ghost-tag rules: the read side (Find/Contains/ForEach, size())
-  // sees residents only, Entry() the raw value.
-  class Index {
-   public:
-    Index(size_t entries, const Factory& factory)
-        : map_(factory.template Make<uint32_t>()) {
-      map_.Reserve(entries);
-    }
-
-    bool Find(ObjectId id, uint32_t* value) const {
-      const uint32_t* found = map_.Find(id);
-      if (found == nullptr || StripedAtomicIndex::IsGhost(*found)) {
-        return false;
-      }
-      *value = *found;
-      return true;
-    }
-    bool Contains(ObjectId id) const {
-      uint32_t value;
-      return Find(id, &value);
-    }
-    uint32_t Entry(ObjectId id) const {
-      const uint32_t* found = map_.Find(id);
-      return found != nullptr ? *found : StripedAtomicIndex::kNoEntry;
-    }
-    void Insert(ObjectId id, uint32_t value) {
-      map_[id] = value;
-      ghosts_ += StripedAtomicIndex::IsGhost(value) ? 1 : 0;
-    }
-    // The id must be indexed, as StripedAtomicIndex::Update requires.
-    void Update(ObjectId id, uint32_t value) {
-      uint32_t* entry = map_.Find(id);
-      QDLP_CHECK(entry != nullptr);
-      ghosts_ += StripedAtomicIndex::IsGhost(value) ? 1 : 0;
-      ghosts_ -= StripedAtomicIndex::IsGhost(*entry) ? 1 : 0;
-      *entry = value;
-    }
-    bool Erase(ObjectId id) {
-      uint32_t erased;
-      if (!map_.Erase(id, &erased)) {
-        return false;
-      }
-      ghosts_ -= StripedAtomicIndex::IsGhost(erased) ? 1 : 0;
-      return true;
-    }
-    template <typename Fn>
-    void ForEach(Fn&& fn) const {
-      map_.ForEach([&](ObjectId id, uint32_t value) {
-        if (!StripedAtomicIndex::IsGhost(value)) {
-          fn(id, value);
-        }
-      });
-    }
-
-    size_t size() const { return map_.size() - ghosts_; }
-    size_t ghosts() const { return ghosts_; }
-    void Prefetch(ObjectId id) const { map_.Prefetch(id); }
-    void CheckInvariants() const {
-      map_.CheckInvariants();
-      size_t ghosts = 0;
-      map_.ForEach([&](ObjectId, uint32_t value) {
-        ghosts += StripedAtomicIndex::IsGhost(value) ? 1 : 0;
-      });
-      QDLP_CHECK(ghosts == ghosts_);
-    }
-    size_t MemoryBytes() const { return map_.MemoryBytes(); }
-
-   private:
-    typename Factory::template Index<uint32_t> map_;  // id -> location
-    size_t ghosts_ = 0;                                // tagged entries
-  };
-
   // ---- The core interface. ----
   size_t num_shards() const { return 1; }
   size_t shard_capacity(size_t) const { return capacity(); }
@@ -210,7 +139,8 @@ class RegionsPolicy final : public EvictionPolicy {
     }
   }
 
-  Index index;
+  // The id index, with the calls the Regions make on StripedAtomicIndex.
+  TaggedIndex<Factory> index;
   Regions<RegionsPolicy> regions_;
 };
 

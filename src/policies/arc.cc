@@ -1,6 +1,7 @@
 #include "src/policies/arc.h"
 
 #include <algorithm>
+#include <string>
 
 namespace qdlp {
 
@@ -16,28 +17,28 @@ std::string ArcName(double adaptation_rate, double fixed_p_fraction) {
 }
 }  // namespace
 
-ArcPolicy::ArcPolicy(size_t capacity, double adaptation_rate,
-                     double fixed_p_fraction)
+template <typename IndexFactory>
+BasicArcPolicy<IndexFactory>::BasicArcPolicy(size_t capacity,
+                                             double adaptation_rate,
+                                             double fixed_p_fraction,
+                                             IndexFactory factory)
     : EvictionPolicy(capacity, ArcName(adaptation_rate, fixed_p_fraction)),
-      adaptation_rate_(adaptation_rate) {
+      adaptation_rate_(adaptation_rate),
+      index_(factory.template Make<uint32_t>()) {
   QDLP_CHECK(adaptation_rate > 0.0);
+  QDLP_CHECK(capacity <= kSlotMask);
   if (fixed_p_fraction >= 0.0) {
     QDLP_CHECK(fixed_p_fraction <= 1.0);
     adaptive_ = false;
     p_ = fixed_p_fraction * static_cast<double>(capacity);
   }
-  index_.reserve(capacity * 2);
+  // Up to 2c resident and ghost ids, plus a newcomer emplaced before the
+  // ghost lists are trimmed.
+  index_.Reserve(2 * capacity + 1);
 }
 
-bool ArcPolicy::Contains(ObjectId id) const {
-  const auto it = index_.find(id);
-  if (it == index_.end()) {
-    return false;
-  }
-  return it->second.list == ListId::kT1 || it->second.list == ListId::kT2;
-}
-
-void ArcPolicy::CheckInvariants() const {
+template <typename IndexFactory>
+void BasicArcPolicy<IndexFactory>::CheckInvariants() const {
   const size_t c = capacity();
   QDLP_CHECK(t1_.size() + t2_.size() <= c);
   QDLP_CHECK(t1_.size() + b1_.size() <= c);
@@ -45,109 +46,101 @@ void ArcPolicy::CheckInvariants() const {
   QDLP_CHECK(p_ >= 0.0 && p_ <= static_cast<double>(c));
   QDLP_CHECK(index_.size() ==
              t1_.size() + t2_.size() + b1_.size() + b2_.size());
-  // Every list member is indexed under the matching list id with a valid
-  // iterator; index_.size() matching the sum above rules out duplicates.
-  const auto check_list = [&](const std::list<ObjectId>& list, ListId id) {
-    for (auto it = list.begin(); it != list.end(); ++it) {
-      const auto entry = index_.find(*it);
-      QDLP_CHECK(entry != index_.end());
-      QDLP_CHECK(entry->second.list == id);
-      QDLP_CHECK(entry->second.position == it);
-    }
+  // Every list member is indexed under its list and slot; index_.size()
+  // matching the sum above rules out duplicates.
+  const auto check_list = [&](const List& list, ListId id) {
+    list.CheckInvariants();
+    list.ForEach([&](uint32_t slot, ObjectId member) {
+      const uint32_t* entry = index_.Find(member);
+      QDLP_CHECK(entry != nullptr);
+      QDLP_CHECK(*entry == Pack(id, slot));
+    });
   };
-  check_list(t1_, ListId::kT1);
-  check_list(t2_, ListId::kT2);
-  check_list(b1_, ListId::kB1);
-  check_list(b2_, ListId::kB2);
+  check_list(t1_, kT1);
+  check_list(t2_, kT2);
+  check_list(b1_, kB1);
+  check_list(b2_, kB2);
+  index_.CheckInvariants();
 }
 
-std::list<ObjectId>& ArcPolicy::ListFor(ListId list) {
-  switch (list) {
-    case ListId::kT1:
-      return t1_;
-    case ListId::kT2:
-      return t2_;
-    case ListId::kB1:
-      return b1_;
-    case ListId::kB2:
-      return b2_;
+template <typename IndexFactory>
+void BasicArcPolicy<IndexFactory>::MoveTo(uint32_t* entry, ListId target) {
+  List& source = ListFor(ListOf(*entry));
+  const uint32_t slot = *entry & kSlotMask;
+  if (ListOf(*entry) == target) {
+    source.MoveToFront(slot);
+    return;
   }
-  QDLP_CHECK(false);
-  return t1_;
+  const ObjectId id = source[slot];
+  source.Erase(slot);
+  *entry = Pack(target, ListFor(target).PushFront(id));
 }
 
-void ArcPolicy::MoveTo(ObjectId id, ListId target) {
-  auto& entry = index_.at(id);
-  ListFor(entry.list).erase(entry.position);
-  auto& dest = ListFor(target);
-  dest.push_front(id);
-  entry.list = target;
-  entry.position = dest.begin();
+template <typename IndexFactory>
+void BasicArcPolicy<IndexFactory>::RemoveLru(List& list) {
+  const uint32_t slot = list.back();
+  index_.Erase(list[slot]);
+  list.Erase(slot);
 }
 
-void ArcPolicy::RemoveFrom(ObjectId id) {
-  auto it = index_.find(id);
-  QDLP_DCHECK(it != index_.end());
-  ListFor(it->second.list).erase(it->second.position);
-  index_.erase(it);
-}
-
-void ArcPolicy::Replace(bool requested_in_b2) {
+template <typename IndexFactory>
+void BasicArcPolicy<IndexFactory>::Replace(bool requested_in_b2) {
   const size_t t1_size = t1_.size();
-  if (t1_size > 0 &&
-      (static_cast<double>(t1_size) > p_ ||
-       (requested_in_b2 && static_cast<double>(t1_size) == p_))) {
-    // Demote the LRU of T1 into ghost B1.
-    const ObjectId victim = t1_.back();
-    NotifyDemote(victim);
-    NotifyEvict(victim);
-    MoveTo(victim, ListId::kB1);
-  } else {
-    const ObjectId victim = t2_.back();
-    NotifyDemote(victim);
-    NotifyEvict(victim);
-    MoveTo(victim, ListId::kB2);
-  }
+  // Demote the LRU of T1 into ghost B1, or else the LRU of T2 into B2.
+  const bool from_t1 =
+      t1_size > 0 && (static_cast<double>(t1_size) > p_ ||
+                      (requested_in_b2 && static_cast<double>(t1_size) == p_));
+  List& source = from_t1 ? t1_ : t2_;
+  const ObjectId victim = source[source.back()];
+  NotifyDemote(victim);
+  NotifyEvict(victim);
+  MoveTo(index_.Find(victim), from_t1 ? kB1 : kB2);
 }
 
-bool ArcPolicy::OnAccess(ObjectId id) {
+template <typename IndexFactory>
+bool BasicArcPolicy<IndexFactory>::OnAccess(ObjectId id) {
   const size_t c = capacity();
-  const auto it = index_.find(id);
-  if (it != index_.end()) {
-    switch (it->second.list) {
-      case ListId::kT1:
-      case ListId::kT2:
+  // One probe: an indexed id is resident or a ghost; a newcomer is
+  // emplaced here and given its T1 slot below. Only other ids are erased
+  // in between, which moves no index slot.
+  const auto [entry, inserted] = index_.Emplace(id);
+  if (!inserted) {
+    switch (ListOf(*entry)) {
+      case kT1:
+      case kT2:
         // Case I: hit — promote to the MRU of T2.
-        MoveTo(id, ListId::kT2);
+        MoveTo(entry, kT2);
         NotifyPromote(id);
         return true;
-      case ListId::kB1: {
+      case kB1: {
         // Case II: ghost hit in B1 — grow the recency target.
         const double delta =
             b1_.size() >= b2_.size()
                 ? 1.0
-                : static_cast<double>(b2_.size()) / static_cast<double>(b1_.size());
+                : static_cast<double>(b2_.size()) /
+                      static_cast<double>(b1_.size());
         if (adaptive_) {
           p_ = std::min(p_ + delta * adaptation_rate_, static_cast<double>(c));
         }
         NotifyGhostHit(id);
         Replace(/*requested_in_b2=*/false);
-        MoveTo(id, ListId::kT2);
+        MoveTo(entry, kT2);
         NotifyInsert(id);
         return false;
       }
-      case ListId::kB2: {
+      case kB2: {
         // Case III: ghost hit in B2 — grow the frequency target.
         const double delta =
             b2_.size() >= b1_.size()
                 ? 1.0
-                : static_cast<double>(b1_.size()) / static_cast<double>(b2_.size());
+                : static_cast<double>(b1_.size()) /
+                      static_cast<double>(b2_.size());
         if (adaptive_) {
           p_ = std::max(p_ - delta * adaptation_rate_, 0.0);
         }
         NotifyGhostHit(id);
         Replace(/*requested_in_b2=*/true);
-        MoveTo(id, ListId::kT2);
+        MoveTo(entry, kT2);
         NotifyInsert(id);
         return false;
       }
@@ -159,24 +152,26 @@ bool ArcPolicy::OnAccess(ObjectId id) {
   if (l1 == c) {
     if (t1_.size() < c) {
       // Delete the LRU ghost in B1, then replace.
-      RemoveFrom(b1_.back());
+      RemoveLru(b1_);
       Replace(/*requested_in_b2=*/false);
     } else {
       // B1 is empty and T1 is full: evict the LRU of T1 outright.
-      const ObjectId victim = t1_.back();
-      NotifyEvict(victim);
-      RemoveFrom(victim);
+      NotifyEvict(t1_[t1_.back()]);
+      RemoveLru(t1_);
     }
   } else if (l1 < c && l1 + l2 >= c) {
     if (l1 + l2 == 2 * c) {
-      RemoveFrom(b2_.back());
+      RemoveLru(b2_);
     }
     Replace(/*requested_in_b2=*/false);
   }
-  t1_.push_front(id);
-  index_[id] = Entry{ListId::kT1, t1_.begin()};
+  *entry = Pack(kT1, t1_.PushFront(id));
   NotifyInsert(id);
   return false;
 }
+
+// Compile both index backings once here rather than in every TU.
+template class BasicArcPolicy<FlatIndexFactory>;
+template class BasicArcPolicy<DenseIndexFactory>;
 
 }  // namespace qdlp

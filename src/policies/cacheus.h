@@ -12,71 +12,33 @@
 //    during scans, which the adaptive learning rate accelerates;
 //  * the learning-rate hill climber uses multiplicative steps with direction
 //    reversal on regression, with a random restart when the rate collapses.
+//
+// With those experts CACHEUS is LeCaR plus the hill climber, so it is the
+// one LeCaR implementation (lecar.h) run with its learning rate adapted
+// over windows of max(100, capacity) requests.
 
 #ifndef QDLP_SRC_POLICIES_CACHEUS_H_
 #define QDLP_SRC_POLICIES_CACHEUS_H_
 
 #include <cstdint>
-#include <deque>
-#include <list>
-#include <set>
-#include <unordered_map>
 
-#include "src/policies/eviction_policy.h"
-#include "src/util/random.h"
+#include "src/policies/lecar.h"
 
 namespace qdlp {
 
-class CacheusPolicy : public EvictionPolicy {
+template <typename IndexFactory>
+class BasicCacheusPolicy : public BasicLecarPolicy<IndexFactory> {
  public:
-  explicit CacheusPolicy(size_t capacity, uint64_t seed = 11);
-
-  size_t size() const override { return entries_.size(); }
-  bool Contains(ObjectId id) const override { return entries_.contains(id); }
-
-  double learning_rate() const { return learning_rate_; }
-  double lru_weight() const { return w_lru_; }
-
- protected:
-  bool OnAccess(ObjectId id) override;
-
- private:
-  struct Entry {
-    uint64_t frequency = 0;
-    uint64_t last_access = 0;
-    std::list<ObjectId>::iterator lru_position;
-  };
-  using LfuKey = std::pair<uint64_t, uint64_t>;
-
-  struct History {
-    std::deque<std::pair<ObjectId, uint64_t>> fifo;
-    std::unordered_map<ObjectId, uint64_t> index;
-    void Push(ObjectId id, uint64_t time, size_t max_size);
-  };
-
-  void EvictOne();
-  void UpdateWeights(double& wrong, double& other, uint64_t evicted_at);
-  void MaybeAdaptLearningRate();
-
-  double learning_rate_ = 0.45;
-  double rate_direction_ = 1.0;
-  double discount_;
-  double w_lru_ = 0.5;
-  double w_lfu_ = 0.5;
-  Rng rng_;
-
-  // Windowed hit-rate bookkeeping for the learning-rate hill climber.
-  uint64_t window_length_;
-  uint64_t window_requests_ = 0;
-  uint64_t window_hits_ = 0;
-  double previous_window_hit_rate_ = -1.0;
-
-  std::unordered_map<ObjectId, Entry> entries_;
-  std::list<ObjectId> lru_list_;
-  std::set<std::pair<LfuKey, ObjectId>> lfu_order_;
-  History lru_history_;
-  History lfu_history_;
+  explicit BasicCacheusPolicy(size_t capacity, uint64_t seed = 11,
+                              IndexFactory factory = {})
+      : BasicLecarPolicy<IndexFactory>(capacity, "cacheus", seed,
+                                       /*learning_rate=*/0.45,
+                                       /*adapt_learning_rate=*/true,
+                                       factory) {}
 };
+
+using CacheusPolicy = BasicCacheusPolicy<FlatIndexFactory>;
+using DenseCacheusPolicy = BasicCacheusPolicy<DenseIndexFactory>;
 
 }  // namespace qdlp
 

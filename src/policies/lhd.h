@@ -12,25 +12,46 @@
 // per-class hit/eviction age histograms, periodic reconfiguration, and
 // sampled eviction. Age coarsening is static per cache size rather than
 // dynamically re-tuned.
+//
+// Residents live in a dense vector that eviction swap-removes from, and
+// the sample draws positions in it, so decisions depend on the access
+// sequence alone, never on id values. The id index maps an id to its
+// position; its backing is a template parameter, as for LRU: LhdPolicy
+// probes a FlatMap, DenseLhdPolicy (the sweep's dense lane) a
+// direct-indexed slot array.
 
 #ifndef QDLP_SRC_POLICIES_LHD_H_
 #define QDLP_SRC_POLICIES_LHD_H_
 
+#include <array>
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "src/policies/eviction_policy.h"
+#include "src/util/dense_index.h"
 #include "src/util/random.h"
 
 namespace qdlp {
 
-class LhdPolicy : public EvictionPolicy {
+template <typename IndexFactory>
+class BasicLhdPolicy : public EvictionPolicy {
  public:
-  explicit LhdPolicy(size_t capacity, uint64_t seed = 13);
+  explicit BasicLhdPolicy(size_t capacity, uint64_t seed = 13,
+                          IndexFactory factory = {});
 
-  size_t size() const override { return index_.size(); }
-  bool Contains(ObjectId id) const override { return index_.contains(id); }
+  size_t size() const override { return objects_.size(); }
+  bool Contains(ObjectId id) const override { return index_.Contains(id); }
+
+  uint64_t AccessBatch(const uint32_t* ids, size_t n) override {
+    return PrefetchPipelinedBatch(*this, index_, ids, n);
+  }
+
+  // Every resident is indexed at its position in the object vector.
+  void CheckInvariants() const override;
+
+  size_t ApproxMetadataBytes() const override {
+    return objects_.capacity() * sizeof(Object) + index_.MemoryBytes();
+  }
 
  protected:
   bool OnAccess(ObjectId id) override;
@@ -48,9 +69,10 @@ class LhdPolicy : public EvictionPolicy {
   };
 
   struct ClassStats {
-    std::vector<double> hits = std::vector<double>(kNumAgeBuckets, 0.0);
-    std::vector<double> evictions = std::vector<double>(kNumAgeBuckets, 0.0);
-    std::vector<double> density = std::vector<double>(kNumAgeBuckets, 1e-3);
+    ClassStats() { density.fill(1e-3); }
+    std::array<double, kNumAgeBuckets> hits{};
+    std::array<double, kNumAgeBuckets> evictions{};
+    std::array<double, kNumAgeBuckets> density;
   };
 
   size_t AgeBucket(uint64_t last_access) const;
@@ -62,10 +84,17 @@ class LhdPolicy : public EvictionPolicy {
   uint64_t age_shift_ = 0;
   uint64_t accesses_since_reconfigure_ = 0;
   uint64_t reconfigure_interval_;
-  std::vector<ClassStats> classes_ = std::vector<ClassStats>(kNumClasses);
+  std::array<ClassStats, kNumClasses> classes_;
   std::vector<Object> objects_;  // dense, swap-remove on eviction
-  std::unordered_map<ObjectId, size_t> index_;  // id -> position in objects_
+  // id -> position in objects_
+  typename IndexFactory::template Index<uint32_t> index_;
 };
+
+using LhdPolicy = BasicLhdPolicy<FlatIndexFactory>;
+using DenseLhdPolicy = BasicLhdPolicy<DenseIndexFactory>;
+
+extern template class BasicLhdPolicy<FlatIndexFactory>;
+extern template class BasicLhdPolicy<DenseIndexFactory>;
 
 }  // namespace qdlp
 

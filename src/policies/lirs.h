@@ -11,28 +11,43 @@
 // used by prior work were buggy; the invariants here (stack bottom is always
 // LIR, non-resident metadata bounded) are enforced with checks and covered by
 // dedicated tests.
+//
+// S and Q are slab-backed intrusive lists, and one id index holds each
+// id's state and both of its slots. The index backing is a template
+// parameter, as for LRU: LirsPolicy probes a FlatMap, DenseLirsPolicy (the
+// sweep's dense lane) a direct-indexed slot array.
 
 #ifndef QDLP_SRC_POLICIES_LIRS_H_
 #define QDLP_SRC_POLICIES_LIRS_H_
 
+#include <cstdint>
 #include <deque>
-#include <list>
-#include <unordered_map>
 
 #include "src/policies/eviction_policy.h"
+#include "src/util/dense_index.h"
+#include "src/util/intrusive_list.h"
 
 namespace qdlp {
 
-class LirsPolicy : public EvictionPolicy {
+template <typename IndexFactory>
+class BasicLirsPolicy : public EvictionPolicy {
  public:
   // hir_fraction of capacity is reserved for resident HIR blocks (Q);
   // classic LIRS uses 1%, with a floor of 1 block. `max_nonresident_factor`
   // bounds stack S's non-resident metadata to factor*capacity entries.
-  LirsPolicy(size_t capacity, double hir_fraction = 0.01,
-             double max_nonresident_factor = 3.0);
+  explicit BasicLirsPolicy(size_t capacity, double hir_fraction = 0.01,
+                           double max_nonresident_factor = 3.0,
+                           IndexFactory factory = {});
 
   size_t size() const override { return resident_count_; }
-  bool Contains(ObjectId id) const override;
+  bool Contains(ObjectId id) const override {
+    const Entry* entry = index_.Find(id);
+    return entry != nullptr && entry->state != State::kHirNonResident;
+  }
+
+  uint64_t AccessBatch(const uint32_t* ids, size_t n) override {
+    return PrefetchPipelinedBatch(*this, index_, ids, n);
+  }
 
   size_t lir_count() const { return lir_count_; }
   size_t queue_size() const { return queue_.size(); }
@@ -55,22 +70,24 @@ class LirsPolicy : public EvictionPolicy {
   }
 
  private:
-  enum class State {
+  using List = IntrusiveList<ObjectId>;
+  static constexpr uint32_t kNone = List::kNullSlot;
+
+  enum class State : uint8_t {
     kLir,            // resident, in S
     kHirResident,    // resident, in Q, possibly in S
     kHirNonResident, // metadata only, in S
   };
+  // kNone marks absence from S or Q.
   struct Entry {
+    uint32_t stack_slot = kNone;
+    uint32_t queue_slot = kNone;
     State state = State::kHirNonResident;
-    bool in_stack = false;
-    bool in_queue = false;
-    std::list<ObjectId>::iterator stack_position;
-    std::list<ObjectId>::iterator queue_position;
   };
 
   void PushStackTop(ObjectId id, Entry& entry);
   void PushQueueBack(ObjectId id, Entry& entry);
-  void RemoveFromQueue(ObjectId id, Entry& entry);
+  void RemoveFromQueue(Entry& entry);
   // Removes HIR entries from the stack bottom until a LIR block sits there.
   void PruneStack();
   // Evicts the front of Q (the coldest resident HIR block).
@@ -84,16 +101,22 @@ class LirsPolicy : public EvictionPolicy {
   size_t hir_capacity_;
   size_t max_nonresident_;
 
-  std::list<ObjectId> stack_;  // front = top (most recent)
-  std::list<ObjectId> queue_;  // front = eviction candidate
+  List stack_;  // front = top (most recent)
+  List queue_;  // front = eviction candidate
   // Ids in the order they became non-resident; drained (skipping stale
   // entries) to bound the metadata footprint.
   std::deque<ObjectId> nonresident_fifo_;
-  std::unordered_map<ObjectId, Entry> index_;
+  typename IndexFactory::template Index<Entry> index_;
   size_t resident_count_ = 0;
   size_t lir_count_ = 0;
   size_t nonresident_count_ = 0;
 };
+
+using LirsPolicy = BasicLirsPolicy<FlatIndexFactory>;
+using DenseLirsPolicy = BasicLirsPolicy<DenseIndexFactory>;
+
+extern template class BasicLirsPolicy<FlatIndexFactory>;
+extern template class BasicLirsPolicy<DenseIndexFactory>;
 
 }  // namespace qdlp
 

@@ -14,7 +14,10 @@
 // (stream_replay.h) is the other. Both feed the same cell driver
 // (replay_engine.cc), which picks each cell's lane: dense index + dense
 // ids, flat index + dense ids, or flat index + original ids for policies
-// whose decisions depend on id values/hash order, and for Belady.
+// whose decisions depend on id values/hash order, and for Belady. The
+// dense lanes take every name HasDenseVariant accepts (policy_factory.h):
+// the FIFO designs, LRU, SIEVE, Fig 5's ARC, LIRS, LeCaR, CACHEUS and LHD,
+// and qd-<base> over any of them.
 //
 // All three lanes produce miss ratios byte-identical to ReplayTrace on the
 // original trace (the differential test in tests/batch_replay_test.cc pins

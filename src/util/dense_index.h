@@ -14,7 +14,11 @@
 // backing through an index factory (below). Memory is O(universe) per
 // instance rather than O(capacity): the batched sweep engine only selects
 // this backing when the universe is small enough for that to be a win
-// (BatchReplayOptions::max_dense_universe).
+// (BatchReplayOptions::max_dense_universe). A uint32_t index, the policies'
+// id -> slot table, marks absence with the reserved value ~0u instead of a
+// flag, halving its slots to 4 bytes; no policy stores ~0u (list slots stay
+// below IntrusiveList::kNullSlot, tagged locations below
+// StripedAtomicIndex::kNoEntry).
 
 #ifndef QDLP_SRC_UTIL_DENSE_INDEX_H_
 #define QDLP_SRC_UTIL_DENSE_INDEX_H_
@@ -30,6 +34,32 @@
 
 namespace qdlp {
 
+// A DenseIndex slot: a value plus a presence flag.
+template <typename Value>
+struct DenseSlot {
+  Value value{};
+  bool is_present = false;
+  bool present() const { return is_present; }
+  void Fill() {
+    value = Value{};
+    is_present = true;
+  }
+  void Clear() {
+    value = Value{};
+    is_present = false;
+  }
+};
+
+// A uint32_t slot: the reserved value ~0u marks absence.
+template <>
+struct DenseSlot<uint32_t> {
+  static constexpr uint32_t kAbsent = ~uint32_t{0};
+  uint32_t value = kAbsent;
+  bool present() const { return value != kAbsent; }
+  void Fill() { value = 0; }
+  void Clear() { value = kAbsent; }
+};
+
 template <typename Value>
 class DenseIndex {
  public:
@@ -38,7 +68,7 @@ class DenseIndex {
   // Keys must lie in [0, universe). A universe of 0 is a valid degenerate
   // index that holds nothing (every Find misses, Emplace is illegal).
   explicit DenseIndex(uint64_t universe)
-      : slots_(universe, Slot{Value{}, false}) {}
+      : slots_(universe), universe_(universe) {}
 
   // FlatMap-compatibility no-op: the slot array is always universe-sized.
   void Reserve(size_t n) { (void)n; }
@@ -47,7 +77,7 @@ class DenseIndex {
   bool empty() const { return size_ == 0; }
 
   bool Contains(Key key) const {
-    return key < slots_.size() && slots_[key].present;
+    return key < universe_ && slots_[key].present();
   }
 
   // Pointer to the mapped value, or nullptr. Unlike FlatMap, pointers stay
@@ -55,12 +85,12 @@ class DenseIndex {
   Value* Find(Key key) {
     QDLP_DCHECK(key < slots_.size());
     Slot& slot = slots_[key];
-    return slot.present ? &slot.value : nullptr;
+    return slot.present() ? &slot.value : nullptr;
   }
   const Value* Find(Key key) const {
     QDLP_DCHECK(key < slots_.size());
     const Slot& slot = slots_[key];
-    return slot.present ? &slot.value : nullptr;
+    return slot.present() ? &slot.value : nullptr;
   }
 
   // Find-or-insert: returns the mapped value (default constructed when
@@ -68,11 +98,10 @@ class DenseIndex {
   std::pair<Value*, bool> Emplace(Key key) {
     QDLP_DCHECK(key < slots_.size());
     Slot& slot = slots_[key];
-    if (slot.present) {
+    if (slot.present()) {
       return {&slot.value, false};
     }
-    slot.value = Value{};
-    slot.present = true;
+    slot.Fill();
     ++size_;
     return {&slot.value, true};
   }
@@ -83,14 +112,13 @@ class DenseIndex {
   bool Erase(Key key, Value* erased = nullptr) {
     QDLP_DCHECK(key < slots_.size());
     Slot& slot = slots_[key];
-    if (!slot.present) {
+    if (!slot.present()) {
       return false;
     }
     if (erased != nullptr) {
       *erased = std::move(slot.value);
     }
-    slot.present = false;
-    slot.value = Value{};
+    slot.Clear();
     --size_;
     return true;
   }
@@ -98,8 +126,7 @@ class DenseIndex {
   void Clear() {
     size_ = 0;
     for (Slot& slot : slots_) {
-      slot.present = false;
-      slot.value = Value{};
+      slot.Clear();
     }
   }
 
@@ -107,7 +134,7 @@ class DenseIndex {
   template <typename Fn>
   void ForEach(Fn&& fn) const {
     for (size_t key = 0; key < slots_.size(); ++key) {
-      if (slots_[key].present) {
+      if (slots_[key].present()) {
         fn(static_cast<Key>(key), slots_[key].value);
       }
     }
@@ -125,7 +152,7 @@ class DenseIndex {
   void CheckInvariants() const {
     size_t present = 0;
     for (const Slot& slot : slots_) {
-      if (slot.present) {
+      if (slot.present()) {
         ++present;
       }
     }
@@ -137,12 +164,12 @@ class DenseIndex {
   size_t MemoryBytes() const { return slots_.capacity() * sizeof(Slot); }
 
  private:
-  struct Slot {
-    Value value;
-    bool present;
-  };
+  using Slot = DenseSlot<Value>;
 
   std::vector<Slot> slots_;
+  // slots_.size(), kept apart: bounding Contains() by it spares gcc's
+  // -Warray-bounds a path it cannot rule out through the vector's size.
+  uint64_t universe_;
   size_t size_ = 0;
 };
 

@@ -62,6 +62,21 @@ class IntrusiveList {
     return slot;
   }
 
+  // Links a new node directly behind live node `pos` (toward the back).
+  SlotId InsertAfter(SlotId pos, T value) {
+    const SlotId slot = AllocateNode(std::move(value));
+    const SlotId next = nodes_[pos].next;
+    nodes_[slot].prev = pos;
+    nodes_[slot].next = next;
+    nodes_[pos].next = slot;
+    if (next != kNullSlot) {
+      nodes_[next].prev = slot;
+    } else {
+      tail_ = slot;
+    }
+    return slot;
+  }
+
   // Unlinks `slot` and returns it to the free list. The slot id may be
   // reused by a later push; the caller must drop its copy.
   void Erase(SlotId slot) {

@@ -1,9 +1,14 @@
-// LeCaR and CACHEUS: expert-weight behaviour and general sanity.
+// LeCaR and CACHEUS: expert-weight behaviour and general sanity, plus the
+// bounded metadata of the Fig-5 adaptive policies.
 
 #include <gtest/gtest.h>
 
+#include <memory>
+
+#include "src/policies/arc.h"
 #include "src/policies/cacheus.h"
 #include "src/policies/lecar.h"
+#include "src/policies/lhd.h"
 #include "src/policies/lfu.h"
 #include "src/policies/lru.h"
 #include "src/trace/generators.h"
@@ -143,6 +148,38 @@ TEST(AdaptiveTest, NoWorseThanWorstExpertOnMixedWorkload) {
   // Allow 10% slack: the combiner pays some exploration cost.
   EXPECT_GT(lecar_hits * 10, worst * 9);
   EXPECT_GT(cacheus_hits * 10, worst * 9);
+}
+
+// A loop over one more id than the cache holds misses on nearly every
+// request, so each eviction feeds a ghost list or history whose ids keep
+// coming back. The metadata must stop growing once those fill: the same
+// ApproxMetadataBytes() after 10x the requests. (A history that kept a
+// stale record per ghost hit would grow by about 16 bytes a request.)
+TEST(AdaptiveMetadataTest, StaysBoundedUnderGhostHitChurn) {
+#ifdef QDLP_CHECK_INVARIANTS
+  constexpr uint64_t kRequests = 50000;  // O(size) check per access
+#else
+  constexpr uint64_t kRequests = 2000000;
+#endif
+  constexpr size_t kCapacity = 100;
+  std::unique_ptr<EvictionPolicy> policies[] = {
+      std::make_unique<ArcPolicy>(kCapacity),
+      std::make_unique<LecarPolicy>(kCapacity),
+      std::make_unique<CacheusPolicy>(kCapacity),
+      std::make_unique<LhdPolicy>(kCapacity),
+  };
+  for (const auto& policy : policies) {
+    size_t bytes_at_tenth = 0;
+    for (uint64_t i = 0; i < kRequests; ++i) {
+      policy->Access(i % (kCapacity + 1));
+      if (i + 1 == kRequests / 10) {
+        bytes_at_tenth = policy->ApproxMetadataBytes();
+      }
+    }
+    EXPECT_GT(bytes_at_tenth, 0u) << policy->name();
+    EXPECT_EQ(policy->ApproxMetadataBytes(), bytes_at_tenth) << policy->name();
+    policy->CheckInvariants();
+  }
 }
 
 }  // namespace

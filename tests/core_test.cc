@@ -101,7 +101,7 @@ TEST(QdCacheTest, UntouchedEvicteeGoesToGhost) {
   qd->Access(3);  // evicts 1 (never re-accessed) -> ghost
   EXPECT_EQ(qd->quick_demotions(), 1u);
   EXPECT_FALSE(qd->Contains(1));
-  EXPECT_TRUE(qd->ghost().Contains(1));
+  EXPECT_TRUE(qd->InGhost(1));
 }
 
 TEST(QdCacheTest, GhostHitAdmitsDirectlyToMain) {
@@ -109,11 +109,11 @@ TEST(QdCacheTest, GhostHitAdmitsDirectlyToMain) {
   qd->Access(1);
   qd->Access(2);
   qd->Access(3);  // 1 -> ghost
-  ASSERT_TRUE(qd->ghost().Contains(1));
+  ASSERT_TRUE(qd->InGhost(1));
   EXPECT_FALSE(qd->Access(1));  // still a miss...
   EXPECT_TRUE(qd->main().Contains(1));  // ...but admitted straight to main
   EXPECT_EQ(qd->ghost_admissions(), 1u);
-  EXPECT_FALSE(qd->ghost().Contains(1));  // consumed
+  EXPECT_FALSE(qd->InGhost(1));  // consumed
 }
 
 TEST(QdCacheTest, TotalSizeBounded) {

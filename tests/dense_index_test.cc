@@ -47,6 +47,25 @@ TEST(DenseIndexTest, InsertFindErase) {
   index.CheckInvariants();
 }
 
+// The policies' id -> slot table: ~0u is the absent mark, so a slot is
+// four bytes and every other value, zero included, round-trips.
+TEST(DenseIndexTest, Uint32SlotsReserveOnlyAllOnes) {
+  DenseIndex<uint32_t> index(8);
+  EXPECT_EQ(index.MemoryBytes(), 8 * sizeof(uint32_t));
+  const auto [zero, inserted] = index.Emplace(3);
+  ASSERT_TRUE(inserted);
+  EXPECT_EQ(*zero, 0u);  // default constructed, and present
+  EXPECT_TRUE(index.Contains(3));
+  index[5] = ~uint32_t{0} - 1;
+  EXPECT_EQ(*index.Find(5), ~uint32_t{0} - 1);
+  uint32_t erased = 0;
+  EXPECT_TRUE(index.Erase(5, &erased));
+  EXPECT_EQ(erased, ~uint32_t{0} - 1);
+  EXPECT_FALSE(index.Contains(5));
+  EXPECT_EQ(index.size(), 1u);
+  index.CheckInvariants();
+}
+
 TEST(DenseIndexTest, EmplaceReportsInsertion) {
   DenseIndex<int> index(8);
   auto [first, inserted_first] = index.Emplace(3);

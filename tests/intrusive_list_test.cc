@@ -137,6 +137,20 @@ TEST(IntrusiveListTest, MoveToBackIsFifoReinsertion) {
   list.CheckInvariants();
 }
 
+TEST(IntrusiveListTest, InsertAfterLinksBehindPosition) {
+  IntrusiveList<int> list;
+  const SlotId a = list.PushBack(1);
+  const SlotId c = list.PushBack(3);
+  const SlotId b = list.InsertAfter(a, 2);
+  const SlotId d = list.InsertAfter(c, 4);  // behind the tail: new tail
+  EXPECT_EQ(Collect(list), (std::vector<int>{1, 2, 3, 4}));
+  EXPECT_EQ(list.Prev(b), a);
+  EXPECT_EQ(list.Next(b), c);
+  EXPECT_EQ(list.back(), d);
+  EXPECT_EQ(list.size(), 4u);
+  list.CheckInvariants();
+}
+
 TEST(IntrusiveListTest, MoveOnSingleElementList) {
   IntrusiveList<int> list;
   const SlotId only = list.PushBack(7);
