@@ -32,17 +32,9 @@ void RunOne(const std::string& label, const Trace& trace) {
             << " requests, " << trace.num_objects << " objects, cache "
             << capacity << ", segment " << segment << ") ===\n";
 
-  std::vector<std::unique_ptr<FlashCache>> caches;
-  caches.push_back(std::make_unique<LogFlashCache>(capacity, segment, 0));
-  caches.push_back(std::make_unique<LogFlashCache>(capacity, segment, 1));
-  caches.push_back(std::make_unique<LogFlashCache>(capacity, segment, 2));
-  caches.push_back(std::make_unique<QdLpFlashCache>(capacity, segment));
-  caches.push_back(std::make_unique<RipqLruFlashCache>(capacity, segment));
-  caches.push_back(std::make_unique<LruFlashCache>(capacity, segment));
-
   TablePrinter table({"design", "miss ratio", "write amp", "flash writes(k)",
                       "segments erased"});
-  for (auto& cache : caches) {
+  for (const auto& cache : MakeFlashDesigns(capacity, segment)) {
     for (const ObjectId id : trace.requests) {
       cache->Access(id);
     }
