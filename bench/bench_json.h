@@ -174,9 +174,8 @@ inline std::string BenchJsonToString(
       out += ",\n      \"stats\": { ";
       const char* separator = "";
       for (const CacheStatsField& field : kCacheStatsFields) {
-        out += separator;
-        out += "\"" + std::string(field.key) +
-               "\": " + std::to_string(r.stats.*field.member);
+        out.append(separator).append("\"").append(field.key).append("\": ");
+        out += std::to_string(r.stats.*field.member);
         separator = ", ";
       }
       out += " }";

@@ -71,7 +71,8 @@ struct QdlpValueOptions {
 // Probation FIFO, main CLOCK region and ghost per shard, plus the optional
 // value store whose cells ride the metadata locations. In Stats,
 // promotions counts probation->main lazy promotions and demotions
-// probation->ghost quick demotions (main CLOCK laps are internal).
+// probation->ghost quick demotions; main CLOCK laps reach only the core's
+// Lap hook (an AccessEventSink's OnLap on the serial core).
 template <typename Core>
 class QdLpRegions {
  public:
@@ -385,8 +386,9 @@ void QdLpRegions<Core>::MainInsert(size_t s, ObjectId id,
 
 template <typename Core>
 void QdLpRegions<Core>::EvictMain(size_t s) {
-  // Main CLOCK laps are internal: not counted as promotions.
-  const uint32_t slot = main_.NextVictim(s, [](ObjectId) {});
+  // Main CLOCK laps are not counted as promotions; the core sees each one.
+  const uint32_t slot =
+      main_.NextVictim(s, [&](ObjectId lapped) { core_.Lap(lapped); });
   const ObjectId victim = main_.id(slot);
   core_.index.Erase(victim);
   ClearCell(CellOf(kMainBit | slot));

@@ -89,9 +89,10 @@ struct EvictionDomain {
 //   index.Find / Entry / Insert / Update / Erase / Contains / ForEach
 //   num_shards(), capacity(), shard_capacity(s), shard_base(s), ShardOf(id)
 //   Count(kind, id)
+//   Lap(id)    a CLOCK lap no counter counts (QD-LP-FIFO's main region)
 //
-// The id on Count is for the serial core's per-object events; this core
-// ignores it.
+// The ids on Count and Lap are for the serial core's per-object events;
+// this core ignores them, and its Lap is empty.
 class DomainCore {
  public:
   // Index values are 32-bit locations below the index's ghost tag (bit 30);
@@ -144,6 +145,7 @@ class DomainCore {
   void Count(ConcurrentStatsCounters::Counter kind, ObjectId) {
     counters.Add(kind);
   }
+  void Lap(ObjectId) {}
 
   size_t MemoryBytes() const {
     size_t bytes = index.MemoryBytes() + counters.MemoryBytes();
@@ -214,8 +216,8 @@ class DomainCore {
 // records. The id in list slot i is indexed as kGhostTag | (base + i), so
 // one probe tells a resident, a ghost and a cold id apart, and a demotion
 // or a resurrection is one in-place index Update. Exact: it remembers the
-// last `capacity` demotions that have not come back, as a GhostQueue does.
-// Runs under the owning shard's mutex.
+// last `capacity` demotions that have not come back, forgetting the oldest
+// first. Runs under the owning shard's mutex.
 class IndexedGhost {
  public:
   IndexedGhost(size_t base, size_t capacity)

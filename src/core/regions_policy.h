@@ -15,7 +15,8 @@
 // count the Regions make becomes the matching Notify* event, so the
 // counters and any AccessEventSink (Fig 3's residency accounting,
 // TtlCache's reaper) see every insert, eviction, promotion, demotion and
-// ghost hit as it happens.
+// ghost hit as it happens. QD-LP-FIFO's main CLOCK laps reach the sink
+// alone, as OnLap (the flash model prices them as re-appends).
 
 #ifndef QDLP_SRC_CORE_REGIONS_POLICY_H_
 #define QDLP_SRC_CORE_REGIONS_POLICY_H_
@@ -136,6 +137,12 @@ class RegionsPolicy final : public EvictionPolicy {
         return;
       default:
         QDLP_CHECK(false && "the Regions count no other kind");
+    }
+  }
+  // A CLOCK lap no counter counts: the sink sees it, Stats() never does.
+  void Lap(ObjectId id) {
+    if (AccessEventSink* sink = event_sink(); sink != nullptr) {
+      sink->OnLap(id, now());
     }
   }
 

@@ -13,10 +13,15 @@
 // not production hot paths.
 //
 // Event order within one Access(): policy-internal events (insert, evict,
-// promote, demote, ghost-hit) fire as the policy performs them; the
+// promote, demote, ghost-hit, lap) fire as the policy performs them; the
 // terminal OnHit/OnMiss for the access fires last, after the policy has
 // settled. All methods default to no-ops so sinks override only what they
 // observe.
+//
+// OnLap is the one sink-only event: no Stats() counter counts it. It
+// reports QD-LP-FIFO's main-region CLOCK laps, which keep an object in
+// place and so are not promotions, but which a log-structured device pays
+// for as a re-append (the flash model, src/flash/flash_model.h).
 //
 // The concurrent caches intentionally do NOT carry this hook: their hit
 // path is lock-free and a per-hit virtual call would serialize exactly the
@@ -71,6 +76,13 @@ class AccessEventSink {
   // A miss for `id` matched a ghost entry (the subsequent admission goes
   // straight to the main region; OnInsert follows).
   virtual void OnGhostHit(ObjectId id, uint64_t time) {
+    (void)id;
+    (void)time;
+  }
+  // QD-LP-FIFO's main CLOCK hand passed `id` with a non-zero counter:
+  // the counter drops by one and `id` keeps its slot for another lap.
+  // Sink-only; not a promotion.
+  virtual void OnLap(ObjectId id, uint64_t time) {
     (void)id;
     (void)time;
   }

@@ -30,9 +30,9 @@ namespace qdlp {
 
 // Byte-budgeted ghost: entries are metadata-only but *charged* at object
 // size so that the ghost covers the same byte-window of history regardless
-// of object-size mix. Built as GhostQueue is, on an intrusive FIFO plus an
-// id index: a refresh is an O(1) move to the back and a Consume an O(1)
-// unlink, so the FIFO holds exactly one record per live entry.
+// of object-size mix. Built on an intrusive FIFO plus its own id index: a
+// refresh is an O(1) move to the back and a Consume an O(1) unlink, so the
+// FIFO holds exactly one record per live entry.
 class SizedGhost {
  public:
   explicit SizedGhost(uint64_t byte_budget);

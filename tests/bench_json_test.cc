@@ -188,7 +188,7 @@ TEST(BenchJsonTest, StatsBlockEmitsEveryDocumentedField) {
   // kCacheStatsFields; every key must appear in the emitted block,
   // including the sharded-eviction contention counters.
   for (const CacheStatsField& field : kCacheStatsFields) {
-    EXPECT_NE(json.find("\"" + std::string(field.key) + "\": "),
+    EXPECT_NE(json.find(std::string("\"").append(field.key).append("\": ")),
               std::string::npos)
         << "missing stats field: " << field.key;
   }

@@ -355,9 +355,10 @@ TEST(CacheApiTest, ValueEngineChurnKeepsValuesConsistent) {
   std::vector<std::string> last(kUniverse);
   for (int round = 0; round < 4; ++round) {
     for (ObjectId key = 0; key < kUniverse; ++key) {
-      std::string value = "r" + std::to_string(round) + "k" +
-                          std::to_string(key) +
-                          std::string(key % 97, static_cast<char>('A' + round));
+      std::string value = "r";
+      value.append(std::to_string(round)).append("k");
+      value.append(std::to_string(key));
+      value.append(key % 97, static_cast<char>('A' + round));
       if (cache->Set(key, value, 0) == Cache::SetStatus::kOk) {
         last[key] = std::move(value);
       }

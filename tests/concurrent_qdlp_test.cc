@@ -164,7 +164,8 @@ TEST(ConcurrentQdLpFifoTest, ProbationRemovalMovesNoOtherValueCell) {
   // 0..9 are re-read on probation, so 10..19 promote them into main and
   // then fill probation, oldest first.
   for (ObjectId id = 0; id < 20; ++id) {
-    ASSERT_EQ(cache.SetValue(id, "v" + std::to_string(id), /*expiry_s=*/0),
+    ASSERT_EQ(cache.SetValue(id, std::string("v").append(std::to_string(id)),
+                             /*expiry_s=*/0),
               ConcurrentQdLpFifo::SetResult::kOk);
     if (id < 10) {
       ASSERT_TRUE(cache.Get(id));
@@ -192,7 +193,7 @@ TEST(ConcurrentQdLpFifoTest, ProbationRemovalMovesNoOtherValueCell) {
     ASSERT_EQ(store->Read(cell, id, /*now_s=*/0, &value),
               SlabStore::ReadResult::kHit)
         << "id " << id << " left cell " << cell;
-    EXPECT_EQ(value, "v" + std::to_string(id));
+    EXPECT_EQ(value, std::string("v").append(std::to_string(id)));
   }
   cache.CheckInvariants();
 }

@@ -1,11 +1,10 @@
-// GhostQueue, QdCache (the paper's QD construction), QD-LP-FIFO, the
-// policy factory, S3-FIFO, and SIEVE.
+// QdCache (the paper's QD construction), QD-LP-FIFO, the policy factory,
+// S3-FIFO, and SIEVE.
 
 #include <gtest/gtest.h>
 
 #include <memory>
 
-#include "src/core/ghost_queue.h"
 #include "src/core/policy_factory.h"
 #include "src/core/qd_cache.h"
 #include "src/core/sieve.h"
@@ -16,51 +15,6 @@
 
 namespace qdlp {
 namespace {
-
-TEST(GhostQueueTest, InsertAndConsume) {
-  GhostQueue ghost(3);
-  ghost.Insert(1);
-  EXPECT_TRUE(ghost.Contains(1));
-  EXPECT_TRUE(ghost.Consume(1));
-  EXPECT_FALSE(ghost.Contains(1));
-  EXPECT_FALSE(ghost.Consume(1));  // consumed entries are gone
-}
-
-TEST(GhostQueueTest, EvictsOldestWhenFull) {
-  GhostQueue ghost(2);
-  ghost.Insert(1);
-  ghost.Insert(2);
-  ghost.Insert(3);
-  EXPECT_FALSE(ghost.Contains(1));
-  EXPECT_TRUE(ghost.Contains(2));
-  EXPECT_TRUE(ghost.Contains(3));
-  EXPECT_EQ(ghost.size(), 2u);
-}
-
-TEST(GhostQueueTest, ReinsertRefreshesPosition) {
-  GhostQueue ghost(2);
-  ghost.Insert(1);
-  ghost.Insert(2);
-  ghost.Insert(1);  // refresh: 2 is now the oldest
-  ghost.Insert(3);
-  EXPECT_TRUE(ghost.Contains(1));
-  EXPECT_FALSE(ghost.Contains(2));
-  EXPECT_TRUE(ghost.Contains(3));
-}
-
-TEST(GhostQueueTest, SizeBoundedUnderChurn) {
-  GhostQueue ghost(10);
-  Rng rng(101);
-  for (int i = 0; i < 10000; ++i) {
-    const ObjectId id = rng.NextBounded(50);
-    if (rng.NextBool(0.3)) {
-      ghost.Consume(id);
-    } else {
-      ghost.Insert(id);
-    }
-    ASSERT_LE(ghost.size(), 10u);
-  }
-}
 
 std::unique_ptr<QdCache> MakeQdLru(size_t probation, size_t main) {
   return std::make_unique<QdCache>(probation,

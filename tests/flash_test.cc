@@ -1,12 +1,16 @@
 // Flash-cache model: miss ratios, write amplification, and the §2 ordering
-// (FIFO WA = 1 < CLOCK < LRU-with-GC).
+// (FIFO WA = 1 < CLOCK < LRU-with-GC). flash_golden_test pins every
+// design's counts; QD-LP-FIFO's and the LRUs' decisions are the registry
+// policies' own.
 
 #include <gtest/gtest.h>
+
+#include <memory>
+#include <string>
 
 #include "src/core/policy_factory.h"
 #include "src/flash/flash_model.h"
 #include "src/policies/fifo.h"
-#include "src/policies/lru.h"
 #include "src/trace/generators.h"
 #include "src/util/random.h"
 #include "src/util/zipf.h"
@@ -23,27 +27,38 @@ Trace FlashTrace(uint64_t seed = 1201) {
   return GenerateZipf(config);
 }
 
+// The design MakeFlashDesigns names `name`.
+std::unique_ptr<FlashCache> Design(const std::string& name, size_t capacity,
+                                   size_t segment) {
+  for (auto& design : MakeFlashDesigns(capacity, segment)) {
+    if (design->name() == name) {
+      return std::move(design);
+    }
+  }
+  return nullptr;
+}
+
 TEST(LogFlashTest, FifoWriteAmplificationIsExactlyOne) {
-  LogFlashCache cache(1000, 100, /*bits=*/0);
+  const auto cache = Design("flash-fifo", 1000, 100);
   const Trace trace = FlashTrace();
   for (const ObjectId id : trace.requests) {
-    cache.Access(id);
+    cache->Access(id);
   }
-  EXPECT_DOUBLE_EQ(cache.stats().write_amplification(), 1.0);
-  EXPECT_GT(cache.stats().segments_erased, 0u);
+  EXPECT_DOUBLE_EQ(cache->stats().write_amplification(), 1.0);
+  EXPECT_GT(cache->stats().segments_erased, 0u);
 }
 
 TEST(LogFlashTest, FifoMissRatioMatchesPolicyFifo) {
   // Segment-batched reclaim frees a whole segment at once, so occupancy
   // oscillates in [capacity - segment + 1, capacity]; the steady-state miss
   // ratio must still track exact FIFO closely.
-  LogFlashCache flash(1000, 100, 0);
+  const auto flash = Design("flash-fifo", 1000, 100);
   FifoPolicy fifo(1000);
   const Trace trace = FlashTrace(1203);
   uint64_t flash_hits = 0;
   uint64_t fifo_hits = 0;
   for (const ObjectId id : trace.requests) {
-    flash_hits += flash.Access(id) ? 1 : 0;
+    flash_hits += flash->Access(id) ? 1 : 0;
     fifo_hits += fifo.Access(id) ? 1 : 0;
   }
   const double denom = static_cast<double>(trace.requests.size());
@@ -52,31 +67,32 @@ TEST(LogFlashTest, FifoMissRatioMatchesPolicyFifo) {
 }
 
 TEST(LogFlashTest, ClockPaysForReinsertions) {
-  LogFlashCache clock_flash(1000, 100, /*bits=*/1);
+  const auto clock_flash = Design("flash-clock1", 1000, 100);
   const Trace trace = FlashTrace(1205);
   for (const ObjectId id : trace.requests) {
-    clock_flash.Access(id);
+    clock_flash->Access(id);
   }
-  EXPECT_GT(clock_flash.stats().write_amplification(), 1.0);
+  EXPECT_GT(clock_flash->stats().write_amplification(), 1.0);
   // ...but buys a lower miss ratio than flash-FIFO.
-  LogFlashCache fifo_flash(1000, 100, 0);
+  const auto fifo_flash = Design("flash-fifo", 1000, 100);
   for (const ObjectId id : trace.requests) {
-    fifo_flash.Access(id);
+    fifo_flash->Access(id);
   }
-  EXPECT_LT(clock_flash.stats().miss_ratio(), fifo_flash.stats().miss_ratio());
+  EXPECT_LT(clock_flash->stats().miss_ratio(),
+            fifo_flash->stats().miss_ratio());
 }
 
 TEST(LogFlashTest, ClockMissRatioMatchesPolicyClock) {
   // Segment-batched reclaim with reinsertion is still CLOCK semantically?
   // Not exactly request-for-request (the hand moves a segment at a time),
   // but the steady-state miss ratio must land very close.
-  LogFlashCache flash(2000, 100, 1);
+  const auto flash = Design("flash-clock1", 2000, 100);
   const auto clock = MakePolicy("fifo-reinsertion", 2000);
   const Trace trace = FlashTrace(1207);
   uint64_t flash_hits = 0;
   uint64_t clock_hits = 0;
   for (const ObjectId id : trace.requests) {
-    flash_hits += flash.Access(id) ? 1 : 0;
+    flash_hits += flash->Access(id) ? 1 : 0;
     clock_hits += clock->Access(id) ? 1 : 0;
   }
   const double flash_ratio =
@@ -87,99 +103,46 @@ TEST(LogFlashTest, ClockMissRatioMatchesPolicyClock) {
 }
 
 TEST(LruFlashTest, ResidencyBoundedAndGcRuns) {
-  LruFlashCache cache(1000, 100);
+  const auto cache = Design("flash-lru", 1000, 100);
   const Trace trace = FlashTrace(1209);
   for (const ObjectId id : trace.requests) {
-    cache.Access(id);
-    ASSERT_LE(cache.resident(), 1000u);
+    cache->Access(id);
+    ASSERT_LE(cache->resident(), 1000u);
   }
-  EXPECT_GT(cache.stats().segments_erased, 0u);
-  EXPECT_GT(cache.stats().write_amplification(), 1.0);  // GC rewrites
-}
-
-TEST(LruFlashTest, MissRatioMatchesPolicyLru) {
-  // Logical behaviour is exactly LRU; only the device bookkeeping differs.
-  LruFlashCache flash(1000, 100);
-  LruPolicy lru(1000);
-  const Trace trace = FlashTrace(1211);
-  for (size_t i = 0; i < trace.requests.size(); ++i) {
-    ASSERT_EQ(flash.Access(trace.requests[i]), lru.Access(trace.requests[i]))
-        << "diverged at " << i;
-  }
+  EXPECT_GT(cache->stats().segments_erased, 0u);
+  EXPECT_GT(cache->stats().write_amplification(), 1.0);  // GC rewrites
 }
 
 TEST(QdLpFlashTest, WonderHeavyTrafficIsWriteCheap) {
   // Quick demotion drops one-hit wonders with their segment: they cost one
   // write each and no reinsertions, so WA stays near 1 even under churn.
-  QdLpFlashCache cache(1000, 100);
+  const auto cache = Design("flash-qd-lp-fifo", 1000, 100);
   Rng rng(1213);
   ObjectId wonder = 1u << 22;
   ZipfSampler zipf(700, 1.0);
   for (int i = 0; i < 100000; ++i) {
-    cache.Access(rng.NextBool(0.5) ? zipf.Sample(rng) : wonder++);
+    cache->Access(rng.NextBool(0.5) ? zipf.Sample(rng) : wonder++);
   }
-  EXPECT_LT(cache.stats().write_amplification(), 1.3);
-  EXPECT_GT(cache.stats().hits, 0u);
-}
-
-// The flash model's logs, CLOCK counters and ghost make the decisions of
-// the in-memory QD-LP-FIFO, request for request; only the device
-// bookkeeping differs. QDLP_CHECK_INVARIANTS (the debug and sanitizer
-// presets) re-validates the policy after every access, about 0.7 ms each
-// under ASan, so those builds replay only the first 5,000 requests of
-// each trace.
-TEST(QdLpFlashTest, DecisionsMatchQdLpFifoPolicy) {
-  constexpr size_t kRequests = 200000;
-#ifdef QDLP_CHECK_INVARIANTS
-  constexpr size_t kReplayed = 5000;
-#else
-  constexpr size_t kReplayed = kRequests;
-#endif
-  for (const double skew : {0.6, 0.9, 1.1}) {
-    for (const uint64_t seed : {1201u, 1203u, 1205u, 7u, 99u}) {
-      ZipfTraceConfig config;
-      config.num_requests = kRequests;
-      config.num_objects = 8000;
-      config.skew = skew;
-      config.seed = seed;
-      const Trace trace = GenerateZipf(config);
-      QdLpFlashCache flash(1000, 100);
-      const auto policy = MakePolicy("qd-lp-fifo", 1000);
-      for (size_t i = 0; i < kReplayed; ++i) {
-        ASSERT_EQ(flash.Access(trace.requests[i]),
-                  policy->Access(trace.requests[i]))
-            << "skew " << skew << ", seed " << seed << ": diverged at " << i;
-      }
-    }
-  }
-}
-
-TEST(RipqLruFlashTest, MissRatioMatchesPolicyLruExactly) {
-  RipqLruFlashCache flash(1000, 100);
-  LruPolicy lru(1000);
-  const Trace trace = FlashTrace(1217);
-  for (size_t i = 0; i < trace.requests.size(); ++i) {
-    ASSERT_EQ(flash.Access(trace.requests[i]), lru.Access(trace.requests[i]))
-        << "diverged at " << i;
-  }
+  EXPECT_LT(cache->stats().write_amplification(), 1.3);
+  EXPECT_GT(cache->stats().hits, 0u);
 }
 
 TEST(RipqLruFlashTest, HotObjectsRewrittenEveryLap) {
   // A hot working set plus one-touch churn: the churn drives device laps,
   // and every lap must rewrite the (retained) hot set — WA well above 1.
-  RipqLruFlashCache cache(1000, 100);
+  const auto cache = Design("flash-lru-ripq", 1000, 100);
   for (ObjectId id = 0; id < 900; ++id) {
-    cache.Access(id);  // establish the hot set
+    cache->Access(id);  // establish the hot set
   }
   Rng rng(1219);
   for (int i = 0; i < 50000; ++i) {
     if (rng.NextBool(0.5)) {
-      cache.Access(rng.NextBounded(900));
+      cache->Access(rng.NextBounded(900));
     } else {
-      cache.Access((1u << 23) + static_cast<ObjectId>(i));  // churn
+      cache->Access((1u << 23) + static_cast<ObjectId>(i));  // churn
     }
   }
-  EXPECT_GT(cache.stats().write_amplification(), 2.0);
+  EXPECT_GT(cache->stats().write_amplification(), 2.0);
 }
 
 TEST(FlashOrderingTest, WriteAmplificationOrdersAsSection2Claims) {
@@ -187,23 +150,23 @@ TEST(FlashOrderingTest, WriteAmplificationOrdersAsSection2Claims) {
   // CLOCK, all far below RIPQ-style exact LRU, which rewrites every
   // retained object once per device lap.
   const Trace trace = FlashTrace(1215);
-  LogFlashCache fifo(1000, 100, 0);
-  LogFlashCache clock(1000, 100, 1);
-  QdLpFlashCache qdlp(1000, 100);
-  RipqLruFlashCache ripq(1000, 100);
+  const auto fifo = Design("flash-fifo", 1000, 100);
+  const auto clock = Design("flash-clock1", 1000, 100);
+  const auto qdlp = Design("flash-qd-lp-fifo", 1000, 100);
+  const auto ripq = Design("flash-lru-ripq", 1000, 100);
   for (const ObjectId id : trace.requests) {
-    fifo.Access(id);
-    clock.Access(id);
-    qdlp.Access(id);
-    ripq.Access(id);
+    fifo->Access(id);
+    clock->Access(id);
+    qdlp->Access(id);
+    ripq->Access(id);
   }
-  EXPECT_DOUBLE_EQ(fifo.stats().write_amplification(), 1.0);
-  EXPECT_LE(fifo.stats().write_amplification(),
-            qdlp.stats().write_amplification());
-  EXPECT_LT(qdlp.stats().write_amplification(),
-            ripq.stats().write_amplification());
-  EXPECT_LT(clock.stats().write_amplification(),
-            ripq.stats().write_amplification());
+  EXPECT_DOUBLE_EQ(fifo->stats().write_amplification(), 1.0);
+  EXPECT_LE(fifo->stats().write_amplification(),
+            qdlp->stats().write_amplification());
+  EXPECT_LT(qdlp->stats().write_amplification(),
+            ripq->stats().write_amplification());
+  EXPECT_LT(clock->stats().write_amplification(),
+            ripq->stats().write_amplification());
 }
 
 }  // namespace

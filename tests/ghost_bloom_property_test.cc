@@ -1,8 +1,10 @@
 // Property tests for the two history structures the QD machinery leans on:
-// the ghost FIFO queue (eviction history) and the blocked Bloom filter
-// (TinyLFU's doorkeeper). Exercised at degenerate capacities (0, 1), with
-// duplicate inserts, at-capacity eviction order, randomized cross-checks
-// against a naive model, and a false-positive-rate bound under load.
+// the ghost FIFO (eviction history, an IndexedGhost kept as ghost records
+// in the id index) and the blocked Bloom filter (TinyLFU's doorkeeper).
+// Exercised at capacity 1, at-capacity forgetting order, ghost hits out of
+// the middle, re-demotion, slot recycling, size bounds under churn,
+// randomized cross-checks against a naive model, and a false-positive-rate
+// bound under load.
 
 #include <gtest/gtest.h>
 
@@ -11,117 +13,275 @@
 #include <unordered_set>
 #include <vector>
 
-#include "src/core/ghost_queue.h"
+#include "src/concurrent/eviction_domains.h"
+#include "src/core/tagged_index.h"
 #include "src/util/bloom_filter.h"
+#include "src/util/dense_index.h"
 #include "src/util/random.h"
 
 namespace qdlp {
 namespace {
 
 // ---------------------------------------------------------------------------
-// GhostQueue
+// IndexedGhost
 
-TEST(GhostQueueTest, CapacityZeroRemembersNothing) {
-  GhostQueue ghost(0);
-  ghost.Insert(1);
-  ghost.Insert(2);
-  EXPECT_EQ(ghost.size(), 0u);
-  EXPECT_FALSE(ghost.Contains(1));
-  EXPECT_FALSE(ghost.Consume(1));
-  ghost.CheckInvariants();
+// IndexedGhost's view of its core: a serial TaggedIndex and one shard.
+struct GhostCore {
+  TaggedIndex<FlatIndexFactory> index{64, FlatIndexFactory{}};
+  size_t ShardOf(ObjectId) const { return 0; }
+};
+
+constexpr uint32_t kResident = 0;  // any untagged index value
+
+// Quick-demotes `id`: indexed as a resident first if it is not, then its
+// entry becomes a ghost record.
+void Demote(GhostCore& core, IndexedGhost& ghost, ObjectId id) {
+  if (core.index.Entry(id) == StripedAtomicIndex::kNoEntry) {
+    core.index.Insert(id, kResident);
+  }
+  ghost.Push(core, id);
 }
 
-TEST(GhostQueueTest, CapacityOneKeepsOnlyTheNewest) {
-  GhostQueue ghost(1);
-  ghost.Insert(1);
-  EXPECT_TRUE(ghost.Contains(1));
-  ghost.Insert(2);
-  EXPECT_FALSE(ghost.Contains(1)) << "older entry must have been evicted";
-  EXPECT_TRUE(ghost.Contains(2));
+bool IsGhost(const GhostCore& core, ObjectId id) {
+  return core.index.Entry(id) != StripedAtomicIndex::kNoEntry &&
+         StripedAtomicIndex::IsGhost(core.index.Entry(id));
+}
+
+// A miss on `id`, as the Regions admit one: a ghost record is consumed and
+// the id resurrected as a resident. Returns whether it was a ghost.
+bool Resurrect(GhostCore& core, IndexedGhost& ghost, ObjectId id) {
+  if (!IsGhost(core, id)) {
+    return false;
+  }
+  ghost.Consume(core.index.Entry(id));
+  core.index.Update(id, kResident);
+  return true;
+}
+
+void CheckGhost(const GhostCore& core, const IndexedGhost& ghost) {
+  ghost.CheckLocked(core, 0);
+  core.index.CheckInvariants();
+  ASSERT_EQ(core.index.ghosts(), ghost.size());
+}
+
+TEST(IndexedGhostTest, CapacityOneKeepsOnlyTheNewest) {
+  GhostCore core;
+  IndexedGhost ghost(/*base=*/0, /*capacity=*/1);
+  Demote(core, ghost, 1);
+  EXPECT_TRUE(IsGhost(core, 1));
+  Demote(core, ghost, 2);
+  EXPECT_EQ(core.index.Entry(1), StripedAtomicIndex::kNoEntry)
+      << "the older entry must have been forgotten, index record included";
+  EXPECT_TRUE(IsGhost(core, 2));
   EXPECT_EQ(ghost.size(), 1u);
-  ghost.CheckInvariants();
+  CheckGhost(core, ghost);
 }
 
-TEST(GhostQueueTest, ConsumeRemovesExactlyOnce) {
-  GhostQueue ghost(4);
-  ghost.Insert(7);
-  EXPECT_TRUE(ghost.Consume(7));
-  EXPECT_FALSE(ghost.Consume(7)) << "each ghost hit is consumed";
+TEST(IndexedGhostTest, ConsumeRemovesExactlyOnce) {
+  GhostCore core;
+  IndexedGhost ghost(0, 4);
+  Demote(core, ghost, 7);
+  EXPECT_TRUE(Resurrect(core, ghost, 7));
   EXPECT_EQ(ghost.size(), 0u);
-  ghost.CheckInvariants();
+  EXPECT_TRUE(core.index.Contains(7)) << "resurrected as a resident";
+  EXPECT_FALSE(Resurrect(core, ghost, 7)) << "each ghost hit is consumed";
+  CheckGhost(core, ghost);
 }
 
-TEST(GhostQueueTest, DuplicateInsertRefreshesPosition) {
-  GhostQueue ghost(3);
-  ghost.Insert(1);
-  ghost.Insert(2);
-  ghost.Insert(3);
-  // Re-inserting 1 refreshes it to the newest slot; the next two inserts
-  // must evict 2 and 3 (now the oldest), never the refreshed 1.
-  ghost.Insert(1);
-  ghost.Insert(4);
-  ghost.Insert(5);
-  EXPECT_TRUE(ghost.Contains(1));
-  EXPECT_FALSE(ghost.Contains(2));
-  EXPECT_FALSE(ghost.Contains(3));
-  EXPECT_EQ(ghost.size(), 3u);
-  ghost.CheckInvariants();
+// A ghost hit out of the middle frees its place: the capacity counts live
+// records only, and the oldest live one is still forgotten first.
+TEST(IndexedGhostTest, InsertAndConsume) {
+  GhostCore core;
+  IndexedGhost ghost(0, 3);
+  Demote(core, ghost, 1);
+  Demote(core, ghost, 2);
+  Demote(core, ghost, 3);
+  ASSERT_TRUE(Resurrect(core, ghost, 2));
+  EXPECT_TRUE(IsGhost(core, 1));
+  EXPECT_TRUE(IsGhost(core, 3));
+  EXPECT_EQ(ghost.size(), 2u);
+  Demote(core, ghost, 4);  // takes the freed place; nothing is forgotten
+  EXPECT_TRUE(IsGhost(core, 1));
+  Demote(core, ghost, 5);  // full: forgets 1, the oldest
+  EXPECT_EQ(core.index.Entry(1), StripedAtomicIndex::kNoEntry);
+  EXPECT_TRUE(IsGhost(core, 3));
+  EXPECT_TRUE(IsGhost(core, 4));
+  EXPECT_TRUE(IsGhost(core, 5));
+  EXPECT_TRUE(core.index.Contains(2)) << "the resurrected id stays resident";
+  CheckGhost(core, ghost);
 }
 
-TEST(GhostQueueTest, EvictionAtCapacityIsFifoOrder) {
+// A forgotten id leaves no trace: its next miss is cold, and demoting it
+// again makes it the newest ghost.
+TEST(IndexedGhostTest, EvictsOldestWhenFull) {
+  GhostCore core;
+  IndexedGhost ghost(0, 2);
+  Demote(core, ghost, 1);
+  Demote(core, ghost, 2);
+  Demote(core, ghost, 3);
+  EXPECT_EQ(core.index.Entry(1), StripedAtomicIndex::kNoEntry);
+  EXPECT_FALSE(Resurrect(core, ghost, 1)) << "a forgotten id misses cold";
+  EXPECT_EQ(ghost.size(), 2u);
+  Demote(core, ghost, 1);  // forgets 2
+  EXPECT_EQ(core.index.Entry(2), StripedAtomicIndex::kNoEntry);
+  EXPECT_TRUE(IsGhost(core, 3));
+  EXPECT_TRUE(IsGhost(core, 1));
+  CheckGhost(core, ghost);
+}
+
+TEST(IndexedGhostTest, EvictionAtCapacityIsFifoOrder) {
   constexpr size_t kCapacity = 8;
-  GhostQueue ghost(kCapacity);
+  GhostCore core;
+  IndexedGhost ghost(0, kCapacity);
   for (ObjectId id = 0; id < 2 * kCapacity; ++id) {
-    ghost.Insert(id);
+    Demote(core, ghost, id);
     EXPECT_LE(ghost.size(), kCapacity);
   }
   for (ObjectId id = 0; id < kCapacity; ++id) {
-    EXPECT_FALSE(ghost.Contains(id)) << "id " << id;
+    EXPECT_EQ(core.index.Entry(id), StripedAtomicIndex::kNoEntry)
+        << "id " << id;
   }
   for (ObjectId id = kCapacity; id < 2 * kCapacity; ++id) {
-    EXPECT_TRUE(ghost.Contains(id)) << "id " << id;
+    EXPECT_TRUE(IsGhost(core, id)) << "id " << id;
   }
-  ghost.CheckInvariants();
+  CheckGhost(core, ghost);
 }
 
-// Randomized differential check against a naive deque model: inserts,
-// refreshes, and consumes over a small id universe so every interaction
-// (stale records, generation mismatches, trimming) gets exercised.
-TEST(GhostQueueTest, MatchesNaiveModelUnderRandomOps) {
+TEST(IndexedGhostTest, RedemotedIdIsTheNewest) {
+  GhostCore core;
+  IndexedGhost ghost(0, 2);
+  Demote(core, ghost, 1);
+  Demote(core, ghost, 2);
+  // 1 comes back and is demoted again: 2 is now the oldest, so the next
+  // demotion forgets 2, never the re-demoted 1.
+  ASSERT_TRUE(Resurrect(core, ghost, 1));
+  Demote(core, ghost, 1);
+  Demote(core, ghost, 3);
+  EXPECT_TRUE(IsGhost(core, 1));
+  EXPECT_EQ(core.index.Entry(2), StripedAtomicIndex::kNoEntry);
+  EXPECT_TRUE(IsGhost(core, 3));
+  CheckGhost(core, ghost);
+}
+
+// An id that keeps coming back and being demoted again holds one place:
+// each ghost hit frees its record before the re-demotion writes a new one,
+// so the other ghosts are not forgotten early.
+TEST(IndexedGhostTest, BouncingIdHoldsOnePlace) {
+  GhostCore core;
+  IndexedGhost ghost(0, 3);
+  Demote(core, ghost, 1);
+  Demote(core, ghost, 2);
+  Demote(core, ghost, 3);
+  for (int bounce = 0; bounce < 10; ++bounce) {
+    ASSERT_TRUE(Resurrect(core, ghost, 1)) << "bounce " << bounce;
+    Demote(core, ghost, 1);
+    ASSERT_EQ(ghost.size(), 3u) << "bounce " << bounce;
+  }
+  EXPECT_TRUE(IsGhost(core, 2));
+  EXPECT_TRUE(IsGhost(core, 3));
+  // 1 is the newest: the next two demotions forget 2 and 3.
+  Demote(core, ghost, 4);
+  Demote(core, ghost, 5);
+  EXPECT_TRUE(IsGhost(core, 1));
+  EXPECT_EQ(core.index.Entry(2), StripedAtomicIndex::kNoEntry);
+  EXPECT_EQ(core.index.Entry(3), StripedAtomicIndex::kNoEntry);
+  CheckGhost(core, ghost);
+}
+
+// Under churn over many more ids than it remembers, neither the ghost's
+// list slab nor the index's ghost records grow past its capacity: a
+// forgotten id's record is erased, and freed list slots are reused.
+TEST(IndexedGhostTest, SizeBoundedUnderChurn) {
+  constexpr size_t kCapacity = 10;
+  GhostCore core;
+  IndexedGhost ghost(0, kCapacity);
+  const size_t list_bytes = ghost.MemoryBytes();
+  Rng rng(101);
+  for (int step = 0; step < 10000; ++step) {
+    const ObjectId id = rng.NextBounded(50);
+    if (rng.NextBool(0.3)) {
+      Resurrect(core, ghost, id);
+      if (core.index.Contains(id)) {
+        core.index.Erase(id);  // the resident leaves the cache
+      }
+    } else if (!IsGhost(core, id)) {
+      Demote(core, ghost, id);
+    }
+    ASSERT_LE(ghost.size(), kCapacity) << "step " << step;
+    ASSERT_EQ(core.index.size(), 0u) << "step " << step;
+    ASSERT_EQ(core.index.ghosts(), ghost.size()) << "step " << step;
+  }
+  EXPECT_EQ(ghost.MemoryBytes(), list_bytes) << "the list slab grew";
+  CheckGhost(core, ghost);
+}
+
+// A ghost record read before some demotions (a buffered miss in the
+// concurrent lane) is stale once its list slot goes to another id.
+TEST(IndexedGhostTest, HoldsIsFalseOnceTheSlotIsRecycled) {
+  GhostCore core;
+  IndexedGhost ghost(/*base=*/16, 2);
+  Demote(core, ghost, 1);
+  Demote(core, ghost, 2);
+  const uint32_t entry = core.index.Entry(1);
+  EXPECT_TRUE(ghost.Holds(entry, 1));
+  Demote(core, ghost, 3);  // forgets 1 and hands its slot to 3
+  EXPECT_FALSE(ghost.Holds(entry, 1));
+  EXPECT_TRUE(ghost.Holds(core.index.Entry(3), 3));
+
+  // A consumed slot recycled by the next demotion reads stale too.
+  const uint32_t entry2 = core.index.Entry(2);
+  ASSERT_TRUE(Resurrect(core, ghost, 2));
+  Demote(core, ghost, 4);
+  EXPECT_FALSE(ghost.Holds(entry2, 2));
+  EXPECT_TRUE(ghost.Holds(core.index.Entry(4), 4));
+  CheckGhost(core, ghost);
+}
+
+// Randomized differential check against a naive deque model: demotions,
+// ghost hits and resident removals over a small id universe, so every
+// interaction (forgetting at capacity, slot reuse, re-demotion after a
+// resurrection) gets exercised.
+TEST(IndexedGhostTest, MatchesNaiveModelUnderRandomOps) {
   constexpr size_t kCapacity = 16;
-  GhostQueue ghost(kCapacity);
+  constexpr ObjectId kUniverse = 48;
+  GhostCore core;
+  IndexedGhost ghost(0, kCapacity);
   std::deque<ObjectId> model;  // front = oldest, unique entries
 
   Rng rng(2024);
   for (int step = 0; step < 20000; ++step) {
-    const ObjectId id = rng.NextBounded(48);
-    if (rng.NextBool(0.35)) {
-      const bool model_hit =
-          std::find(model.begin(), model.end(), id) != model.end();
-      if (model_hit) {
-        model.erase(std::find(model.begin(), model.end(), id));
-      }
-      ASSERT_EQ(ghost.Consume(id), model_hit) << "step " << step;
-    } else {
-      const auto it = std::find(model.begin(), model.end(), id);
-      if (it != model.end()) {
+    const ObjectId id = rng.NextBounded(kUniverse);
+    const auto it = std::find(model.begin(), model.end(), id);
+    const bool model_ghost = it != model.end();
+    const double op = rng.NextDouble();
+    if (op < 0.35) {
+      if (model_ghost) {
         model.erase(it);
       }
+      ASSERT_EQ(Resurrect(core, ghost, id), model_ghost) << "step " << step;
+    } else if (op < 0.45) {
+      if (core.index.Contains(id)) {
+        core.index.Erase(id);  // a resident leaves with no ghost trace
+      }
+    } else if (!model_ghost) {
+      Demote(core, ghost, id);
       model.push_back(id);
       if (model.size() > kCapacity) {
         model.pop_front();
       }
-      ghost.Insert(id);
     }
     ASSERT_EQ(ghost.size(), model.size()) << "step " << step;
     if (step % 97 == 0) {
-      for (const ObjectId check : model) {
-        ASSERT_TRUE(ghost.Contains(check)) << "step " << step;
+      for (ObjectId check = 0; check < kUniverse; ++check) {
+        const bool expected =
+            std::find(model.begin(), model.end(), check) != model.end();
+        ASSERT_EQ(IsGhost(core, check), expected)
+            << "step " << step << ", id " << check;
       }
-      ghost.CheckInvariants();
+      CheckGhost(core, ghost);
     }
   }
-  ghost.CheckInvariants();
+  CheckGhost(core, ghost);
 }
 
 // ---------------------------------------------------------------------------

@@ -178,9 +178,9 @@ TEST_P(ConcurrentDifferentialTest, MatchesOracleRequestForRequest) {
   } else if (cache_name == "concurrent-qdlp-fifo") {
     cache = std::make_unique<ConcurrentQdLpFifo>(cache_size, /*num_stripes=*/4);
     model = oracle::MakeExactOracle("qd-lp-fifo", cache_size);
-  } else if (cache_name == "sharded-lru" || cache_name == "global-lock-lru") {
-    // One shard: sharded LRU degenerates to exact global LRU, which is what
-    // MakeCache builds for global-lock-lru.
+  } else if (cache_name == "sharded-lru") {
+    // One shard: sharded LRU degenerates to exact global LRU, which is also
+    // what MakeCache builds for global-lock-lru.
     cache = std::make_unique<ShardedLruCache>(cache_size, /*num_shards=*/1);
     model = std::make_unique<oracle::RefLru>(cache_size);
   }
@@ -203,8 +203,8 @@ INSTANTIATE_TEST_SUITE_P(
     Zoo, ConcurrentDifferentialTest,
     ::testing::Combine(::testing::Values("concurrent-s3fifo",
                                          "concurrent-clock",
-                                         "concurrent-qdlp-fifo", "sharded-lru",
-                                         "global-lock-lru"),
+                                         "concurrent-qdlp-fifo",
+                                         "sharded-lru"),
                        ::testing::ValuesIn(kShapes),
                        ::testing::ValuesIn(kCacheSizes)),
     CaseName);

@@ -15,7 +15,8 @@ namespace qdlp {
 namespace {
 
 std::string ValueFor(uint64_t id, uint64_t version) {
-  std::string value = "v" + std::to_string(id) + "." + std::to_string(version);
+  std::string value = "v";
+  value.append(std::to_string(id)).append(".").append(std::to_string(version));
   // Stretch across word boundaries so torn-copy detection has material.
   value.append(id % 37, static_cast<char>('a' + id % 26));
   return value;

@@ -235,6 +235,45 @@ TEST(AccessEventSinkTest, DetachedSinkSeesNothingMore) {
   EXPECT_EQ(policy->Stats().misses, 2u);
 }
 
+// QD-LP-FIFO's main CLOCK laps reach a sink as OnLap, and no counter
+// counts them: a lap keeps the object in place, so it is not a promotion.
+TEST(AccessEventSinkTest, MainLapsReachTheSinkOnly) {
+  struct LapSink : CountingSink {
+    std::vector<ObjectId> lapped;
+    void OnLap(ObjectId id, uint64_t time) override {
+      lapped.push_back(id);
+      Note(time);
+    }
+  };
+  auto policy = MakePolicy("qd-lp-fifo", 10);  // probation 1, main 9
+  ASSERT_NE(policy, nullptr);
+  LapSink sink;
+  policy->set_event_sink(&sink);
+  // Each id is re-read on probation, so the next admission promotes it:
+  // main fills with 1..9 in slot order, and only 1 is hit there.
+  policy->Access(1);
+  policy->Access(1);
+  policy->Access(2);  // promotes 1
+  policy->Access(1);  // main hit: 1's counter goes to 1
+  policy->Access(2);
+  for (ObjectId id = 3; id <= 10; ++id) {
+    policy->Access(id);  // promotes id - 1
+    policy->Access(id);
+  }
+  // Promoting 10 into the full main region runs the hand: it laps 1 and
+  // evicts 2.
+  policy->Access(11);
+  EXPECT_EQ(sink.lapped, std::vector<ObjectId>{1});
+  EXPECT_TRUE(policy->Contains(1));
+  EXPECT_FALSE(policy->Contains(2));
+  const CacheStats stats = policy->Stats();
+  EXPECT_EQ(stats.promotions, 10u);
+  EXPECT_EQ(sink.seen.promotions, stats.promotions);
+  EXPECT_EQ(stats.evictions, 1u);
+  EXPECT_TRUE(sink.time_monotone);
+  policy->set_event_sink(nullptr);
+}
+
 // ---------------------------------------------------------------------------
 // QD flow: the paper's §4 probation -> {main, ghost} split must add up.
 
