@@ -43,6 +43,13 @@
 
 namespace qdlp {
 
+// The outcome of a value write: DomainCache::SetValue's, and Cache::Set's.
+enum class SetStatus {
+  kOk,
+  kNoSpace,   // value arena cannot hold the bytes even after eviction
+  kTooLarge,  // value exceeds the engine's max value length
+};
+
 class ConcurrentCache : public CacheObservable {
  public:
   // Returns true on hit; admits on miss. Thread-safe.

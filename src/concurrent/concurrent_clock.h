@@ -8,13 +8,10 @@
 //
 // Misses go through sharded eviction domains (eviction_domains.h): the
 // CLOCK ring (clock_ring.h) is partitioned into S hash-selected regions,
-// each with its own mutex, hand, bump allocator, free list, and BP-Wrapper
-// insert buffers. A missing thread try-locks its id's home domain; on
-// failure it buffers the id in that domain's MPSC rings and returns; the
-// next holder of that domain's lock drains the batch under its single
-// acquisition. Misses to different domains admit and evict fully in
-// parallel. DomainCache implements that protocol; ClockRegions below is
-// only the ring.
+// each with its own hand, bump allocator and free list, which DomainCache's
+// try-lock / buffer / drain protocol fills under the region's own mutex,
+// so misses to different domains admit and evict fully in parallel.
+// ClockRegions below is only the ring.
 //
 // Driven from a single thread with num_shards == 1 (the default) the
 // behavior is exactly the sequential CLOCK spec (the try_lock always
@@ -50,11 +47,18 @@ class ClockRegions {
 
   void Touch(uint32_t slot) { ring_.Touch(slot); }
   void AdmitLocked(size_t s, ObjectId id, uint32_t entry);
+  // Evicts under the hand and frees the slot for the next admission.
+  bool EvictOneLocked(size_t s) {
+    if (ring_.count(s) == 0) {
+      return false;
+    }
+    ring_.Free(s, EvictAtHand(s));
+    return true;
+  }
   void UnlinkLocked(size_t s, uint32_t slot) { ring_.Free(s, slot); }
   // Sequential CLOCK reports no per-region occupancy; neither does this.
   void FillOccupancy(size_t, CacheStats*) const {}
   size_t CheckShardLocked(size_t s) const;
-  void CheckSharedLocked() const {}
   size_t MemoryBytes() const { return ring_.MemoryBytes(); }
 
  private:
@@ -71,6 +75,19 @@ class ClockRegions {
     return static_cast<uint8_t>((1u << bits) - 1);
   }
 
+  // Unindexes and counts the object under shard s's hand; returns its
+  // slot, still occupied.
+  uint32_t EvictAtHand(size_t s) {
+    const uint32_t victim = ring_.NextVictim(s, [&](ObjectId lapped) {
+      // Lazy promotion: the reinsertion lap, counted like sequential CLOCK.
+      core_.Count(ConcurrentStatsCounters::kPromotions, lapped);
+    });
+    const ObjectId evicted = ring_.id(victim);
+    core_.index.Erase(evicted);
+    core_.Count(ConcurrentStatsCounters::kEvictions, evicted);
+    return victim;
+  }
+
   Core& core_;
   ClockRing ring_;
 };
@@ -83,14 +100,8 @@ void ClockRegions<Core>::AdmitLocked(size_t s, ObjectId id, uint32_t entry) {
     core_.index.Insert(id, ring_.Take(s, id));
     return;
   }
-  const uint32_t victim = ring_.NextVictim(s, [&](ObjectId lapped) {
-    // Lazy promotion: the reinsertion lap, counted like sequential CLOCK.
-    core_.Count(ConcurrentStatsCounters::kPromotions, lapped);
-  });
-  const ObjectId evicted = ring_.id(victim);
-  core_.index.Erase(evicted);
-  core_.Count(ConcurrentStatsCounters::kEvictions, evicted);
   // No slot is free, so the newcomer takes the victim's.
+  const uint32_t victim = EvictAtHand(s);
   ring_.Replace(victim, id);
   core_.index.Insert(id, victim);
 }
@@ -115,7 +126,7 @@ class ConcurrentClockCache : public DomainCache<ClockRegions<DomainCore>> {
   // the index gets max(num_stripes, shard count) stripes so every domain
   // owns a disjoint stripe set (see eviction_domains.h).
   ConcurrentClockCache(size_t capacity, int bits = 1, size_t num_stripes = 16,
-                       size_t num_shards = 1);
+                       size_t num_shards = 1, QdlpValueOptions values = {});
 
   std::string_view name() const override { return "concurrent-clock"; }
 };

@@ -16,18 +16,16 @@
 //                the shard's main region, kept as ghost records in the
 //                index itself
 //
-// One striped atomic index (striped_index.h) maps id -> tagged GLOBAL
-// location (probation position, main slot or ghost position); a hit is one
-// lock-free probe plus a single relaxed store (the accessed bit) or
-// relaxed RMW (the CLOCK counter) — lazy promotion's "at most one metadata
-// update, no locking" made literal, and entirely shard-oblivious. A miss's
-// one locked probe also tells a ghost hit from a cold miss, and a lazy
-// promotion, a quick demotion or a ghost resurrection rewrites the id's
-// entry in place. Misses — admission, quick demotion, ghost resurrection,
-// CLOCK eviction — serialize behind
-// the id's home-domain mutex with BP-Wrapper-style MPSC buffering, exactly
-// the DomainCache protocol the other lock-free caches share, so misses to
-// different domains admit and evict fully in parallel.
+// One striped atomic index (striped_index.h) maps id -> GLOBAL location,
+// a probation position or a main slot in one range, or a ghost position; a
+// hit is one lock-free probe plus a single relaxed store (the accessed
+// bit) or relaxed RMW (the CLOCK counter) — lazy promotion's "at most one
+// metadata update, no locking" made literal, and entirely shard-oblivious.
+// A miss's one locked probe also tells a ghost hit from a cold miss, and a
+// lazy promotion, a quick demotion or a ghost resurrection rewrites the
+// id's entry in place. Misses serialize behind the id's home-domain mutex
+// through the DomainCache protocol the other lock-free caches share, so
+// misses to different domains admit and evict fully in parallel.
 //
 // QdLpRegions is the one QD-LP-FIFO: over the serial core it is also
 // MakePolicy("qd-lp-fifo") and the sweep lane's dense variant
@@ -45,49 +43,36 @@
 #include <atomic>
 #include <cmath>
 #include <cstdint>
-#include <memory>
-#include <string>
 #include <string_view>
 #include <vector>
 
 #include "src/concurrent/clock_ring.h"
 #include "src/concurrent/eviction_domains.h"
-#include "src/store/slab_store.h"
 #include "src/util/check.h"
 #include "src/util/intrusive_list.h"
 
 namespace qdlp {
 
-// Opt-in value storage (the qdlpd serving layer, docs/SERVER.md): with
-// arena_bytes > 0 the cache owns a SlabStore whose cells are 1:1 with the
-// metadata locations, giving GetValue/SetValue byte-serving semantics.
-// With the default (0) the cache is metadata-only and the value paths are
-// never compiled into Get().
-struct QdlpValueOptions {
-  size_t arena_bytes = 0;  // total value arena, split across the domains
-  size_t max_value_len = 4u << 20;
-};
-
-// Probation FIFO, main CLOCK region and ghost per shard, plus the optional
-// value store whose cells ride the metadata locations. In Stats,
+// Probation FIFO, main CLOCK region and ghost per shard. In Stats,
 // promotions counts probation->main lazy promotions and demotions
 // probation->ghost quick demotions; main CLOCK laps reach only the core's
 // Lap hook (an AccessEventSink's OnLap on the serial core).
+//
+// Locations are one range, [0, capacity): every shard's probation
+// positions first, [0, probation_capacity()), then the main ring's slots,
+// main slot i at probation_capacity() + i. The index's ghost tag (bit 30)
+// marks a ghost position instead.
 template <typename Core>
 class QdLpRegions {
  public:
-  // Index values: bit 31 set = main slot; the index's ghost tag (bit 30)
-  // set = ghost position; neither = probation position.
-  static constexpr uint32_t kMainBit = 0x80000000u;
-
-  QdLpRegions(Core& core, const QdlpValueOptions& value_options);
+  explicit QdLpRegions(Core& core);
 
   // The ghost is as large as the main region (factor 1.0).
   static size_t GhostCapacity(size_t share);
 
   void Touch(uint32_t value) {
-    if (value & kMainBit) {
-      main_.Touch(value & ~kMainBit);
+    if (value >= main_base_) {
+      main_.Touch(value - main_base_);
     } else {
       // Racing with a quick demotion or removal that recycles this probation
       // slot, the bit can land on the slot's next occupant — one spurious
@@ -96,41 +81,25 @@ class QdLpRegions {
     }
   }
   void AdmitLocked(size_t s, ObjectId id, uint32_t entry);
-  // O(1) in either region; frees the value chunk.
+  // Probation's oldest entry (demoted or promoted) first, else the main
+  // hand's victim, whose slot the next main admission reuses.
+  bool EvictOneLocked(size_t s);
+  // O(1) in either region.
   void UnlinkLocked(size_t s, uint32_t value);
   void FillOccupancy(size_t s, CacheStats* stats) const;
   size_t CheckShardLocked(size_t s) const;
-  // With a value store: cell ownership and the arenas' own structure.
-  void CheckSharedLocked() const;
   size_t MemoryBytes() const;
 
-  // Frees value-arena space by evicting one object from shard s (probation
-  // first); false if the shard holds nothing to evict.
-  bool EvictForSpaceLocked(size_t s);
-
-  // The value cell paired with an index value: probation positions map to
-  // themselves, main slot i to probation_capacity() + i — one cell per
-  // metadata location, [0, capacity).
-  uint32_t CellOf(uint32_t index_value) const {
-    return (index_value & kMainBit)
-               ? static_cast<uint32_t>(accessed_.size()) +
-                     (index_value & ~kMainBit)
-               : index_value;
-  }
-
-  SlabStore* store() const { return store_.get(); }
-  size_t probation_capacity() const { return accessed_.size(); }
+  size_t probation_capacity() const { return main_base_; }
   size_t main_capacity() const { return main_capacity_; }
 
  private:
   static constexpr uint8_t kMaxCounter = 3;  // 2-bit CLOCK
-  // No prior value cell to move: the id is entering cache space fresh.
-  static constexpr uint32_t kNoCell = 0xFFFFFFFFu;
 
   // Per-shard probation FIFO and ghost, guarded by the shard's mutex. The
   // shard owns probation positions [probation_base, probation_base +
   // probation_capacity) and main region s: the entry in list slot i sits at
-  // position probation_base + i, which is its index value and value cell.
+  // position probation_base + i, which is its index value.
   struct alignas(64) Shard {
     Shard(size_t probation_base, size_t probation_capacity,
           size_t ghost_base, size_t ghost_capacity)
@@ -157,25 +126,19 @@ class QdLpRegions {
   void EvictFromProbation(size_t s);
   // Moves indexed `id` into the shard's main CLOCK region, evicting if
   // full; its entry keeps its old location until the main slot is taken.
-  // `from_cell` is the id's previous value cell (a lazy promotion moves
-  // the value with the metadata) or kNoCell for a ghost resurrection.
-  void MainInsert(size_t s, ObjectId id, uint32_t from_cell);
+  void MainInsert(size_t s, ObjectId id);
   // Evicts the object under the main hand. Main evictions leave no ghost
   // trace (only probation demotions do).
   void EvictMain(size_t s);
-  // Drops the value cell's chunk, if a store is attached.
-  void ClearCell(uint32_t cell);
 
   Core& core_;
   std::vector<Shard> shards_;
   // Accessed bits by probation position: the only probation state the
   // lock-free hit path writes.
   std::vector<std::atomic<uint8_t>> accessed_;
+  size_t main_base_ = 0;  // the first main location: total probation
   size_t main_capacity_ = 0;
   ClockRing main_;  // region s is shard s's main CLOCK
-  // Value store (qdlpd): cells 1:1 with metadata locations, arenas 1:1
-  // with eviction domains. Null when metadata-only.
-  std::unique_ptr<SlabStore> store_;
 };
 
 // The paper's probation/main split: probation a fraction of the capacity
@@ -206,11 +169,9 @@ std::vector<size_t> QdLpRegions<Core>::MainCapacities(const Core& core) {
 }
 
 template <typename Core>
-QdLpRegions<Core>::QdLpRegions(Core& core,
-                               const QdlpValueOptions& value_options)
+QdLpRegions<Core>::QdLpRegions(Core& core)
     : core_(core), main_(MainCapacities(core), kMaxCounter) {
   const size_t shards = core.num_shards();
-  size_t probation_total = 0;
   shards_.reserve(shards);
   for (size_t s = 0; s < shards; ++s) {
     const size_t share = core.shard_capacity(s);
@@ -218,20 +179,12 @@ QdLpRegions<Core>::QdLpRegions(Core& core,
     const size_t probation = QdProbationCapacity(share);
     // Ghost positions follow the same layout as main slots: shard s's
     // start at the main capacity of the shards before it.
-    shards_.emplace_back(probation_total, probation, main_capacity_,
+    shards_.emplace_back(main_base_, probation, main_capacity_,
                          GhostCapacity(share));
-    probation_total += probation;
+    main_base_ += probation;
     main_capacity_ += share - probation;
   }
-  accessed_ = std::vector<std::atomic<uint8_t>>(probation_total);
-  if (value_options.arena_bytes > 0) {
-    // One cell per metadata location (probation positions then main
-    // slots), one arena per eviction domain so eviction frees value bytes
-    // under the mutex it already holds.
-    store_ = std::make_unique<SlabStore>(core.capacity(), shards,
-                                         value_options.arena_bytes / shards,
-                                         value_options.max_value_len);
-  }
+  accessed_ = std::vector<std::atomic<uint8_t>>(main_base_);
 }
 
 template <typename Core>
@@ -255,33 +208,19 @@ size_t QdLpRegions<Core>::CheckShardLocked(size_t s) const {
     QDLP_CHECK(core_.index.Find(id, &value));
     QDLP_CHECK(value == shard.probation_base + slot);
   });
-  // Main ring entries are indexed at their tagged slot.
+  // Main ring entries are indexed at their slot's location, past probation.
   const size_t main = main_.CheckRegion(s, [&](ObjectId id, uint32_t slot) {
     uint32_t value;
     QDLP_CHECK(core_.ShardOf(id) == s);
     QDLP_CHECK(core_.index.Find(id, &value));
-    QDLP_CHECK(value == (kMainBit | slot));
+    QDLP_CHECK(value == main_base_ + slot);
   });
-  // An object holds space in exactly one region; the tags above prove
-  // probation/main disjointness (one index entry per id). Ghost entries
-  // are history, never resident: they are indexed as ghost records.
+  // An object holds space in exactly one region; the disjoint location
+  // ranges above prove probation/main disjointness (one index entry per
+  // id). Ghost entries are history, never resident: they are indexed as
+  // ghost records.
   shard.ghost.CheckLocked(core_, s);
   return shard.probation.size() + main;
-}
-
-template <typename Core>
-void QdLpRegions<Core>::CheckSharedLocked() const {
-  if (!store_) {
-    return;
-  }
-  // Every resident id owns its paired value cell (stamped at admission,
-  // moved with every metadata move), so a read is never stale here.
-  std::string scratch;
-  core_.index.ForEach([&](ObjectId id, uint32_t value) {
-    QDLP_CHECK(store_->Read(CellOf(value), id, /*now_s=*/0, &scratch) !=
-               SlabStore::ReadResult::kStale);
-  });
-  store_->CheckInvariants();
 }
 
 template <typename Core>
@@ -292,17 +231,7 @@ size_t QdLpRegions<Core>::MemoryBytes() const {
     bytes += sizeof(Shard) + shard.probation.MemoryBytes() +
              shard.ghost.MemoryBytes();
   }
-  if (store_) {
-    bytes += store_->ApproxMetadataBytes();
-  }
   return bytes;
-}
-
-template <typename Core>
-void QdLpRegions<Core>::ClearCell(uint32_t cell) {
-  if (store_) {
-    store_->FreeChunk(store_->ClearCell(cell));
-  }
 }
 
 template <typename Core>
@@ -312,7 +241,7 @@ void QdLpRegions<Core>::AdmitLocked(size_t s, ObjectId id, uint32_t entry) {
     // the main cache.
     shards_[s].ghost.Consume(entry);
     core_.Count(ConcurrentStatsCounters::kGhostHits, id);
-    MainInsert(s, id, kNoCell);
+    MainInsert(s, id);
   } else {
     AdmitToProbation(s, id);
   }
@@ -328,12 +257,6 @@ void QdLpRegions<Core>::AdmitToProbation(size_t s, ObjectId id) {
                                              shard.probation.PushBack(id));
   accessed_[pos].store(0, std::memory_order_relaxed);
   core_.index.Insert(id, pos);
-  if (store_) {
-    // Stamp cell ownership (no bytes yet): a GetValue between this
-    // metadata-only admission and the first SetValue reads a clean
-    // kNoValue instead of spinning on a stale previous occupant.
-    store_->FreeChunk(store_->Commit(pos, id, SlabStore::kNullChunk, 0));
-  }
 }
 
 template <typename Core>
@@ -349,39 +272,25 @@ void QdLpRegions<Core>::EvictFromProbation(size_t s) {
   // can recycle the slot: readers stop finding the victim there first (a
   // racing reader at worst sets the next occupant's accessed bit).
   if (accessed) {
-    // Lazy promotion: re-accessed while on probation -> main cache. The
-    // value cell moves with the metadata.
+    // Lazy promotion: re-accessed while on probation -> main cache.
     core_.Count(ConcurrentStatsCounters::kPromotions, victim);
-    MainInsert(s, victim, store_ ? pos : kNoCell);
+    MainInsert(s, victim);
     return;
   }
   // Quick demotion: one lap through the small FIFO was its only chance.
   // The victim's entry becomes its ghost record.
   shard.ghost.Push(core_, victim);
-  ClearCell(pos);
   core_.Count(ConcurrentStatsCounters::kDemotions, victim);
   core_.Count(ConcurrentStatsCounters::kEvictions, victim);
 }
 
 template <typename Core>
-void QdLpRegions<Core>::MainInsert(size_t s, ObjectId id,
-                                   uint32_t from_cell) {
+void QdLpRegions<Core>::MainInsert(size_t s, ObjectId id) {
   if (main_.full(s)) {
     EvictMain(s);
   }
-  const uint32_t slot = main_.Take(s, id);
-  core_.index.Update(id, kMainBit | slot);
-  if (store_) {
-    // Every vacant main slot's cell is empty (eviction and removal clear
-    // it), so a promotion moves the value with the metadata; a fresh
-    // admission (ghost resurrection) stamps ownership with no bytes.
-    const uint32_t cell = CellOf(kMainBit | slot);
-    if (from_cell != kNoCell) {
-      store_->MoveCell(from_cell, cell);
-    } else {
-      store_->FreeChunk(store_->Commit(cell, id, SlabStore::kNullChunk, 0));
-    }
-  }
+  core_.index.Update(id,
+                     static_cast<uint32_t>(main_base_ + main_.Take(s, id)));
 }
 
 template <typename Core>
@@ -391,34 +300,26 @@ void QdLpRegions<Core>::EvictMain(size_t s) {
       main_.NextVictim(s, [&](ObjectId lapped) { core_.Lap(lapped); });
   const ObjectId victim = main_.id(slot);
   core_.index.Erase(victim);
-  ClearCell(CellOf(kMainBit | slot));
   main_.Free(s, slot);
   core_.Count(ConcurrentStatsCounters::kEvictions, victim);
 }
 
 template <typename Core>
-bool QdLpRegions<Core>::EvictForSpaceLocked(size_t s) {
+bool QdLpRegions<Core>::EvictOneLocked(size_t s) {
   if (!shards_[s].probation.empty()) {
-    // Quick demotion frees the victim's chunk directly; a lazy promotion
-    // frees nothing itself but can cascade into a main eviction, and
-    // probation strictly shrinks, so repeated calls make progress.
     EvictFromProbation(s);
-    return true;
-  }
-  if (main_.count(s) == 0) {
+  } else if (main_.count(s) > 0) {
+    EvictMain(s);
+  } else {
     return false;
   }
-  // The freed slot goes on the main free list, so the next admission
-  // reuses it instead of evicting another object.
-  EvictMain(s);
   return true;
 }
 
 template <typename Core>
 void QdLpRegions<Core>::UnlinkLocked(size_t s, uint32_t value) {
-  ClearCell(CellOf(value));
-  if (value & kMainBit) {
-    main_.Free(s, value & ~kMainBit);
+  if (value >= main_base_) {
+    main_.Free(s, static_cast<uint32_t>(value - main_base_));
   } else {
     Shard& shard = shards_[s];
     shard.probation.Erase(static_cast<uint32_t>(value - shard.probation_base));
@@ -430,8 +331,6 @@ extern template class DomainCache<QdLpRegions<DomainCore>>;
 
 class ConcurrentQdLpFifo : public DomainCache<QdLpRegions<DomainCore>> {
  public:
-  enum class SetResult { kOk, kNoSpace, kTooLarge };
-
   // Capacity is split per shard exactly as MakePolicy("qd-lp-fifo") splits
   // it: probation = clamp(round(0.10 * share), 1, share - 1), main the
   // rest, ghost as large as main. Requires capacity >= 2; shard counts
@@ -440,26 +339,7 @@ class ConcurrentQdLpFifo : public DomainCache<QdLpRegions<DomainCore>> {
   // a disjoint stripe set.
   explicit ConcurrentQdLpFifo(size_t capacity, size_t num_stripes = 16,
                               size_t num_shards = 1,
-                              QdlpValueOptions value_options = {});
-
-  // ---- Value path (requires QdlpValueOptions::arena_bytes > 0). ----
-  //
-  // GetValue is the serving read: a lock-free index probe, the same lazy-
-  // promotion touch as Get() on success, and a seqlock value copy. It
-  // NEVER admits — a GET carries no bytes to store, so a miss stays a miss
-  // (counted) until the client SETs. An expired value counts as a miss and
-  // lazily removes the object.
-  bool GetValue(ObjectId id, uint64_t now_s, std::string* value);
-  // SetValue is the serving write: under the home-domain mutex (blocking)
-  // it allocates a chunk — evicting from this shard until the arena can
-  // satisfy the request — admits the id if not resident (ghost
-  // resurrection rules apply, counted as an insert but never as a miss:
-  // the GET that preceded it already counted), and commits the bytes.
-  // `expiry_s` is an absolute second (0 = never expires).
-  SetResult SetValue(ObjectId id, std::string_view value, uint64_t expiry_s);
-
-  // The attached value store, or nullptr when metadata-only.
-  SlabStore* value_store() { return regions_.store(); }
+                              QdlpValueOptions values = {});
 
   std::string_view name() const override { return "concurrent-qdlp-fifo"; }
 

@@ -5,13 +5,10 @@
 // one probe of the striped atomic index (striped_index.h) plus one relaxed
 // RMW — no shared_mutex, no reader registration. All queue surgery
 // (admission, small->main promotion, ghost bookkeeping) happens on the
-// miss path, which is partitioned into S hash-selected eviction domains
-// (eviction_domains.h): each domain owns a slab region, its own
-// small/main FIFOs and ghost, one mutex, and BP-Wrapper insert buffers.
-// Contended misses buffer their id into the home domain's MPSC rings and
-// return; the next holder of that domain's lock drains the batch under its
-// single acquisition. DomainCache implements that protocol; S3FifoRegions
-// below is the queues.
+// miss path, which DomainCache's try-lock / buffer / drain protocol
+// partitions into S hash-selected eviction domains (eviction_domains.h),
+// each owning a slab region, its own small/main FIFOs and ghost, and one
+// mutex. S3FifoRegions below is the queues.
 //
 // Storage is one fixed slab of nodes (no per-object allocation),
 // partitioned by shard: the small and main FIFOs are intrusive
@@ -69,10 +66,12 @@ class S3FifoRegions {
     }
   }
   void AdmitLocked(size_t s, ObjectId id, uint32_t entry);
+  // One step of S3-FIFO's eviction: the small queue's head (evicted or
+  // promoted) while small holds its share or main is empty, else main's.
+  bool EvictOneLocked(size_t s);
   void UnlinkLocked(size_t s, uint32_t slot);
   void FillOccupancy(size_t s, CacheStats* stats) const;
   size_t CheckShardLocked(size_t s) const;
-  void CheckSharedLocked() const {}
   size_t MemoryBytes() const;
 
  private:
@@ -133,7 +132,6 @@ class S3FifoRegions {
   void FreeSlot(size_t s, uint32_t slot);
   void EvictSmall(size_t s);
   void EvictMain(size_t s);
-  void MakeRoom(size_t s);
 
   Core& core_;
   std::vector<Node> slab_;  // fixed node storage, partitioned by shard
@@ -308,28 +306,31 @@ void S3FifoRegions<Core>::EvictMain(size_t s) {
 }
 
 template <typename Core>
-void S3FifoRegions<Core>::MakeRoom(size_t s) {
-  const size_t capacity = core_.shard_capacity(s);
-  Shard& shard = shards_[s];
-  // The shard overflows its capacity share, never the global capacity:
-  // remainder-distributed shares sum exactly to it (eviction_domains.h).
-  while (shard.small_fifo.count + shard.main_fifo.count >= capacity) {
-    if (shard.small_fifo.count > 0 &&
-        (shard.small_fifo.count >= shard.small_capacity ||
-         shard.main_fifo.count == 0)) {
-      EvictSmall(s);
-    } else {
-      EvictMain(s);
-    }
+bool S3FifoRegions<Core>::EvictOneLocked(size_t s) {
+  const Shard& shard = shards_[s];
+  if (shard.small_fifo.count > 0 &&
+      (shard.small_fifo.count >= shard.small_capacity ||
+       shard.main_fifo.count == 0)) {
+    EvictSmall(s);
+  } else if (shard.main_fifo.count > 0) {
+    EvictMain(s);
+  } else {
+    return false;
   }
+  return true;
 }
 
 template <typename Core>
 void S3FifoRegions<Core>::AdmitLocked(size_t s, ObjectId id, uint32_t entry) {
   Shard& shard = shards_[s];
   // Room first, as RefS3Fifo::Access does: its quick demotions can push
-  // this id's own ghost record out, so the ghost is consulted after.
-  MakeRoom(s);
+  // this id's own ghost record out, so the ghost is consulted after. The
+  // shard overflows its capacity share, never the global capacity:
+  // remainder-distributed shares sum exactly to it (eviction_domains.h).
+  while (shard.small_fifo.count + shard.main_fifo.count >=
+         core_.shard_capacity(s)) {
+    EvictOneLocked(s);
+  }
   const bool ghost_hit = entry != StripedAtomicIndex::kNoEntry &&
                          shard.ghost.Holds(entry, id);
   const uint32_t slot = AllocSlot(s);
@@ -361,7 +362,8 @@ class ConcurrentS3FifoCache
   // max(num_stripes, shard count) stripes so every domain owns a disjoint
   // stripe set (see eviction_domains.h).
   explicit ConcurrentS3FifoCache(size_t capacity, size_t num_stripes = 16,
-                                 size_t num_shards = 1);
+                                 size_t num_shards = 1,
+                                 QdlpValueOptions values = {});
 
   std::string_view name() const override { return "concurrent-s3fifo"; }
 };

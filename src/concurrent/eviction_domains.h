@@ -1,6 +1,7 @@
 // Sharded eviction domains: the miss-path backbone that lets the
 // concurrent caches scale past the single eviction mutex, and
-// DomainCache, the one implementation of the protocol over them.
+// DomainCache, the one implementation of the protocol over them and of
+// the value path (GetValue/SetValue) every lock-free design serves.
 //
 // Each cache partitions its queue storage into S independent domains
 // selected by id hash; a domain owns a slab region, one mutex and one bank
@@ -50,6 +51,8 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -57,12 +60,20 @@
 #include "src/concurrent/mpsc_ring.h"
 #include "src/concurrent/striped_index.h"
 #include "src/obs/concurrent_counters.h"
+#include "src/store/slab_store.h"
 #include "src/trace/trace.h"
 #include "src/util/check.h"
 #include "src/util/flat_map.h"
 #include "src/util/intrusive_list.h"
 
 namespace qdlp {
+
+// Opt-in value storage (the qdlpd serving layer, docs/SERVER.md): with
+// arena_bytes > 0 a lock-free cache serves bytes (GetValue/SetValue).
+struct QdlpValueOptions {
+  size_t arena_bytes = 0;  // total value arena, split across the domains
+  size_t max_value_len = 4u << 20;
+};
 
 // One eviction domain. The mutex guards the owning cache's per-shard queue
 // state and is the only consumer of `buffers`.
@@ -78,9 +89,67 @@ struct EvictionDomain {
       : buffers(num_rings, ring_capacity) {}
 };
 
+// DomainCore's id index: the striped index plus, in a cache that stores
+// values, the upkeep of each resident's value cell. A resident's index
+// value is its location, which is its SlabStore cell, so each of the
+// Regions' own index writes moves an id's cell with its entry (Follow).
+// The entry changes first, so a reader that finds it before the cell
+// catches up reads a stale cell and re-probes. A metadata-only cache pays
+// one predictable branch per write.
+class CellIndex : public StripedAtomicIndex {
+ public:
+  CellIndex(size_t max_entries, size_t num_stripes, SlabStore* store)
+      : StripedAtomicIndex(max_entries, num_stripes), store_(store) {}
+
+  void Insert(ObjectId id, uint32_t value) {
+    StripedAtomicIndex::Insert(id, value);
+    if (store_ != nullptr) {
+      Follow(id, kNoEntry, value);
+    }
+  }
+
+  uint32_t Update(ObjectId id, uint32_t value) {
+    const uint32_t old = StripedAtomicIndex::Update(id, value);
+    if (store_ != nullptr) {
+      Follow(id, old, value);
+    }
+    return old;
+  }
+
+  bool Erase(ObjectId id) {
+    uint32_t old;
+    const bool erased = StripedAtomicIndex::Erase(id, &old);
+    if (erased && store_ != nullptr) {
+      Follow(id, old, kNoEntry);
+    }
+    return erased;
+  }
+
+ private:
+  // `id`'s entry went from `from` to `to`, where a ghost record or kNoEntry
+  // (which carries the ghost tag) has no cell. Entering a location stamps
+  // its cell with the id and no bytes (a GetValue before the first
+  // SetValue reads kNoValue, not a previous occupant); a lazy promotion
+  // moves the cell; leaving every location vacates it and frees its bytes.
+  void Follow(ObjectId id, uint32_t from, uint32_t to) {
+    if (IsGhost(to)) {
+      if (!IsGhost(from)) {
+        store_->FreeChunk(store_->ClearCell(from));
+      }
+    } else if (IsGhost(from)) {
+      store_->FreeChunk(store_->Commit(to, id, SlabStore::kNullChunk, 0));
+    } else {
+      store_->MoveCell(from, to);
+    }
+  }
+
+  SlabStore* const store_;
+};
+
 // What DomainCache shares with its Regions: the eviction domains, the id
-// index (whose values are the Regions' own location encoding, plus the
-// ghost records of those that keep a ghost) and the flow counters.
+// index (whose values are the Regions' locations, plus the ghost records
+// of those that keep a ghost), the optional value store and the flow
+// counters.
 //
 // A Regions type is a template over its core and reaches shared state only
 // through this interface, which the serial core of the single-threaded
@@ -95,8 +164,8 @@ struct EvictionDomain {
 // this core ignores them, and its Lap is empty.
 class DomainCore {
  public:
-  // Index values are 32-bit locations below the index's ghost tag (bit 30);
-  // QD-LP-FIFO spends bit 31 on a region tag.
+  // Index values are locations in [0, capacity) and ghost positions, both
+  // below the index's ghost tag (bit 30).
   static constexpr size_t kMaxCapacity = StripedAtomicIndex::kGhostTag - 1;
 
   // Aborts on a capacity the index values cannot address. The cores run it
@@ -115,15 +184,23 @@ class DomainCore {
   // never grows (and retires arrays) while the cache fills. Its
   // max(num_stripes, shard count) stripes give every eviction domain a
   // disjoint stripe set, so the index's per-stripe writer serialization
-  // holds under the per-shard mutexes.
+  // holds under the per-shard mutexes. `values` may add a SlabStore: a cell
+  // per location, an arena per domain (freed under that domain's mutex).
   DomainCore(size_t capacity, size_t num_stripes, size_t num_shards,
              size_t min_capacity_per_shard,
-             size_t (*ghost_capacity)(size_t share))
+             size_t (*ghost_capacity)(size_t share),
+             const QdlpValueOptions& values)
       : capacity_(CheckedCapacity(capacity)),
         shards_(MakeShards(capacity, num_shards, min_capacity_per_shard)),
         mask_(shards_.size() - 1),
+        store_(values.arena_bytes == 0
+                   ? nullptr
+                   : std::make_unique<SlabStore>(
+                         capacity, shards_.size(),
+                         values.arena_bytes / shards_.size(),
+                         values.max_value_len)),
         index(IndexEntries(capacity, shards_, ghost_capacity),
-              std::max(num_stripes, shards_.size())) {
+              std::max(num_stripes, shards_.size()), store_.get()) {
     QDLP_CHECK(index.num_stripes() >= shards_.size());
   }
 
@@ -141,6 +218,8 @@ class DomainCore {
 
   EvictionDomain& shard(size_t s) { return *shards_[s]; }
   const EvictionDomain& shard(size_t s) const { return *shards_[s]; }
+  // The value store, or nullptr when the cache is metadata-only.
+  SlabStore* store() const { return store_.get(); }
 
   void Count(ConcurrentStatsCounters::Counter kind, ObjectId) {
     counters.Add(kind);
@@ -151,6 +230,9 @@ class DomainCore {
     size_t bytes = index.MemoryBytes() + counters.MemoryBytes();
     for (const auto& domain : shards_) {
       bytes += sizeof(EvictionDomain) + domain->buffers.MemoryBytes();
+    }
+    if (store_ != nullptr) {
+      bytes += store_->ApproxMetadataBytes();
     }
     return bytes;
   }
@@ -201,13 +283,14 @@ class DomainCore {
     return entries;
   }
 
-  // Declared before the index, which is sized from them.
+  // Declared before the index, which is sized from them and keeps cells.
   const size_t capacity_;
   std::vector<std::unique_ptr<EvictionDomain>> shards_;
   const size_t mask_;
+  std::unique_ptr<SlabStore> store_;
 
  public:
-  StripedAtomicIndex index;
+  CellIndex index;
   ConcurrentStatsCounters counters;
 };
 
@@ -283,12 +366,13 @@ class IndexedGhost {
 
 // The eviction-domain protocol of the lock-free caches, written once: the
 // lock-free hit path, the miss path's try-lock / buffer / drain sequence,
-// blocking Admit and Remove, Stats and the invariant sweep. Each
-// design (concurrent_clock.h, concurrent_s3fifo.h, concurrent_qdlp_fifo.h)
-// is a Regions type that supplies only its shard-local queue logic,
-// composed at compile time so a hit stays one index probe plus one relaxed
-// store or RMW. The same Regions, over a serial core, are the designs'
-// single-threaded policies (src/core/regions_policy.h):
+// blocking Admit and Remove, the value path, Stats and the invariant
+// sweep. Each design (concurrent_clock.h, concurrent_s3fifo.h,
+// concurrent_qdlp_fifo.h) is a Regions type that supplies only its
+// shard-local queue logic, composed at compile time so a hit stays one
+// index probe plus one relaxed store or RMW. The same Regions, over a
+// serial core, are the designs' single-threaded policies
+// (src/core/regions_policy.h):
 //
 //   Regions(Core& core, ...)           extra arguments come from the cache
 //   static size_t GhostCapacity(size_t share)
@@ -300,17 +384,23 @@ class IndexedGhost {
 //       Any victim is unindexed or turned into a ghost record before its
 //       location is reused, and counted with
 //       core.Count(ConcurrentStatsCounters::kEvictions, victim)
+//   bool EvictOneLocked(size_t s)
+//       makes room in shard s without admitting: evicts one object, or
+//       takes a step (a promotion) that later calls complete into an
+//       eviction; false once the shard holds nothing
 //   void UnlinkLocked(size_t s, uint32_t value)
 //       drops the queue state of an object Remove() just unindexed
 //   void FillOccupancy(size_t s, CacheStats* stats) const
 //   size_t CheckShardLocked(size_t s) const
 //       checks shard s's queues, ghost and their index entries; returns
 //       the shard's resident count
-//   void CheckSharedLocked() const
-//       checks state no single shard owns
 //   size_t MemoryBytes() const
 //
-// "Locked" methods run under shard s's mutex; the two checks run under
+// A resident's index value is its location in [0, capacity), which is
+// also its value cell: CellIndex moves the cell with each index write.
+// Shard s indexes objects only at its own locations, so its mutex
+// serializes those cells' writers.
+// "Locked" methods run under shard s's mutex; CheckShardLocked runs under
 // every shard's.
 template <typename Regions>
 class DomainCache : public ConcurrentCache {
@@ -424,8 +514,86 @@ class DomainCache : public ConcurrentCache {
     QDLP_CHECK(core_.index.ghosts() == occupancy.ghost_size);
     QDLP_CHECK(resident <= capacity());
     core_.index.CheckInvariants();
-    regions_.CheckSharedLocked();
+    if (SlabStore* store = core_.store(); store != nullptr) {
+      // Every resident owns the cell its entry names (CellIndex keeps them
+      // in step), so no read of it is stale.
+      std::string scratch;
+      core_.index.ForEach([&](ObjectId id, uint32_t cell) {
+        QDLP_CHECK(store->Read(cell, id, /*now_s=*/0, &scratch) !=
+                   SlabStore::ReadResult::kStale);
+      });
+      store->CheckInvariants();
+    }
   }
+
+  // ---- Value path (requires QdlpValueOptions::arena_bytes > 0). ----
+  //
+  // GetValue is the serving read: a lock-free index probe, the same lazy-
+  // promotion touch as Get() on a hit, and a seqlock copy of the bytes. It
+  // NEVER admits — a GET carries no bytes to store, so a miss stays a miss
+  // (counted) until the client SETs. A resident without bytes yet (admitted
+  // by the metadata-only Get()) is a serving miss, and so is an expired
+  // value, which lazily removes the object.
+  bool GetValue(ObjectId id, uint64_t now_s, std::string* value) {
+    SlabStore* store = core_.store();
+    QDLP_CHECK(store != nullptr);
+    // kStale: the object moved (a promotion) or was replaced between the
+    // probe and the cell read, which is transient, so the id is probed
+    // again; the cap is a guard. An id no longer indexed ends as kStale.
+    SlabStore::ReadResult read = SlabStore::ReadResult::kStale;
+    uint32_t cell = 0;
+    for (int probe = 0; probe < 8 && read == SlabStore::ReadResult::kStale;
+         ++probe) {
+      if (!core_.index.Find(id, &cell)) {
+        break;
+      }
+      read = store->Read(cell, id, now_s, value);
+    }
+    if (read == SlabStore::ReadResult::kHit) {
+      regions_.Touch(cell);
+    } else if (read == SlabStore::ReadResult::kExpired) {
+      Remove(id);
+    }
+    CountAccess(read == SlabStore::ReadResult::kHit);
+    return read == SlabStore::ReadResult::kHit;
+  }
+
+  // SetValue is the serving write: under the home-domain mutex (blocking)
+  // it allocates a chunk — evicting from this shard until the arena can
+  // satisfy the request — admits the id if not resident (ghost
+  // resurrection rules apply, counted as an insert but never as a miss:
+  // the GET that preceded it already counted), and commits the bytes.
+  // `expiry_s` is an absolute second (0 = never expires).
+  SetStatus SetValue(ObjectId id, std::string_view value, uint64_t expiry_s) {
+    SlabStore* store = core_.store();
+    QDLP_CHECK(store != nullptr);
+    if (value.size() > store->max_value_len()) {
+      return SetStatus::kTooLarge;
+    }
+    const size_t s = ShardOf(id);
+    const std::unique_lock<std::mutex> lock = LockShard(s);
+    // Allocate before touching residency: arena-pressure evictions free
+    // other objects' chunks, never this uncommitted one — but they may
+    // evict this very id's metadata, so residency is (re)established after.
+    SlabStore::ChunkRef chunk;
+    while ((chunk = store->Allocate(s, value.size())) ==
+           SlabStore::kNullChunk) {
+      if (!regions_.EvictOneLocked(s)) {
+        return SetStatus::kNoSpace;  // arena can't hold it even when empty
+      }
+    }
+    uint32_t cell;
+    if (!core_.index.Find(id, &cell)) {
+      MissLocked(s, id);
+      QDLP_CHECK(core_.index.Find(id, &cell));
+    }
+    store->WriteChunk(chunk, value.data(), value.size());
+    store->FreeChunk(store->Commit(cell, id, chunk, expiry_s));
+    return SetStatus::kOk;
+  }
+
+  // The value store, or nullptr when metadata-only.
+  SlabStore* value_store() { return core_.store(); }
 
   size_t ApproxMetadataBytes() const override {
     return core_.MemoryBytes() + regions_.MemoryBytes();
@@ -443,13 +611,14 @@ class DomainCache : public ConcurrentCache {
 
  protected:
   // `num_shards` eviction domains (rounded/clamped by DomainCore, so
-  // every share is >= min_capacity_per_shard); the index gets
-  // max(num_stripes, shard count) stripes.
+  // every share is >= min_capacity_per_shard), with `values`' store; the
+  // index gets max(num_stripes, shard count) stripes.
   template <typename... RegionsArgs>
   DomainCache(size_t capacity, size_t num_stripes, size_t num_shards,
-              size_t min_capacity_per_shard, RegionsArgs&&... regions_args)
+              size_t min_capacity_per_shard, const QdlpValueOptions& values,
+              RegionsArgs&&... regions_args)
       : core_(capacity, num_stripes, num_shards, min_capacity_per_shard,
-              &Regions::GhostCapacity),
+              &Regions::GhostCapacity, values),
         regions_(core_, std::forward<RegionsArgs>(regions_args)...) {}
 
   // The lock-free hit path: one probe, one Touch, one counter bump. A

@@ -249,24 +249,27 @@ class StripedAtomicIndex {
   }
 
   // Writer-side. Moves the key's entry in place: one release store of
-  // `value` into its slot (see the header comment). The key must be indexed
-  // (hard check: there is no slot to store into otherwise).
-  void Update(ObjectId key, uint32_t value) {
+  // `value` into its slot (see the header comment), returning the value it
+  // replaced. The key must be indexed (hard check: there is no slot to
+  // store into otherwise).
+  uint32_t Update(ObjectId key, uint32_t value) {
     QDLP_CHECK(key < kTombstoneKey);
     Slot* slot = FindSlot(key);
     QDLP_CHECK(slot != nullptr);
-    const bool was_ghost = IsGhost(slot->value.load(std::memory_order_relaxed));
+    const uint32_t old = slot->value.load(std::memory_order_relaxed);
     slot->value.store(value, std::memory_order_release);
-    if (was_ghost != IsGhost(value)) {
+    if (IsGhost(old) != IsGhost(value)) {
       CountResident(stripes_[(FlatMapHash(key) >> 32) & stripe_mask_],
-                    was_ghost);
+                    IsGhost(old));
     }
+    return old;
   }
 
-  // Writer-side. Returns true if the key was present and is now removed.
-  // Reserved keys are never present: erasing one is a no-op, not an
-  // emptying of whatever empty slot the probe happens to hit first.
-  bool Erase(ObjectId key) {
+  // Writer-side. Returns true if the key was present and is now removed;
+  // `erased`, when given, receives the value it mapped to. Reserved keys
+  // are never present: erasing one is a no-op, not an emptying of whatever
+  // empty slot the probe happens to hit first.
+  bool Erase(ObjectId key, uint32_t* erased = nullptr) {
     if (key >= kTombstoneKey) {
       return false;
     }
@@ -285,8 +288,10 @@ class StripedAtomicIndex {
       }
       hole = (hole + 1) & mask;
     }
-    const bool was_ghost =
-        IsGhost(slots[hole].value.load(std::memory_order_relaxed));
+    const uint32_t value = slots[hole].value.load(std::memory_order_relaxed);
+    if (erased != nullptr) {
+      *erased = value;
+    }
     // Backward shift. The hole holds a tombstone, which readers probe past,
     // until nothing is left to move into it: an entry of the rest of the run
     // whose home is not in (hole, next] probes through the hole, so it is
@@ -309,7 +314,7 @@ class StripedAtomicIndex {
     }
     slots[hole].key.store(kEmptyKey, std::memory_order_release);
     --stripe.entries;
-    if (!was_ghost) {
+    if (!IsGhost(value)) {
       CountResident(stripe, false);
     }
     return true;

@@ -105,85 +105,82 @@ class ConcurrentCacheAdapter : public ObservableForwarder<ConcurrentCache> {
   bool thread_safe() const override { return true; }
 };
 
-// The value-storing engine: ConcurrentQdLpFifo + SlabStore, serving real
-// bytes with lazy TTLs. This is what qdlpd runs.
-class QdlpdEngine : public ObservableForwarder<ConcurrentQdLpFifo> {
+// The value-storing engine: a lock-free design with its SlabStore, serving
+// real bytes with lazy TTLs through DomainCache's value path. qdlpd runs
+// it over concurrent-qdlp-fifo.
+template <typename Design>
+class QdlpdEngine : public ConcurrentCacheAdapter {
  public:
-  QdlpdEngine(std::unique_ptr<ConcurrentQdLpFifo> cache,
-              uint64_t (*now_fn)())
-      : ObservableForwarder(std::move(cache)),
+  QdlpdEngine(std::unique_ptr<Design> cache, uint64_t (*now_fn)())
+      : ConcurrentCacheAdapter(std::move(cache)),
         now_fn_(now_fn != nullptr ? now_fn : &WallClockSeconds) {}
 
   bool Get(ObjectId key, std::string* value) override {
     std::string scratch;
-    return inner_->GetValue(key, now_fn_(), value != nullptr ? value
-                                                             : &scratch);
+    return design().GetValue(key, now_fn_(),
+                             value != nullptr ? value : &scratch);
   }
 
   SetStatus Set(ObjectId key, std::string_view value,
                 uint32_t ttl_seconds) override {
-    const uint64_t expiry_s =
-        ttl_seconds == 0 ? 0 : now_fn_() + ttl_seconds;
-    switch (inner_->SetValue(key, value, expiry_s)) {
-      case ConcurrentQdLpFifo::SetResult::kOk:
-        return SetStatus::kOk;
-      case ConcurrentQdLpFifo::SetResult::kNoSpace:
-        return SetStatus::kNoSpace;
-      case ConcurrentQdLpFifo::SetResult::kTooLarge:
-        break;
-    }
-    return SetStatus::kTooLarge;
+    return design().SetValue(key, value,
+                             ttl_seconds == 0 ? 0 : now_fn_() + ttl_seconds);
   }
 
-  bool Delete(ObjectId key) override { return inner_->Remove(key); }
-
-  bool GetOrAdmit(ObjectId key) override { return inner_->Get(key); }
-
-  bool thread_safe() const override { return true; }
   bool stores_values() const override { return true; }
 
  private:
+  Design& design() { return static_cast<Design&>(*inner_); }
+
   uint64_t (*now_fn_)();
 };
+
+// A lock-free design, built with the config's arena, behind the unified
+// face: the value engine if it has one, else the metadata adapter.
+template <typename Design>
+std::unique_ptr<Cache> WrapLockFree(std::unique_ptr<Design> cache,
+                                    const CacheConfig& config) {
+  if (config.value_arena_bytes > 0) {
+    return std::make_unique<QdlpdEngine<Design>>(std::move(cache),
+                                                 config.now_fn);
+  }
+  return std::make_unique<ConcurrentCacheAdapter>(std::move(cache));
+}
 
 }  // namespace
 
 std::unique_ptr<Cache> MakeCache(const CacheConfig& config) {
   QDLP_CHECK(config.capacity >= 1);
-  if (config.value_arena_bytes > 0) {
-    // Only the qdlp engine has a value store; any other policy name with a
-    // value arena is a configuration error, reported as unknown.
-    if (config.policy != "concurrent-qdlp-fifo") {
-      return nullptr;
-    }
-    QdlpValueOptions value_options;
-    value_options.arena_bytes = config.value_arena_bytes;
-    value_options.max_value_len = config.max_value_len;
-    return std::make_unique<QdlpdEngine>(
-        std::make_unique<ConcurrentQdLpFifo>(config.capacity,
-                                             config.num_stripes,
-                                             config.num_shards, value_options),
-        config.now_fn);
-  }
-  std::unique_ptr<ConcurrentCache> concurrent;
+  const QdlpValueOptions values{.arena_bytes = config.value_arena_bytes,
+                                .max_value_len = config.max_value_len};
   if (config.policy == "concurrent-qdlp-fifo") {
-    concurrent = std::make_unique<ConcurrentQdLpFifo>(
-        config.capacity, config.num_stripes, config.num_shards);
-  } else if (config.policy == "concurrent-clock") {
-    concurrent = std::make_unique<ConcurrentClockCache>(
-        config.capacity, config.clock_bits, config.num_stripes,
-        config.num_shards);
-  } else if (config.policy == "concurrent-s3fifo") {
-    concurrent = std::make_unique<ConcurrentS3FifoCache>(
-        config.capacity, config.num_stripes, config.num_shards);
-  } else if (config.policy == "global-lock-lru") {
-    concurrent = std::make_unique<ShardedLruCache>(config.capacity, 1);
-  } else if (config.policy == "sharded-lru") {
-    concurrent = std::make_unique<ShardedLruCache>(config.capacity,
-                                                   config.num_shards);
+    return WrapLockFree(
+        std::make_unique<ConcurrentQdLpFifo>(
+            config.capacity, config.num_stripes, config.num_shards, values),
+        config);
   }
-  if (concurrent != nullptr) {
-    return std::make_unique<ConcurrentCacheAdapter>(std::move(concurrent));
+  if (config.policy == "concurrent-clock") {
+    return WrapLockFree(std::make_unique<ConcurrentClockCache>(
+                            config.capacity, config.clock_bits,
+                            config.num_stripes, config.num_shards, values),
+                        config);
+  }
+  if (config.policy == "concurrent-s3fifo") {
+    return WrapLockFree(
+        std::make_unique<ConcurrentS3FifoCache>(
+            config.capacity, config.num_stripes, config.num_shards, values),
+        config);
+  }
+  // Only the lock-free designs keep a value store; a value arena on any
+  // other policy is a configuration error, reported as unknown.
+  if (config.value_arena_bytes > 0) {
+    return nullptr;
+  }
+  if (config.policy == "global-lock-lru" || config.policy == "sharded-lru") {
+    return std::make_unique<ConcurrentCacheAdapter>(
+        std::make_unique<ShardedLruCache>(
+            config.capacity,
+            config.policy == "sharded-lru" ? config.num_shards : 1));
   }
   std::unique_ptr<EvictionPolicy> policy =
       MakePolicy(config.policy, config.capacity, config.trace);

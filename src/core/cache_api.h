@@ -25,8 +25,9 @@
 //
 // MakeCache() is the single factory: one config struct routes to a
 // sequential policy adapter (any MakePolicy name), a concurrent cache
-// adapter (the five concurrent engines), or the value-storing qdlpd
-// engine (concurrent-qdlp-fifo + SlabStore) — selected by `policy` and
+// adapter (the five concurrent engines), or the value-storing engine (a
+// lock-free design — concurrent-qdlp-fifo, concurrent-clock or
+// concurrent-s3fifo — with its SlabStore) — selected by `policy` and
 // `value_arena_bytes` alone, no per-engine construction code at call
 // sites.
 
@@ -39,6 +40,7 @@
 #include <string_view>
 #include <vector>
 
+#include "src/concurrent/concurrent_cache.h"
 #include "src/obs/cache_observable.h"
 #include "src/trace/trace.h"
 
@@ -46,11 +48,7 @@ namespace qdlp {
 
 class Cache : public CacheObservable {
  public:
-  enum class SetStatus {
-    kOk,
-    kNoSpace,   // value arena cannot hold the bytes even after eviction
-    kTooLarge,  // value exceeds the engine's max value length
-  };
+  using SetStatus = qdlp::SetStatus;
 
   // Serving read. True = hit; value engines fill *value (may be empty for
   // an empty stored value), metadata engines always leave it empty.
@@ -75,7 +73,7 @@ class Cache : public CacheObservable {
   // True when all operations are safe from multiple threads.
   virtual bool thread_safe() const = 0;
 
-  // True when Get/Set move real bytes (the qdlpd engine).
+  // True when Get/Set move real bytes (the value engine).
   virtual bool stores_values() const { return false; }
 };
 
@@ -88,8 +86,9 @@ struct CacheConfig {
   size_t num_shards = 1;    // eviction domains
   int clock_bits = 2;       // concurrent-clock reference-counter width
 
-  // Value serving (requires policy == "concurrent-qdlp-fifo"): nonzero
-  // routes to the qdlpd engine with a SlabStore of this many bytes.
+  // Value serving (requires a lock-free policy: concurrent-qdlp-fifo,
+  // concurrent-clock or concurrent-s3fifo): nonzero routes to the value
+  // engine with a SlabStore of this many bytes.
   size_t value_arena_bytes = 0;
   size_t max_value_len = 4u << 20;
 
@@ -102,8 +101,8 @@ struct CacheConfig {
 };
 
 // The one factory. Returns nullptr for unknown policy names, for
-// value_arena_bytes on a non-qdlp engine, or when MakePolicy itself
-// declines (e.g. "belady" without a trace).
+// value_arena_bytes on a serial policy or an LRU, or when MakePolicy
+// itself declines (e.g. "belady" without a trace).
 std::unique_ptr<Cache> MakeCache(const CacheConfig& config);
 
 // Replays ids through the unified replay face; returns the hit count.

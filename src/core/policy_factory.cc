@@ -52,7 +52,7 @@ std::unique_ptr<EvictionPolicy> MakeRegionsPolicy(const std::string& name,
   }
   if (name == "qd-lp-fifo") {
     return std::make_unique<RegionsPolicy<QdLpRegions, IndexFactory>>(
-        capacity, name, factory, QdlpValueOptions{});
+        capacity, name, factory);
   }
   return nullptr;
 }

@@ -86,7 +86,6 @@ class RegionsPolicy final : public EvictionPolicy {
     QDLP_CHECK(index.ghosts() == occupancy.ghost_size);
     QDLP_CHECK(resident <= capacity());
     index.CheckInvariants();
-    regions_.CheckSharedLocked();
   }
 
   size_t ApproxMetadataBytes() const override {

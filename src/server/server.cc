@@ -15,6 +15,7 @@
 #include <utility>
 
 #include "src/concurrent/striped_index.h"
+#include "src/store/slab_store.h"
 #include "src/util/check.h"
 
 namespace qdlp {
@@ -22,6 +23,9 @@ namespace qdlp {
 // The wire-level reserved-key boundary is the index's sentinel boundary.
 static_assert(kFirstReservedKey == StripedAtomicIndex::kTombstoneKey,
               "protocol.h reserved-key base must match the index sentinels");
+// A vacant value cell's owner is reserved too, so no GET reads it as its own.
+static_assert(SlabStore::kVacantId >= kFirstReservedKey,
+              "a vacant value cell must be owned by a reserved key");
 
 namespace {
 

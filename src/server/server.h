@@ -49,9 +49,9 @@ namespace qdlp {
 
 // The served engine is built by MakeCache() from `cache` — the server is
 // written entirely against the unified Cache interface, so any thread-safe
-// engine can sit behind the wire (the default is the value-storing qdlpd
-// engine; metadata-only engines serve empty values, useful for protocol
-// tests).
+// engine can sit behind the wire (the default is concurrent-qdlp-fifo with
+// a value arena, and every lock-free design serves values; metadata-only
+// engines serve empty values, useful for protocol tests).
 struct QdlpdOptions {
   uint16_t port = 0;       // 0 = pick an ephemeral port; read back via port()
   size_t num_workers = 1;  // epoll threads, each with its own listener

@@ -89,7 +89,7 @@ SlabStore::ChunkRef SlabStore::Allocate(size_t domain_index, size_t len) {
   if (len > max_value_len_) {
     return kNullChunk;
   }
-  QDLP_DCHECK(domain_index < domains_.size());
+  QDLP_CHECK(domain_index < domains_.size());
   Domain& domain = domains_[domain_index];
   const size_t words = ChunkWords(len);
   const size_t cls = ClassFor(words);
@@ -131,8 +131,8 @@ SlabStore::ChunkRef SlabStore::Allocate(size_t domain_index, size_t len) {
 }
 
 void SlabStore::WriteChunk(ChunkRef chunk, const void* data, size_t len) {
-  QDLP_DCHECK(chunk != kNullChunk);
-  QDLP_DCHECK(ChunkLen(chunk) == len);
+  QDLP_CHECK(chunk != kNullChunk);
+  QDLP_CHECK(ChunkLen(chunk) == len);
   Domain& domain = domains_[ChunkDomain(chunk)];
   std::atomic<uint64_t>* words = domain.words.get() + ChunkOffset(chunk);
   const uint8_t* src = static_cast<const uint8_t*>(data);
@@ -152,7 +152,7 @@ void SlabStore::WriteChunk(ChunkRef chunk, const void* data, size_t len) {
 void SlabStore::WriteCell(Cell& c, uint64_t id, ChunkRef chunk,
                           uint64_t expiry_s) {
   const uint64_t v = c.version.load(std::memory_order_relaxed);
-  QDLP_DCHECK((v & 1) == 0);
+  QDLP_CHECK((v & 1) == 0);  // one writer per cell, under its domain mutex
   c.version.store(v + 1, std::memory_order_relaxed);
   c.id.store(id, std::memory_order_release);
   c.chunk.store(chunk, std::memory_order_release);
@@ -162,7 +162,7 @@ void SlabStore::WriteCell(Cell& c, uint64_t id, ChunkRef chunk,
 
 SlabStore::ChunkRef SlabStore::Commit(uint32_t cell, uint64_t id,
                                       ChunkRef chunk, uint64_t expiry_s) {
-  QDLP_DCHECK(cell < cells_.size());
+  QDLP_CHECK(cell < cells_.size());
   Cell& c = cells_[cell];
   const ChunkRef old = c.chunk.load(std::memory_order_relaxed);
   WriteCell(c, id, chunk, expiry_s);
@@ -177,27 +177,15 @@ SlabStore::ChunkRef SlabStore::Commit(uint32_t cell, uint64_t id,
   return old;
 }
 
-SlabStore::ChunkRef SlabStore::ClearCell(uint32_t cell) {
-  QDLP_DCHECK(cell < cells_.size());
-  Cell& c = cells_[cell];
-  const ChunkRef old = c.chunk.load(std::memory_order_relaxed);
-  WriteCell(c, 0, kNullChunk, 0);
-  if (old != kNullChunk) {
-    domains_[ChunkDomain(old)].live_bytes.fetch_sub(
-        ChunkLen(old), std::memory_order_relaxed);
-  }
-  return old;
-}
-
 void SlabStore::MoveCell(uint32_t from, uint32_t to) {
-  QDLP_DCHECK(from < cells_.size());
-  QDLP_DCHECK(to < cells_.size());
+  QDLP_CHECK(from < cells_.size());
+  QDLP_CHECK(to < cells_.size());
   if (from == to) {
     return;
   }
   Cell& src = cells_[from];
   Cell& dst = cells_[to];
-  QDLP_DCHECK(dst.chunk.load(std::memory_order_relaxed) == kNullChunk);
+  QDLP_CHECK(dst.chunk.load(std::memory_order_relaxed) == kNullChunk);
   // Publish the destination before clearing the source: a reader chasing a
   // just-updated index entry finds the value already in place, and a
   // reader still holding the old location fails the id check and
@@ -206,7 +194,7 @@ void SlabStore::MoveCell(uint32_t from, uint32_t to) {
   WriteCell(dst, src.id.load(std::memory_order_relaxed),
             src.chunk.load(std::memory_order_relaxed),
             src.expiry.load(std::memory_order_relaxed));
-  WriteCell(src, 0, kNullChunk, 0);
+  WriteCell(src, kVacantId, kNullChunk, 0);
 }
 
 void SlabStore::FreeChunk(ChunkRef chunk) {
@@ -224,7 +212,7 @@ void SlabStore::FreeChunk(ChunkRef chunk) {
 SlabStore::ReadResult SlabStore::Read(uint32_t cell, uint64_t id,
                                       uint64_t now_s,
                                       std::string* out) const {
-  QDLP_DCHECK(cell < cells_.size());
+  QDLP_CHECK(cell < cells_.size());
   const Cell& c = cells_[cell];
   while (true) {
     const uint64_t v1 = c.version.load(std::memory_order_acquire);
@@ -338,6 +326,7 @@ void SlabStore::CheckInvariants() const {
     if (chunk == kNullChunk) {
       continue;
     }
+    QDLP_CHECK(cell.id.load(std::memory_order_relaxed) != kVacantId);
     const size_t d = ChunkDomain(chunk);
     const size_t offset = ChunkOffset(chunk);
     const size_t len = ChunkLen(chunk);

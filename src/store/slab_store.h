@@ -48,7 +48,10 @@
 //    same mov as a relaxed one.
 //  * A reader passes the id it expects the cell to hold; an id mismatch
 //    (the cache moved or replaced the occupant between the caller's index
-//    probe and the cell read) returns kStale and the caller re-probes.
+//    probe and the cell read) returns kStale and the caller re-probes. A
+//    vacant cell (never used, cleared, or the source of a MoveCell) is
+//    owned by kVacantId, which no index or wire key can be, so it is stale
+//    for every id a reader can pass.
 //
 // TTLs are lazy, as in production caches: Commit stores an absolute expiry
 // second, Read reports kExpired past it, and the caller removes the
@@ -74,6 +77,8 @@ class SlabStore {
   // allocator burns word 0 of every arena as a sentinel).
   using ChunkRef = uint64_t;
   static constexpr ChunkRef kNullChunk = 0;
+  // A vacant cell's owner: the index's empty key, reserved on the wire too.
+  static constexpr uint64_t kVacantId = ~uint64_t{0};
 
   enum class ReadResult {
     kHit,      // value copied to *out
@@ -94,6 +99,7 @@ class SlabStore {
   size_t arena_bytes_per_domain() const { return arena_words_ * 8; }
 
   // ---- Writer side (caller holds the owning domain's mutex). ----
+  // A SET, GET or DELETE reaches each: their checks hold in every build.
 
   // O(1) chunk allocation from the domain's freelists / bump pointer.
   // Returns kNullChunk when the domain arena cannot satisfy `len` right
@@ -112,9 +118,11 @@ class SlabStore {
   ChunkRef Commit(uint32_t cell, uint64_t id, ChunkRef chunk,
                   uint64_t expiry_s);
 
-  // Empties the cell (eviction/removal); returns the chunk that was
+  // Vacates the cell (eviction/removal); returns the chunk that was
   // committed, for the caller to FreeChunk.
-  ChunkRef ClearCell(uint32_t cell);
+  ChunkRef ClearCell(uint32_t cell) {
+    return Commit(cell, kVacantId, kNullChunk, 0);
+  }
 
   // Moves `from`'s (id, chunk, expiry) into `to` and clears `from` — the
   // value-bytes side of a metadata slot move. `to` must be empty (the
@@ -151,7 +159,7 @@ class SlabStore {
   struct Cell {
     // Seqlock: odd while a writer is mid-update.
     std::atomic<uint64_t> version{0};
-    std::atomic<uint64_t> id{0};
+    std::atomic<uint64_t> id{kVacantId};
     std::atomic<uint64_t> chunk{kNullChunk};
     std::atomic<uint64_t> expiry{0};
   };

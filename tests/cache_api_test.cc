@@ -1,6 +1,7 @@
 // Unified Cache API tests: MakeCache routing, adapter fidelity against the
 // raw engines, the uniform Delete() oracle across every concurrent engine,
-// and the value-storing qdlpd engine (bytes, TTLs, size limits).
+// and the value-storing engine over each lock-free design (bytes, TTLs,
+// size limits).
 
 #include "src/core/cache_api.h"
 
@@ -25,9 +26,13 @@ namespace {
 std::atomic<uint64_t> g_fake_now{0};
 uint64_t FakeNow() { return g_fake_now.load(std::memory_order_relaxed); }
 
-CacheConfig ValueConfig(size_t capacity) {
+// The lock-free designs, each of which serves values.
+constexpr const char* kValueDesigns[] = {
+    "concurrent-qdlp-fifo", "concurrent-clock", "concurrent-s3fifo"};
+
+CacheConfig ValueConfig(const char* policy, size_t capacity) {
   CacheConfig config;
-  config.policy = "concurrent-qdlp-fifo";
+  config.policy = policy;
   config.capacity = capacity;
   config.num_stripes = 4;
   config.num_shards = 1;
@@ -72,12 +77,12 @@ TEST(CacheApiTest, MakeCacheRejectsBadConfigs) {
   EXPECT_EQ(MakeCache(config), nullptr);
   config.policy = "belady";  // requires a trace
   EXPECT_EQ(MakeCache(config), nullptr);
-  // A value arena on anything but the qdlp engine is a config error.
-  config.policy = "concurrent-clock";
+  // A value arena on a serial policy or an LRU is a config error.
   config.value_arena_bytes = 1 << 20;
-  EXPECT_EQ(MakeCache(config), nullptr);
-  config.policy = "lru";
-  EXPECT_EQ(MakeCache(config), nullptr);
+  for (const char* policy : {"lru", "sharded-lru"}) {
+    config.policy = policy;
+    EXPECT_EQ(MakeCache(config), nullptr) << policy;
+  }
 }
 
 // Caps a death-test child's address space at 2 GiB, so that a capacity
@@ -112,10 +117,13 @@ TEST(CacheApiDeathTest, CapacityBoundIsCheckedBeforeAnyAllocation) {
 }
 
 TEST(CacheApiTest, MakeCacheRoutesValueEngine) {
-  std::unique_ptr<Cache> cache = MakeCache(ValueConfig(100));
-  ASSERT_NE(cache, nullptr);
-  EXPECT_TRUE(cache->thread_safe());
-  EXPECT_TRUE(cache->stores_values());
+  for (const char* policy : kValueDesigns) {
+    std::unique_ptr<Cache> cache = MakeCache(ValueConfig(policy, 100));
+    ASSERT_NE(cache, nullptr) << policy;
+    EXPECT_EQ(cache->name(), policy);
+    EXPECT_TRUE(cache->thread_safe()) << policy;
+    EXPECT_TRUE(cache->stores_values()) << policy;
+  }
 }
 
 // The serial adapter must be a transparent shim: replaying a trace through
@@ -251,125 +259,140 @@ TEST(CacheApiTest, MetadataAdapterSetIsResidentOnReturn) {
 // and still fail kNoSpace. With coalescing, evictions reassemble a
 // max-size chunk and the SET succeeds.
 TEST(CacheApiTest, ValueEngineServesLargeValueAfterSmallChurn) {
-  CacheConfig config;
-  config.policy = "concurrent-qdlp-fifo";
-  config.capacity = 1024;
-  config.num_stripes = 4;
-  config.num_shards = 1;
-  config.value_arena_bytes = 32 << 10;
-  config.max_value_len = 16 << 10;
-  config.now_fn = &FakeNow;
-  std::unique_ptr<Cache> cache = MakeCache(config);
-  ASSERT_NE(cache, nullptr);
-  for (ObjectId key = 1; key <= 600; ++key) {
-    ASSERT_EQ(cache->Set(key, std::string(40, 'a'), 0),
-              Cache::SetStatus::kOk)
-        << key;
+  for (const char* policy : kValueDesigns) {
+    CacheConfig config = ValueConfig(policy, 1024);
+    config.value_arena_bytes = 32 << 10;
+    config.max_value_len = 16 << 10;
+    std::unique_ptr<Cache> cache = MakeCache(config);
+    ASSERT_NE(cache, nullptr) << policy;
+    for (ObjectId key = 1; key <= 600; ++key) {
+      ASSERT_EQ(cache->Set(key, std::string(40, 'a'), 0),
+                Cache::SetStatus::kOk)
+          << policy << " key " << key;
+    }
+    const std::string big(16 << 10, 'B');
+    EXPECT_EQ(cache->Set(9999, big, 0), Cache::SetStatus::kOk) << policy;
+    std::string value;
+    ASSERT_TRUE(cache->Get(9999, &value)) << policy;
+    EXPECT_EQ(value, big) << policy;
+    cache->CheckInvariants();
   }
-  const std::string big(16 << 10, 'B');
-  EXPECT_EQ(cache->Set(9999, big, 0), Cache::SetStatus::kOk);
-  std::string value;
-  ASSERT_TRUE(cache->Get(9999, &value));
-  EXPECT_EQ(value, big);
-  cache->CheckInvariants();
 }
 
 TEST(CacheApiTest, ValueEngineServesBytes) {
-  std::unique_ptr<Cache> cache = MakeCache(ValueConfig(100));
-  ASSERT_NE(cache, nullptr);
-  EXPECT_EQ(cache->Set(1, "alpha", 0), Cache::SetStatus::kOk);
-  EXPECT_EQ(cache->Set(2, std::string(1000, 'b'), 0), Cache::SetStatus::kOk);
-  std::string value;
-  ASSERT_TRUE(cache->Get(1, &value));
-  EXPECT_EQ(value, "alpha");
-  ASSERT_TRUE(cache->Get(2, &value));
-  EXPECT_EQ(value, std::string(1000, 'b'));
-  // Overwrite replaces the bytes.
-  EXPECT_EQ(cache->Set(1, "alpha-v2", 0), Cache::SetStatus::kOk);
-  ASSERT_TRUE(cache->Get(1, &value));
-  EXPECT_EQ(value, "alpha-v2");
-  // Delete removes key and bytes.
-  EXPECT_TRUE(cache->Delete(1));
-  EXPECT_FALSE(cache->Get(1, &value));
-  cache->CheckInvariants();
+  for (const char* policy : kValueDesigns) {
+    std::unique_ptr<Cache> cache = MakeCache(ValueConfig(policy, 100));
+    ASSERT_NE(cache, nullptr) << policy;
+    EXPECT_EQ(cache->Set(1, "alpha", 0), Cache::SetStatus::kOk) << policy;
+    EXPECT_EQ(cache->Set(2, std::string(1000, 'b'), 0),
+              Cache::SetStatus::kOk)
+        << policy;
+    std::string value;
+    ASSERT_TRUE(cache->Get(1, &value)) << policy;
+    EXPECT_EQ(value, "alpha") << policy;
+    ASSERT_TRUE(cache->Get(2, &value)) << policy;
+    EXPECT_EQ(value, std::string(1000, 'b')) << policy;
+    // Overwrite replaces the bytes.
+    EXPECT_EQ(cache->Set(1, "alpha-v2", 0), Cache::SetStatus::kOk) << policy;
+    ASSERT_TRUE(cache->Get(1, &value)) << policy;
+    EXPECT_EQ(value, "alpha-v2") << policy;
+    // Delete removes key and bytes.
+    EXPECT_TRUE(cache->Delete(1)) << policy;
+    EXPECT_FALSE(cache->Get(1, &value)) << policy;
+    cache->CheckInvariants();
+  }
 }
 
 // A serving GET carries nothing to store, so a miss must NOT admit —
 // unlike GetOrAdmit. This is what makes the loopback differential
 // (server_e2e_test) byte-identical: both sides count a miss and move on.
 TEST(CacheApiTest, ValueEngineGetMissDoesNotAdmit) {
-  std::unique_ptr<Cache> cache = MakeCache(ValueConfig(100));
-  std::string value;
-  EXPECT_FALSE(cache->Get(42, &value));
-  const CacheStats stats = cache->Stats();
-  EXPECT_EQ(stats.misses, 1u);
-  EXPECT_EQ(stats.inserts, 0u);
-  EXPECT_EQ(stats.size, 0u);
-  EXPECT_FALSE(cache->Get(42, &value));  // still absent
+  for (const char* policy : kValueDesigns) {
+    std::unique_ptr<Cache> cache = MakeCache(ValueConfig(policy, 100));
+    std::string value;
+    EXPECT_FALSE(cache->Get(42, &value)) << policy;
+    const CacheStats stats = cache->Stats();
+    EXPECT_EQ(stats.misses, 1u) << policy;
+    EXPECT_EQ(stats.inserts, 0u) << policy;
+    EXPECT_EQ(stats.size, 0u) << policy;
+    EXPECT_FALSE(cache->Get(42, &value)) << policy;  // still absent
+  }
 }
 
 TEST(CacheApiTest, ValueEngineHonorsTtl) {
-  g_fake_now.store(1000, std::memory_order_relaxed);
-  std::unique_ptr<Cache> cache = MakeCache(ValueConfig(100));
-  EXPECT_EQ(cache->Set(1, "expiring", /*ttl_seconds=*/10),
-            Cache::SetStatus::kOk);
-  EXPECT_EQ(cache->Set(2, "forever", /*ttl_seconds=*/0),
-            Cache::SetStatus::kOk);
-  std::string value;
-  g_fake_now.store(1009, std::memory_order_relaxed);
-  EXPECT_TRUE(cache->Get(1, &value));
-  EXPECT_EQ(value, "expiring");
-  g_fake_now.store(1010, std::memory_order_relaxed);
-  EXPECT_FALSE(cache->Get(1, &value));  // lazy expiry counts as a miss
-  EXPECT_TRUE(cache->Get(2, &value));   // ttl 0 never expires
-  EXPECT_EQ(value, "forever");
-  // The expired object was removed, not just hidden: a re-set revives it.
-  EXPECT_EQ(cache->Set(1, "reborn", 0), Cache::SetStatus::kOk);
-  EXPECT_TRUE(cache->Get(1, &value));
-  EXPECT_EQ(value, "reborn");
-  cache->CheckInvariants();
+  for (const char* policy : kValueDesigns) {
+    g_fake_now.store(1000, std::memory_order_relaxed);
+    std::unique_ptr<Cache> cache = MakeCache(ValueConfig(policy, 100));
+    EXPECT_EQ(cache->Set(1, "expiring", /*ttl_seconds=*/10),
+              Cache::SetStatus::kOk)
+        << policy;
+    EXPECT_EQ(cache->Set(2, "forever", /*ttl_seconds=*/0),
+              Cache::SetStatus::kOk)
+        << policy;
+    std::string value;
+    g_fake_now.store(1009, std::memory_order_relaxed);
+    EXPECT_TRUE(cache->Get(1, &value)) << policy;
+    EXPECT_EQ(value, "expiring") << policy;
+    g_fake_now.store(1010, std::memory_order_relaxed);
+    // Lazy expiry counts as a miss; ttl 0 never expires.
+    EXPECT_FALSE(cache->Get(1, &value)) << policy;
+    EXPECT_TRUE(cache->Get(2, &value)) << policy;
+    EXPECT_EQ(value, "forever") << policy;
+    // The expired object was removed, not just hidden: a re-set revives it.
+    EXPECT_EQ(cache->Set(1, "reborn", 0), Cache::SetStatus::kOk) << policy;
+    EXPECT_TRUE(cache->Get(1, &value)) << policy;
+    EXPECT_EQ(value, "reborn") << policy;
+    cache->CheckInvariants();
+  }
   g_fake_now.store(0, std::memory_order_relaxed);
 }
 
 TEST(CacheApiTest, ValueEngineRejectsOversizedValues) {
-  CacheConfig config = ValueConfig(100);
-  config.max_value_len = 64;
-  std::unique_ptr<Cache> cache = MakeCache(config);
-  EXPECT_EQ(cache->Set(1, std::string(65, 'x'), 0),
-            Cache::SetStatus::kTooLarge);
-  EXPECT_EQ(cache->Set(1, std::string(64, 'x'), 0), Cache::SetStatus::kOk);
-  std::string value;
-  EXPECT_TRUE(cache->Get(1, &value));
-  EXPECT_EQ(value, std::string(64, 'x'));
+  for (const char* policy : kValueDesigns) {
+    CacheConfig config = ValueConfig(policy, 100);
+    config.max_value_len = 64;
+    std::unique_ptr<Cache> cache = MakeCache(config);
+    EXPECT_EQ(cache->Set(1, std::string(65, 'x'), 0),
+              Cache::SetStatus::kTooLarge)
+        << policy;
+    EXPECT_EQ(cache->Set(1, std::string(64, 'x'), 0), Cache::SetStatus::kOk)
+        << policy;
+    std::string value;
+    EXPECT_TRUE(cache->Get(1, &value)) << policy;
+    EXPECT_EQ(value, std::string(64, 'x')) << policy;
+  }
 }
 
 // Value churn well past both object capacity and arena capacity: every
 // surviving object must read back exactly the bytes last stored for it.
 TEST(CacheApiTest, ValueEngineChurnKeepsValuesConsistent) {
-  CacheConfig config = ValueConfig(64);
-  config.value_arena_bytes = 64 << 10;
-  config.num_shards = 2;
-  std::unique_ptr<Cache> cache = MakeCache(config);
-  ASSERT_NE(cache, nullptr);
-  constexpr ObjectId kUniverse = 256;
-  std::vector<std::string> last(kUniverse);
-  for (int round = 0; round < 4; ++round) {
-    for (ObjectId key = 0; key < kUniverse; ++key) {
-      std::string value = "r";
-      value.append(std::to_string(round)).append("k");
-      value.append(std::to_string(key));
-      value.append(key % 97, static_cast<char>('A' + round));
-      if (cache->Set(key, value, 0) == Cache::SetStatus::kOk) {
-        last[key] = std::move(value);
+  for (const char* policy : kValueDesigns) {
+    CacheConfig config = ValueConfig(policy, 64);
+    config.value_arena_bytes = 64 << 10;
+    config.num_shards = 2;
+    std::unique_ptr<Cache> cache = MakeCache(config);
+    ASSERT_NE(cache, nullptr) << policy;
+    constexpr ObjectId kUniverse = 256;
+    std::vector<std::string> last(kUniverse);
+    for (int round = 0; round < 4; ++round) {
+      for (ObjectId key = 0; key < kUniverse; ++key) {
+        std::string value = "r";
+        value.append(std::to_string(round)).append("k");
+        value.append(std::to_string(key));
+        value.append(key % 97, static_cast<char>('A' + round));
+        if (cache->Set(key, value, 0) == Cache::SetStatus::kOk) {
+          last[key] = std::move(value);
+        }
       }
-    }
-    for (ObjectId key = 0; key < kUniverse; key += 3) {
-      std::string value;
-      if (cache->Get(key, &value)) {
-        EXPECT_EQ(value, last[key]) << "round " << round << " key " << key;
+      for (ObjectId key = 0; key < kUniverse; key += 3) {
+        std::string value;
+        if (cache->Get(key, &value)) {
+          EXPECT_EQ(value, last[key])
+              << policy << " round " << round << " key " << key;
+        }
       }
+      cache->CheckInvariants();
     }
-    cache->CheckInvariants();
   }
 }
 

@@ -166,7 +166,7 @@ TEST(ConcurrentQdLpFifoTest, ProbationRemovalMovesNoOtherValueCell) {
   for (ObjectId id = 0; id < 20; ++id) {
     ASSERT_EQ(cache.SetValue(id, std::string("v").append(std::to_string(id)),
                              /*expiry_s=*/0),
-              ConcurrentQdLpFifo::SetResult::kOk);
+              SetStatus::kOk);
     if (id < 10) {
       ASSERT_TRUE(cache.Get(id));
     }

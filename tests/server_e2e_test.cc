@@ -20,8 +20,14 @@
 namespace qdlp {
 namespace {
 
-QdlpdOptions SmallServerOptions() {
+// The lock-free designs MakeCache serves values from; qdlpd's own default
+// is the first.
+constexpr const char* kValueDesigns[] = {
+    "concurrent-qdlp-fifo", "concurrent-clock", "concurrent-s3fifo"};
+
+QdlpdOptions SmallServerOptions(const char* policy = kValueDesigns[0]) {
   QdlpdOptions options;
+  options.cache.policy = policy;
   options.port = 0;  // ephemeral
   options.num_workers = 1;
   options.cache.capacity = 1024;
@@ -62,34 +68,38 @@ TEST_F(ServerE2eTest, PingAndStats) {
 }
 
 TEST_F(ServerE2eTest, GetSetDeleteOverLoopback) {
-  StartServer(SmallServerOptions());
-  QdlpdClient client;
-  ASSERT_TRUE(client.Connect(server_->port()));
+  for (const char* policy : kValueDesigns) {
+    StartServer(SmallServerOptions(policy));
+    QdlpdClient client;
+    ASSERT_TRUE(client.Connect(server_->port())) << policy;
 
-  std::string value;
-  EXPECT_EQ(client.Get(1, &value), Status::kMiss);
-  EXPECT_EQ(client.Set(1, /*ttl_seconds=*/0, "hello over the wire"),
-            Status::kOk);
-  EXPECT_EQ(client.Get(1, &value), Status::kOk);
-  EXPECT_EQ(value, "hello over the wire");
+    std::string value;
+    EXPECT_EQ(client.Get(1, &value), Status::kMiss) << policy;
+    EXPECT_EQ(client.Set(1, /*ttl_seconds=*/0, "hello over the wire"),
+              Status::kOk)
+        << policy;
+    EXPECT_EQ(client.Get(1, &value), Status::kOk) << policy;
+    EXPECT_EQ(value, "hello over the wire") << policy;
 
-  // Binary-safe values, including NULs and a multi-KiB payload.
-  std::string binary(4096, '\0');
-  for (size_t i = 0; i < binary.size(); ++i) {
-    binary[i] = static_cast<char>(i * 31);
+    // Binary-safe values, including NULs and a multi-KiB payload.
+    std::string binary(4096, '\0');
+    for (size_t i = 0; i < binary.size(); ++i) {
+      binary[i] = static_cast<char>(i * 31);
+    }
+    EXPECT_EQ(client.Set(2, 0, binary), Status::kOk) << policy;
+    EXPECT_EQ(client.Get(2, &value), Status::kOk) << policy;
+    EXPECT_EQ(value, binary) << policy;
+
+    EXPECT_EQ(client.Delete(1), Status::kOk) << policy;
+    EXPECT_EQ(client.Delete(1), Status::kMiss) << policy;
+    EXPECT_EQ(client.Get(1, &value), Status::kMiss) << policy;
+
+    CacheStats stats;
+    ASSERT_TRUE(client.GetStats(&stats)) << policy;
+    EXPECT_EQ(stats.size, 1u) << policy;  // only key 2 remains
+    server_->cache().CheckInvariants();
+    server_->Stop();
   }
-  EXPECT_EQ(client.Set(2, 0, binary), Status::kOk);
-  EXPECT_EQ(client.Get(2, &value), Status::kOk);
-  EXPECT_EQ(value, binary);
-
-  EXPECT_EQ(client.Delete(1), Status::kOk);
-  EXPECT_EQ(client.Delete(1), Status::kMiss);
-  EXPECT_EQ(client.Get(1, &value), Status::kMiss);
-
-  CacheStats stats;
-  ASSERT_TRUE(client.GetStats(&stats));
-  EXPECT_EQ(stats.size, 1u);  // only key 2 remains
-  server_->cache().CheckInvariants();
 }
 
 TEST_F(ServerE2eTest, PipelinedBatchPreservesOrder) {
@@ -128,54 +138,60 @@ TEST_F(ServerE2eTest, PipelinedBatchPreservesOrder) {
 // get/set/delete sequence. Every CacheStats counter must match exactly —
 // the wire adds no accesses, drops none, and reorders nothing.
 TEST_F(ServerE2eTest, LoopbackMatchesInProcessStats) {
-  const QdlpdOptions options = SmallServerOptions();
-  StartServer(options);
-  std::unique_ptr<Cache> local = MakeCache(options.cache);
-  ASSERT_NE(local, nullptr);
+  for (const char* policy : kValueDesigns) {
+    const QdlpdOptions options = SmallServerOptions(policy);
+    StartServer(options);
+    std::unique_ptr<Cache> local = MakeCache(options.cache);
+    ASSERT_NE(local, nullptr) << policy;
 
-  QdlpdClient client;
-  ASSERT_TRUE(client.Connect(server_->port()));
+    QdlpdClient client;
+    ASSERT_TRUE(client.Connect(server_->port())) << policy;
 
-  Rng rng(0xD1FFull);
-  ZipfSampler zipf(/*n=*/4096, /*skew=*/0.9);
-  for (int i = 0; i < 5000; ++i) {
-    const ObjectId key = zipf.Sample(rng);
-    const int op = static_cast<int>(rng.NextBounded(10));
-    if (op < 7) {
-      // GET; on miss, SET (the classic demand-fill loop).
-      std::string wire_value;
-      const bool wire_hit = client.Get(key, &wire_value) == Status::kOk;
-      std::string local_value;
-      const bool local_hit = local->Get(key, &local_value);
-      ASSERT_EQ(wire_hit, local_hit) << "op " << i << " key " << key;
-      ASSERT_EQ(wire_value, local_value);
-      if (!wire_hit) {
-        const std::string value = "fill" + std::to_string(key);
-        ASSERT_EQ(client.Set(key, 0, value), Status::kOk);
-        ASSERT_EQ(local->Set(key, value, 0), Cache::SetStatus::kOk);
+    Rng rng(0xD1FFull);
+    ZipfSampler zipf(/*n=*/4096, /*skew=*/0.9);
+    for (int i = 0; i < 5000; ++i) {
+      const ObjectId key = zipf.Sample(rng);
+      const int op = static_cast<int>(rng.NextBounded(10));
+      if (op < 7) {
+        // GET; on miss, SET (the classic demand-fill loop).
+        std::string wire_value;
+        const bool wire_hit = client.Get(key, &wire_value) == Status::kOk;
+        std::string local_value;
+        const bool local_hit = local->Get(key, &local_value);
+        ASSERT_EQ(wire_hit, local_hit)
+            << policy << " op " << i << " key " << key;
+        ASSERT_EQ(wire_value, local_value) << policy;
+        if (!wire_hit) {
+          const std::string value = "fill" + std::to_string(key);
+          ASSERT_EQ(client.Set(key, 0, value), Status::kOk) << policy;
+          ASSERT_EQ(local->Set(key, value, 0), Cache::SetStatus::kOk)
+              << policy;
+        }
+      } else if (op < 9) {
+        const std::string value =
+            "v" + std::to_string(key) + std::string(key % 200, 'z');
+        ASSERT_EQ(client.Set(key, 0, value) == Status::kOk,
+                  local->Set(key, value, 0) == Cache::SetStatus::kOk)
+            << policy;
+      } else {
+        ASSERT_EQ(client.Delete(key) == Status::kOk, local->Delete(key))
+            << policy << " op " << i << " key " << key;
       }
-    } else if (op < 9) {
-      const std::string value =
-          "v" + std::to_string(key) + std::string(key % 200, 'z');
-      ASSERT_EQ(client.Set(key, 0, value) == Status::kOk,
-                local->Set(key, value, 0) == Cache::SetStatus::kOk);
-    } else {
-      ASSERT_EQ(client.Delete(key) == Status::kOk, local->Delete(key))
-          << "op " << i << " key " << key;
     }
-  }
 
-  CacheStats wire_stats;
-  ASSERT_TRUE(client.GetStats(&wire_stats));
-  const CacheStats local_stats = local->Stats();
-  size_t count = 0;
-  const StatsWireField* fields = StatsWireFields(&count);
-  for (size_t i = 0; i < count; ++i) {
-    EXPECT_EQ(wire_stats.*fields[i].member, local_stats.*fields[i].member)
-        << fields[i].key;
+    CacheStats wire_stats;
+    ASSERT_TRUE(client.GetStats(&wire_stats)) << policy;
+    const CacheStats local_stats = local->Stats();
+    size_t count = 0;
+    const StatsWireField* fields = StatsWireFields(&count);
+    for (size_t i = 0; i < count; ++i) {
+      EXPECT_EQ(wire_stats.*fields[i].member, local_stats.*fields[i].member)
+          << policy << " " << fields[i].key;
+    }
+    server_->cache().CheckInvariants();
+    local->CheckInvariants();
+    server_->Stop();
   }
-  server_->cache().CheckInvariants();
-  local->CheckInvariants();
 }
 
 TEST_F(ServerE2eTest, MalformedFrameGetsBadRequestThenClose) {

@@ -68,8 +68,11 @@ TEST(SlabStoreTest, WrongIdIsStale) {
   store.Commit(2, 5, chunk, 0);
   std::string out;
   EXPECT_EQ(store.Read(2, 6, 0, &out), SlabStore::ReadResult::kStale);
-  // An empty (never-stamped) cell is stale for every id.
-  EXPECT_EQ(store.Read(0, 5, 0, &out), SlabStore::ReadResult::kStale);
+  // An empty (never-stamped) cell is stale for every id, 0 included.
+  for (const uint64_t id : {uint64_t{5}, uint64_t{0}}) {
+    EXPECT_EQ(store.Read(0, id, 0, &out), SlabStore::ReadResult::kStale)
+        << id;
+  }
 }
 
 TEST(SlabStoreTest, TtlIsLazyAndAbsolute) {
@@ -115,7 +118,11 @@ TEST(SlabStoreTest, MoveCellCarriesValueAndExpiry) {
   store.Commit(1, 21, chunk, /*expiry_s=*/500);
   store.MoveCell(/*from=*/1, /*to=*/6);
   std::string out;
-  EXPECT_EQ(store.Read(1, 21, 0, &out), SlabStore::ReadResult::kStale);
+  // The source is vacant: stale for its old owner and for id 0 alike.
+  for (const uint64_t id : {uint64_t{21}, uint64_t{0}}) {
+    EXPECT_EQ(store.Read(1, id, 0, &out), SlabStore::ReadResult::kStale)
+        << id;
+  }
   EXPECT_EQ(store.Read(6, 21, /*now_s=*/499, &out),
             SlabStore::ReadResult::kHit);
   EXPECT_EQ(out, "moved");
@@ -134,7 +141,10 @@ TEST(SlabStoreTest, ClearCellFreesForReuse) {
   store.FreeChunk(chunk);
   EXPECT_EQ(store.live_value_bytes(), 0u);
   std::string out;
-  EXPECT_EQ(store.Read(0, 1, 0, &out), SlabStore::ReadResult::kStale);
+  for (const uint64_t id : {uint64_t{1}, uint64_t{0}}) {
+    EXPECT_EQ(store.Read(0, id, 0, &out), SlabStore::ReadResult::kStale)
+        << id;
+  }
   // The freed chunk is recycled for an equal-class allocation.
   EXPECT_EQ(store.Allocate(0, 32), chunk);
   store.CheckInvariants();

@@ -331,20 +331,15 @@ TEST(TsanStressTest, CountersStayExactAcrossThreadGenerations) {
   EXPECT_EQ(stats.hits, total_hits.load());
 }
 
-// The value-serving storm (ISSUE acceptance): threads mix GetValue /
-// SetValue / Remove on a value-storing ConcurrentQdLpFifo while a reader
-// storms Stats(). Under TSan this races the lock-free seqlock value reads
-// against commits, moves (probation -> main promotion), and frees on
+// The value-serving storm: threads mix GetValue / SetValue / Remove on a
+// value-storing cache of each lock-free design while a reader storms
+// Stats(). Under TSan this races the lock-free seqlock value reads against
+// commits, moves (QD-LP-FIFO's probation -> main promotion), and frees on
 // the eviction path. Any value that reads as a hit must be a value some
 // thread actually stored for that id — never torn, never another id's
 // bytes.
-TEST(TsanStressTest, QdLpFifoValueStorm) {
-  QdlpValueOptions value_options;
-  value_options.arena_bytes = 1 << 20;
-  value_options.max_value_len = 512;
-  ConcurrentQdLpFifo cache(512, /*num_stripes=*/8, /*num_shards=*/4,
-                           value_options);
-
+template <typename Design>
+void ValueStorm(Design& cache) {
   std::atomic<bool> stop_stats{false};
   std::thread stats_reader([&] {
     while (!stop_stats.load(std::memory_order_acquire)) {
@@ -393,6 +388,20 @@ TEST(TsanStressTest, QdLpFifoValueStorm) {
 
   const CacheStats stats = cache.Stats();
   EXPECT_EQ(stats.hits + stats.misses, stats.requests);
+}
+
+TEST(TsanStressTest, QdLpFifoValueStorm) {
+  QdlpValueOptions values;
+  values.arena_bytes = 1 << 20;
+  values.max_value_len = 512;
+  ConcurrentQdLpFifo qdlp(512, /*num_stripes=*/8, /*num_shards=*/4, values);
+  ValueStorm(qdlp);
+  ConcurrentClockCache clock(512, /*bits=*/2, /*num_stripes=*/8,
+                             /*num_shards=*/4, values);
+  ValueStorm(clock);
+  ConcurrentS3FifoCache s3fifo(512, /*num_stripes=*/8, /*num_shards=*/4,
+                               values);
+  ValueStorm(s3fifo);
 }
 
 // The lock-free index alone: one serialized writer churns insert/erase
