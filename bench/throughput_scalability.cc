@@ -95,7 +95,7 @@ void BM_ConcurrentGet(benchmark::State& state, double skew, Args... args) {
   Rng rng(9000 + static_cast<uint64_t>(state.thread_index()));
   uint64_t hits = 0;
   for (auto _ : state) {
-    hits += cache->Get(zipf.Sample(rng)) ? 1 : 0;
+    hits += cache->GetOrAdmit(zipf.Sample(rng)) ? 1 : 0;
   }
   benchmark::DoNotOptimize(hits);
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));

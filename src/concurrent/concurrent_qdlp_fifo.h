@@ -331,6 +331,10 @@ extern template class DomainCache<QdLpRegions<DomainCore>>;
 
 class ConcurrentQdLpFifo : public DomainCache<QdLpRegions<DomainCore>> {
  public:
+  // Every shard needs a probation slot and a main slot, so shares must be
+  // at least 2; DomainCore halves the shard count until so.
+  static constexpr size_t kMinCapacityPerShard = 2;
+
   // Capacity is split per shard exactly as MakePolicy("qd-lp-fifo") splits
   // it: probation = clamp(round(0.10 * share), 1, share - 1), main the
   // rest, ghost as large as main. Requires capacity >= 2; shard counts

@@ -1,7 +1,8 @@
 // Sharded eviction domains: the miss-path backbone that lets the
 // concurrent caches scale past the single eviction mutex, and
 // DomainCache, the one implementation of the protocol over them and of
-// the value path (GetValue/SetValue) every lock-free design serves.
+// the Cache interface (concurrent_cache.h), values included, that every
+// lock-free design serves.
 //
 // Each cache partitions its queue storage into S independent domains
 // selected by id hash; a domain owns a slab region, one mutex and one bank
@@ -32,12 +33,12 @@
 //   * A missing thread try-locks its id's home domain; on success it
 //     drains that domain's buffers and admits inline.
 //   * On failure it buffers the id in the home domain's rings and returns
-//     — Get() never blocks. A full ring drops the admission (counted as a
-//     buffer_drop).
-//   * Every other holder of the lock (a blocking Admit, Remove or
-//     SetValue, and CheckInvariants) drains the buffers first too, so no
-//     buffered miss lands after the holder's operation. When a domain's
-//     misses stop, its buffered ids wait for that next holder.
+//     — GetOrAdmit() never blocks. A full ring drops the admission
+//     (counted as a buffer_drop).
+//   * Every other holder of the lock (a blocking Set or Delete, and
+//     CheckInvariants) drains the buffers first too, so no buffered miss
+//     lands after the holder's operation. When a domain's misses stop,
+//     its buffered ids wait for that next holder.
 //
 // With S == 1 (the default everywhere) there is exactly one domain, and a
 // single-threaded caller's try_lock always succeeds — behavior is
@@ -49,6 +50,7 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <ctime>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -69,10 +71,13 @@
 namespace qdlp {
 
 // Opt-in value storage (the qdlpd serving layer, docs/SERVER.md): with
-// arena_bytes > 0 a lock-free cache serves bytes (GetValue/SetValue).
+// arena_bytes > 0 a lock-free cache serves bytes through Get/Set.
 struct QdlpValueOptions {
   size_t arena_bytes = 0;  // total value arena, split across the domains
   size_t max_value_len = 4u << 20;
+  // TTL clock, in absolute seconds. Null = wall clock. Tests inject a fake
+  // to step time deterministically.
+  uint64_t (*now_fn)() = nullptr;
 };
 
 // One eviction domain. The mutex guards the owning cache's per-shard queue
@@ -128,9 +133,9 @@ class CellIndex : public StripedAtomicIndex {
  private:
   // `id`'s entry went from `from` to `to`, where a ghost record or kNoEntry
   // (which carries the ghost tag) has no cell. Entering a location stamps
-  // its cell with the id and no bytes (a GetValue before the first
-  // SetValue reads kNoValue, not a previous occupant); a lazy promotion
-  // moves the cell; leaving every location vacates it and frees its bytes.
+  // its cell with the id and no bytes (a Get before the first Set reads
+  // kNoValue, not a previous occupant); a lazy promotion moves the cell;
+  // leaving every location vacates it and frees its bytes.
   void Follow(ObjectId id, uint32_t from, uint32_t to) {
     if (IsGhost(to)) {
       if (!IsGhost(from)) {
@@ -176,9 +181,8 @@ class DomainCore {
     return capacity;
   }
 
-  // `num_shards` is rounded up to a power of two (capped at kMaxShards,
-  // matching the striped index's stripe cap) and halved until every
-  // shard's capacity share is >= min_capacity_per_shard.
+  // The cache gets ShardCount(capacity, num_shards,
+  // min_capacity_per_shard) domains.
   // `ghost_capacity(share)` is the Regions' ghost size for one capacity
   // share; the index is sized for every resident and ghost at once, so it
   // never grows (and retires arrays) while the cache fills. Its
@@ -202,6 +206,22 @@ class DomainCore {
         index(IndexEntries(capacity, shards_, ghost_capacity),
               std::max(num_stripes, shards_.size()), store_.get()) {
     QDLP_CHECK(index.num_stripes() >= shards_.size());
+  }
+
+  // The number of domains a cache of `capacity` gets when asked for
+  // `num_shards`: rounded up to a power of two (capped at kMaxShards,
+  // matching the striped index's stripe cap) and halved until every
+  // shard's capacity share is >= min_capacity_per_shard.
+  static size_t ShardCount(size_t capacity, size_t num_shards,
+                           size_t min_capacity_per_shard) {
+    size_t shards = 1;
+    while (shards < num_shards && shards < kMaxShards) {
+      shards *= 2;
+    }
+    while (shards > 1 && capacity / shards < min_capacity_per_shard) {
+      shards /= 2;
+    }
+    return shards;
   }
 
   size_t num_shards() const { return shards_.size(); }
@@ -247,13 +267,8 @@ class DomainCore {
     QDLP_CHECK(num_shards >= 1);
     QDLP_CHECK(min_capacity_per_shard >= 1);
     QDLP_CHECK(capacity >= min_capacity_per_shard);
-    size_t shards = 1;
-    while (shards < num_shards && shards < kMaxShards) {
-      shards *= 2;
-    }
-    while (shards > 1 && capacity / shards < min_capacity_per_shard) {
-      shards /= 2;
-    }
+    const size_t shards =
+        ShardCount(capacity, num_shards, min_capacity_per_shard);
     // One domain keeps the historical 8x256 buffer bank; with many domains
     // each keeps its own (smaller) bank so aggregate buffer space grows
     // sub-linearly with the shard count.
@@ -364,14 +379,14 @@ class IndexedGhost {
   IntrusiveList<ObjectId> list_;  // front = oldest
 };
 
-// The eviction-domain protocol of the lock-free caches, written once: the
-// lock-free hit path, the miss path's try-lock / buffer / drain sequence,
-// blocking Admit and Remove, the value path, Stats and the invariant
-// sweep. Each design (concurrent_clock.h, concurrent_s3fifo.h,
-// concurrent_qdlp_fifo.h) is a Regions type that supplies only its
-// shard-local queue logic, composed at compile time so a hit stays one
-// index probe plus one relaxed store or RMW. The same Regions, over a
-// serial core, are the designs' single-threaded policies
+// The eviction-domain protocol of the lock-free caches, written once, as
+// their Cache: the lock-free hit path, the miss path's try-lock / buffer /
+// drain sequence, the blocking Set and Delete, the value path, Stats and
+// the invariant sweep. Each design (concurrent_clock.h,
+// concurrent_s3fifo.h, concurrent_qdlp_fifo.h) is a Regions type that
+// supplies only its shard-local queue logic, composed at compile time so a
+// hit stays one index probe plus one relaxed store or RMW. The same
+// Regions, over a serial core, are the designs' single-threaded policies
 // (src/core/regions_policy.h):
 //
 //   Regions(Core& core, ...)           extra arguments come from the cache
@@ -389,7 +404,7 @@ class IndexedGhost {
 //       takes a step (a promotion) that later calls complete into an
 //       eviction; false once the shard holds nothing
 //   void UnlinkLocked(size_t s, uint32_t value)
-//       drops the queue state of an object Remove() just unindexed
+//       drops the queue state of an object Delete() just unindexed
 //   void FillOccupancy(size_t s, CacheStats* stats) const
 //   size_t CheckShardLocked(size_t s) const
 //       checks shard s's queues, ghost and their index entries; returns
@@ -403,9 +418,9 @@ class IndexedGhost {
 // "Locked" methods run under shard s's mutex; CheckShardLocked runs under
 // every shard's.
 template <typename Regions>
-class DomainCache : public ConcurrentCache {
+class DomainCache : public Cache {
  public:
-  bool Get(ObjectId id) override {
+  bool GetOrAdmit(ObjectId id) override {
     if (TouchIfResident(id)) {
       return true;
     }
@@ -416,7 +431,7 @@ class DomainCache : public ConcurrentCache {
     // Hit/miss is counted where the outcome is known: the locked re-probe
     // can discover the object was admitted by another thread (or an earlier
     // buffered copy of this miss) after the lock-free probe above failed,
-    // and that Get is a hit to its caller. The same re-probe absorbs the
+    // and that call is a hit to its caller. The same re-probe absorbs the
     // index's false misses (a probe that raced a backward shift,
     // striped_index.h): under the home-domain lock no shift of the id's
     // stripe can run. If the try-lock fails instead, the miss is counted
@@ -439,24 +454,10 @@ class DomainCache : public ConcurrentCache {
       // preempted mid-drain. Blocking here would convoy every missing
       // thread behind the sleeping holder, so admission is best-effort
       // instead: drop this one (the object is buffered or admitted on its
-      // next miss) and keep Get() non-blocking.
+      // next miss) and keep GetOrAdmit() non-blocking.
       core_.counters.Add(ConcurrentStatsCounters::kBufferDrops);
     }
     return false;
-  }
-
-  // Like Get(), but a miss blocks on the home-domain mutex instead of
-  // deferring to the insert buffers: admission is guaranteed on return.
-  // Uncontended this is byte-identical to Get().
-  bool Admit(ObjectId id) override {
-    if (TouchIfResident(id)) {
-      return true;
-    }
-    const size_t s = ShardOf(id);
-    const std::unique_lock<std::mutex> lock = LockShard(s);
-    const bool hit = MissLocked(s, id);
-    CountAccess(hit);
-    return hit;
   }
 
   // Unlinks `id` under its home-domain mutex. Blocking, unlike the miss
@@ -464,7 +465,7 @@ class DomainCache : public ConcurrentCache {
   // request) and must not be best-effort. Safe to block — lock holders
   // never wait on other locks. Counts as an eviction; leaves no ghost
   // trace (the object was invalidated, it did not age out).
-  bool Remove(ObjectId id) override {
+  bool Delete(ObjectId id) override {
     const size_t s = ShardOf(id);
     const std::unique_lock<std::mutex> lock = LockShard(s);
     uint32_t value;
@@ -481,7 +482,7 @@ class DomainCache : public ConcurrentCache {
 
   // Flow counters from striped thread-exclusive cells (lock-free to read);
   // per-region occupancy summed under the shard mutexes one at a time; the
-  // resident count from the index. Safe concurrently with Get().
+  // resident count from the index. Safe concurrently with every operation.
   CacheStats Stats() const override {
     CacheStats stats = core_.counters.Snapshot();
     for (size_t s = 0; s < num_shards(); ++s) {
@@ -526,17 +527,28 @@ class DomainCache : public ConcurrentCache {
     }
   }
 
-  // ---- Value path (requires QdlpValueOptions::arena_bytes > 0). ----
+  // ---- Value path (QdlpValueOptions::arena_bytes > 0). ----
   //
-  // GetValue is the serving read: a lock-free index probe, the same lazy-
-  // promotion touch as Get() on a hit, and a seqlock copy of the bytes. It
-  // NEVER admits — a GET carries no bytes to store, so a miss stays a miss
-  // (counted) until the client SETs. A resident without bytes yet (admitted
-  // by the metadata-only Get()) is a serving miss, and so is an expired
-  // value, which lazily removes the object.
-  bool GetValue(ObjectId id, uint64_t now_s, std::string* value) {
+  // Get is the serving read: a lock-free index probe, the same lazy-
+  // promotion touch as GetOrAdmit() on a hit, and a seqlock copy of the
+  // bytes. It NEVER admits — a GET carries no bytes to store, so a miss
+  // stays a miss (counted) until the client SETs. A resident without bytes
+  // yet (admitted by GetOrAdmit()) is a serving miss, and so is an expired
+  // value, which lazily removes the object. A metadata-only cache has no
+  // bytes to serve: its Get is GetOrAdmit() with *value left empty.
+  bool Get(ObjectId id, std::string* value) override {
     SlabStore* store = core_.store();
-    QDLP_CHECK(store != nullptr);
+    if (store == nullptr) {
+      if (value != nullptr) {
+        value->clear();
+      }
+      return GetOrAdmit(id);
+    }
+    std::string scratch;
+    if (value == nullptr) {
+      value = &scratch;
+    }
+    const uint64_t now_s = now_fn_();
     // kStale: the object moved (a promotion) or was replaced between the
     // probe and the cell read, which is transient, so the id is probed
     // again; the cap is a guard. An id no longer indexed ends as kStale.
@@ -552,24 +564,37 @@ class DomainCache : public ConcurrentCache {
     if (read == SlabStore::ReadResult::kHit) {
       regions_.Touch(cell);
     } else if (read == SlabStore::ReadResult::kExpired) {
-      Remove(id);
+      Delete(id);
     }
     CountAccess(read == SlabStore::ReadResult::kHit);
     return read == SlabStore::ReadResult::kHit;
   }
 
-  // SetValue is the serving write: under the home-domain mutex (blocking)
-  // it allocates a chunk — evicting from this shard until the arena can
+  // Set is the serving write: under the home-domain mutex (blocking) it
+  // allocates a chunk — evicting from this shard until the arena can
   // satisfy the request — admits the id if not resident (ghost
   // resurrection rules apply, counted as an insert but never as a miss:
   // the GET that preceded it already counted), and commits the bytes.
-  // `expiry_s` is an absolute second (0 = never expires).
-  SetStatus SetValue(ObjectId id, std::string_view value, uint64_t expiry_s) {
+  // `ttl_seconds` is relative (0 = never expires). A metadata-only cache
+  // ignores bytes and ttl: its Set is GetOrAdmit() with a miss that blocks
+  // on the home-domain mutex instead of deferring to the insert buffers,
+  // so the id is resident on return. Uncontended that is byte-identical to
+  // GetOrAdmit().
+  SetStatus Set(ObjectId id, std::string_view value,
+                uint32_t ttl_seconds) override {
     SlabStore* store = core_.store();
-    QDLP_CHECK(store != nullptr);
+    if (store == nullptr) {
+      if (!TouchIfResident(id)) {
+        const size_t s = ShardOf(id);
+        const std::unique_lock<std::mutex> lock = LockShard(s);
+        CountAccess(MissLocked(s, id));
+      }
+      return SetStatus::kOk;
+    }
     if (value.size() > store->max_value_len()) {
       return SetStatus::kTooLarge;
     }
+    const uint64_t expiry_s = ttl_seconds == 0 ? 0 : now_fn_() + ttl_seconds;
     const size_t s = ShardOf(id);
     const std::unique_lock<std::mutex> lock = LockShard(s);
     // Allocate before touching residency: arena-pressure evictions free
@@ -592,6 +617,9 @@ class DomainCache : public ConcurrentCache {
     return SetStatus::kOk;
   }
 
+  bool thread_safe() const override { return true; }
+  bool stores_values() const override { return core_.store() != nullptr; }
+
   // The value store, or nullptr when metadata-only.
   SlabStore* value_store() { return core_.store(); }
 
@@ -611,15 +639,17 @@ class DomainCache : public ConcurrentCache {
 
  protected:
   // `num_shards` eviction domains (rounded/clamped by DomainCore, so
-  // every share is >= min_capacity_per_shard), with `values`' store; the
-  // index gets max(num_stripes, shard count) stripes.
+  // every share is >= min_capacity_per_shard), with `values`' store and
+  // TTL clock; the index gets max(num_stripes, shard count) stripes.
   template <typename... RegionsArgs>
   DomainCache(size_t capacity, size_t num_stripes, size_t num_shards,
               size_t min_capacity_per_shard, const QdlpValueOptions& values,
               RegionsArgs&&... regions_args)
       : core_(capacity, num_stripes, num_shards, min_capacity_per_shard,
               &Regions::GhostCapacity, values),
-        regions_(core_, std::forward<RegionsArgs>(regions_args)...) {}
+        regions_(core_, std::forward<RegionsArgs>(regions_args)...),
+        now_fn_(values.now_fn != nullptr ? values.now_fn : &WallClockSeconds) {
+  }
 
   // The lock-free hit path: one probe, one Touch, one counter bump. A
   // ghost record reads as a miss.
@@ -666,11 +696,17 @@ class DomainCache : public ConcurrentCache {
   Regions regions_;
 
  private:
+  static uint64_t WallClockSeconds() {
+    return static_cast<uint64_t>(std::time(nullptr));
+  }
+
   // Admits shard s's buffered misses.
   void DrainShardLocked(size_t s) {
     core_.counters.AddDrainBatch(core_.shard(s).buffers.Drain(
         [&](uint64_t id) { MissLocked(s, id); }));
   }
+
+  uint64_t (*const now_fn_)();  // the TTL clock, in absolute seconds
 };
 
 }  // namespace qdlp

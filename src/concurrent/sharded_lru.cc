@@ -25,13 +25,25 @@ ShardedLruCache::Shard& ShardedLruCache::ShardFor(ObjectId id) const {
   return *shards_[SplitMix64(id) % shards_.size()];
 }
 
-bool ShardedLruCache::Get(ObjectId id) {
+bool ShardedLruCache::GetOrAdmit(ObjectId id) {
   Shard& shard = ShardFor(id);
   std::lock_guard<std::mutex> lock(shard.mu);
   return shard.lru.Access(id);
 }
 
-bool ShardedLruCache::Remove(ObjectId id) {
+bool ShardedLruCache::Get(ObjectId id, std::string* value) {
+  if (value != nullptr) {
+    value->clear();
+  }
+  return GetOrAdmit(id);
+}
+
+SetStatus ShardedLruCache::Set(ObjectId id, std::string_view, uint32_t) {
+  GetOrAdmit(id);
+  return SetStatus::kOk;
+}
+
+bool ShardedLruCache::Delete(ObjectId id) {
   Shard& shard = ShardFor(id);
   std::lock_guard<std::mutex> lock(shard.mu);
   return shard.lru.Remove(id);

@@ -10,6 +10,7 @@
 
 #include <memory>
 #include <mutex>
+#include <string>
 #include <string_view>
 #include <vector>
 
@@ -18,21 +19,27 @@
 
 namespace qdlp {
 
-class ShardedLruCache : public ConcurrentCache {
+class ShardedLruCache : public Cache {
  public:
   // Capacity must be at least 1; the shard count is clamped to it.
   ShardedLruCache(size_t capacity, size_t num_shards = 16);
 
-  bool Get(ObjectId id) override;
-  // Get() already blocks on the shard lock and always admits.
-  bool Admit(ObjectId id) override { return Get(id); }
+  // Locks the owning shard and runs its LruPolicy's Access.
+  bool GetOrAdmit(ObjectId id) override;
+  // No bytes to serve: GetOrAdmit() with *value left empty.
+  bool Get(ObjectId id, std::string* value) override;
+  // GetOrAdmit() already blocks on the shard lock and always admits, so
+  // Set is GetOrAdmit(); bytes and ttl are ignored.
+  SetStatus Set(ObjectId id, std::string_view value,
+                uint32_t ttl_seconds) override;
+  // Removal locks only the owning shard, like GetOrAdmit().
+  bool Delete(ObjectId id) override;
+
+  bool thread_safe() const override { return true; }
   size_t capacity() const override { return capacity_; }
   std::string_view name() const override {
     return shards_.size() == 1 ? "global-lock-lru" : "sharded-lru";
   }
-
-  // Removal locks only the owning shard, like Get().
-  bool Remove(ObjectId id) override;
 
   // Sums the shards' own Stats(), taking each shard's lock in turn. Each
   // shard's snapshot is coherent, so the identities (requests == hits +

@@ -27,129 +27,168 @@ namespace qdlp {
 
 namespace {
 
-// The designs whose one implementation is the lock-free caches' Regions,
-// run single-threaded over `factory`'s index (regions_policy.h).
-template <typename IndexFactory>
-std::unique_ptr<EvictionPolicy> MakeRegionsPolicy(const std::string& name,
-                                                  size_t capacity,
-                                                  const IndexFactory& factory) {
-  int bits = 0;
-  if (name == "fifo-reinsertion" || name == "clock" || name == "clock1") {
-    bits = 1;
-  } else if (name == "clock2") {
-    bits = 2;
-  } else if (name == "clock3") {
-    bits = 3;
-  }
-  if (bits > 0) {
-    // 1-bit CLOCK is FIFO-Reinsertion (§3), and reports that name.
-    return std::make_unique<RegionsPolicy<ClockRegions, IndexFactory>>(
-        capacity, bits == 1 ? "fifo-reinsertion" : name, factory, bits);
-  }
-  if (name == "s3fifo") {
-    return std::make_unique<RegionsPolicy<S3FifoRegions, IndexFactory>>(
-        capacity, name, factory);
-  }
-  if (name == "qd-lp-fifo") {
-    return std::make_unique<RegionsPolicy<QdLpRegions, IndexFactory>>(
-        capacity, name, factory);
-  }
-  return nullptr;
+using PolicyPtr = std::unique_ptr<EvictionPolicy>;
+
+// How KnownPolicyNames lists a row: not at all (an alias), by its name, or
+// by its name and, after all the bases, as qd-<name> (Fig 5's
+// compositions).
+enum class Listing { kAlias, kListed, kListedWithQd };
+
+// A name the factory builds without composing. `flat` builds the policy
+// for original ids over FlatMap indexes (MakePolicy; `trace` is Belady's
+// future request stream). `dense`, null for a design without a dense
+// variant, builds the same code over DenseIndexFactory's direct-indexed
+// slot arrays (MakeDensePolicy).
+using FlatBuild = PolicyPtr (*)(size_t capacity,
+                                const std::vector<ObjectId>* trace);
+using DenseBuild = PolicyPtr (*)(size_t capacity,
+                                 const DenseIndexFactory& factory);
+struct PolicyRow {
+  const char* name;
+  FlatBuild flat;
+  DenseBuild dense = nullptr;
+  Listing listing = Listing::kListed;
+};
+
+// A design with a flat variant only, built with its constructor's
+// defaults.
+template <typename Policy>
+PolicyPtr FlatOnly(size_t capacity, const std::vector<ObjectId>*) {
+  return std::make_unique<Policy>(capacity);
 }
 
-// The designs with one implementation over either index backing: the
-// flat one is MakePolicy's, the dense one MakeDensePolicy's. Each is built
-// with its constructor's defaults.
-template <typename IndexFactory>
-std::unique_ptr<EvictionPolicy> MakeIndexedBase(const std::string& name,
-                                                size_t capacity,
-                                                const IndexFactory& factory) {
-  if (name == "fifo") {
-    return std::make_unique<BasicFifoPolicy<IndexFactory>>(capacity, factory);
+// A design with one implementation over either index backing:
+// `Build{}(capacity, factory)` constructs it over `factory`'s index.
+template <typename Build>
+constexpr PolicyRow Indexed(const char* name, Build,
+                            Listing listing = Listing::kListed) {
+  return {name,
+          [](size_t capacity, const std::vector<ObjectId>*) -> PolicyPtr {
+            return Build{}(capacity, FlatIndexFactory{});
+          },
+          [](size_t capacity, const DenseIndexFactory& factory) -> PolicyPtr {
+            return Build{}(capacity, factory);
+          },
+          listing};
+}
+
+// CLOCK with `bits`-bit counters, on the lock-free caches' Regions run
+// single-threaded (regions_policy.h). 1-bit CLOCK is FIFO-Reinsertion
+// (§3), and reports that name.
+template <int bits>
+constexpr auto kClock = []<typename F>(size_t capacity, const F& factory) {
+  return std::make_unique<RegionsPolicy<ClockRegions, F>>(
+      capacity, bits == 1 ? "fifo-reinsertion" : "clock" + std::to_string(bits),
+      factory, bits);
+};
+
+// Every name the factory builds without composing, in KnownPolicyNames'
+// order. A design has a dense variant when its decisions depend on ids
+// only through index lookups and its own lists' order (LHD samples its
+// object vector by position, which the access sequence alone determines),
+// so a bijective remap to dense ids cannot change any eviction decision.
+// Policies that sample the index (random, hyperbolic) or hash ids into
+// sketches (wtinylfu) have none.
+const PolicyRow kPolicies[] = {
+    Indexed("fifo", []<typename F>(size_t capacity, const F& factory) {
+      return std::make_unique<BasicFifoPolicy<F>>(capacity, factory);
+    }),
+    Indexed("lru", []<typename F>(size_t capacity, const F& factory) {
+      return std::make_unique<BasicLruPolicy<F>>(capacity, factory);
+    }),
+    {"lfu", &FlatOnly<LfuPolicy>},
+    {"random", &FlatOnly<RandomPolicy>},
+    {"slru", &FlatOnly<SlruPolicy>},
+    {"2q", &FlatOnly<TwoQPolicy>},
+    Indexed(
+        "arc",
+        []<typename F>(size_t capacity, const F& factory) {
+          return std::make_unique<BasicArcPolicy<F>>(capacity, 1.0, -1.0,
+                                                     factory);
+        },
+        Listing::kListedWithQd),
+    Indexed("arc-slow", []<typename F>(size_t capacity, const F& factory) {
+      return std::make_unique<BasicArcPolicy<F>>(
+          capacity, /*adaptation_rate=*/0.25, -1.0, factory);
+    }),
+    Indexed("arc-fixed", []<typename F>(size_t capacity, const F& factory) {
+      return std::make_unique<BasicArcPolicy<F>>(
+          capacity, 1.0, /*fixed_p_fraction=*/0.1, factory);
+    }),
+    {"car", &FlatOnly<CarPolicy>},
+    {"mq", &FlatOnly<MqPolicy>},
+    {"lru2", &FlatOnly<LruKPolicy>},
+    {"wtinylfu", &FlatOnly<WTinyLfuPolicy>},
+    {"lru-batched", &FlatOnly<BatchedPromotionLru>},
+    {"lru-promote-old", &FlatOnly<PromoteOldOnlyLru>},
+    Indexed(
+        "lirs",
+        []<typename F>(size_t capacity, const F& factory) {
+          return std::make_unique<BasicLirsPolicy<F>>(capacity, 0.01, 3.0,
+                                                      factory);
+        },
+        Listing::kListedWithQd),
+    Indexed(
+        "lecar",
+        []<typename F>(size_t capacity, const F& factory) {
+          return std::make_unique<BasicLecarPolicy<F>>(capacity, 7, 0.45,
+                                                       factory);
+        },
+        Listing::kListedWithQd),
+    Indexed(
+        "cacheus",
+        []<typename F>(size_t capacity, const F& factory) {
+          return std::make_unique<BasicCacheusPolicy<F>>(capacity, 11,
+                                                         factory);
+        },
+        Listing::kListedWithQd),
+    Indexed(
+        "lhd",
+        []<typename F>(size_t capacity, const F& factory) {
+          return std::make_unique<BasicLhdPolicy<F>>(capacity, 13, factory);
+        },
+        Listing::kListedWithQd),
+    {"hyperbolic", &FlatOnly<HyperbolicPolicy>},
+    {"belady",
+     [](size_t capacity, const std::vector<ObjectId>* trace) -> PolicyPtr {
+       if (trace == nullptr) {
+         return nullptr;
+       }
+       return std::make_unique<BeladyPolicy>(capacity, *trace);
+     }},
+    Indexed("fifo-reinsertion", kClock<1>),
+    Indexed("clock", kClock<1>, Listing::kAlias),
+    Indexed("clock1", kClock<1>, Listing::kAlias),
+    Indexed("clock2", kClock<2>),
+    Indexed("clock3", kClock<3>),
+    {"clockpro", &FlatOnly<ClockProPolicy>},
+    Indexed("sieve", []<typename F>(size_t capacity, const F& factory) {
+      return std::make_unique<BasicSievePolicy<F>>(capacity, factory);
+    }),
+    Indexed("s3fifo", []<typename F>(size_t capacity, const F& factory) {
+      return std::make_unique<RegionsPolicy<S3FifoRegions, F>>(
+          capacity, "s3fifo", factory);
+    }),
+    Indexed("qd-lp-fifo", []<typename F>(size_t capacity, const F& factory) {
+      return std::make_unique<RegionsPolicy<QdLpRegions, F>>(
+          capacity, "qd-lp-fifo", factory);
+    }),
+};
+
+const PolicyRow* FindRow(const std::string& name) {
+  for (const PolicyRow& row : kPolicies) {
+    if (name == row.name) {
+      return &row;
+    }
   }
-  if (name == "lru") {
-    return std::make_unique<BasicLruPolicy<IndexFactory>>(capacity, factory);
-  }
-  if (name == "sieve") {
-    return std::make_unique<BasicSievePolicy<IndexFactory>>(capacity, factory);
-  }
-  if (name == "arc") {
-    return std::make_unique<BasicArcPolicy<IndexFactory>>(capacity, 1.0, -1.0,
-                                                          factory);
-  }
-  if (name == "arc-slow") {
-    return std::make_unique<BasicArcPolicy<IndexFactory>>(
-        capacity, /*adaptation_rate=*/0.25, -1.0, factory);
-  }
-  if (name == "arc-fixed") {
-    return std::make_unique<BasicArcPolicy<IndexFactory>>(
-        capacity, 1.0, /*fixed_p_fraction=*/0.1, factory);
-  }
-  if (name == "lirs") {
-    return std::make_unique<BasicLirsPolicy<IndexFactory>>(capacity, 0.01, 3.0,
-                                                           factory);
-  }
-  if (name == "lecar") {
-    return std::make_unique<BasicLecarPolicy<IndexFactory>>(capacity, 7, 0.45,
-                                                            factory);
-  }
-  if (name == "cacheus") {
-    return std::make_unique<BasicCacheusPolicy<IndexFactory>>(capacity, 11,
-                                                              factory);
-  }
-  if (name == "lhd") {
-    return std::make_unique<BasicLhdPolicy<IndexFactory>>(capacity, 13,
-                                                          factory);
-  }
-  return MakeRegionsPolicy(name, capacity, factory);
+  return nullptr;
 }
 
 std::unique_ptr<EvictionPolicy> MakeBase(const std::string& name,
                                          size_t capacity,
                                          const std::vector<ObjectId>* trace) {
-  if (name == "lfu") {
-    return std::make_unique<LfuPolicy>(capacity);
-  }
-  if (name == "random") {
-    return std::make_unique<RandomPolicy>(capacity);
-  }
-  if (name == "slru") {
-    return std::make_unique<SlruPolicy>(capacity);
-  }
-  if (name == "2q") {
-    return std::make_unique<TwoQPolicy>(capacity);
-  }
-  if (name == "car") {
-    return std::make_unique<CarPolicy>(capacity);
-  }
-  if (name == "mq") {
-    return std::make_unique<MqPolicy>(capacity);
-  }
-  if (name == "lru2") {
-    return std::make_unique<LruKPolicy>(capacity, 2);
-  }
-  if (name == "wtinylfu") {
-    return std::make_unique<WTinyLfuPolicy>(capacity);
-  }
-  if (name == "lru-batched") {
-    return std::make_unique<BatchedPromotionLru>(capacity);
-  }
-  if (name == "lru-promote-old") {
-    return std::make_unique<PromoteOldOnlyLru>(capacity);
-  }
-  if (name == "hyperbolic") {
-    return std::make_unique<HyperbolicPolicy>(capacity);
-  }
-  if (name == "clockpro") {
-    return std::make_unique<ClockProPolicy>(capacity);
-  }
-  if (name == "belady") {
-    if (trace == nullptr) {
-      return nullptr;
-    }
-    return std::make_unique<BeladyPolicy>(capacity, *trace);
-  }
-  return MakeIndexedBase(name, capacity, FlatIndexFactory{});
+  const PolicyRow* row = FindRow(name);
+  return row == nullptr ? nullptr : row->flat(capacity, trace);
 }
 
 // The paper's budget split: QdCache over the main policy `make_main`
@@ -171,24 +210,16 @@ std::unique_ptr<EvictionPolicy> MakeQdCache(size_t total_capacity,
       probation, std::move(main), options, factory);
 }
 
-// Base names MakeIndexedBase builds.
-bool IsIndexedBase(const std::string& name) {
-  static const char* const kIndexed[] = {
-      "fifo",       "lru",     "sieve",  "arc",    "arc-slow",
-      "arc-fixed",  "lirs",    "lecar",  "cacheus", "lhd",
-      "fifo-reinsertion",      "clock",  "clock1", "clock2",
-      "clock3",     "s3fifo",  "qd-lp-fifo",
-  };
-  for (const char* indexed : kIndexed) {
-    if (name == indexed) {
-      return true;
-    }
-  }
-  return false;
+// qd-<base>, built by MakeQdPolicy over a base row, as opposed to a row
+// of its own (qd-lp-fifo).
+bool IsQdComposition(const std::string& name) {
+  return name.rfind("qd-", 0) == 0 && FindRow(name) == nullptr;
 }
 
-bool IsQdComposition(const std::string& name) {
-  return name.rfind("qd-", 0) == 0 && name != "qd-lp-fifo";
+// The dense builder of the row `name` names, or null.
+DenseBuild DenseBuilder(const std::string& name) {
+  const PolicyRow* row = FindRow(name);
+  return row == nullptr ? nullptr : row->dense;
 }
 
 }  // namespace
@@ -210,20 +241,14 @@ std::unique_ptr<EvictionPolicy> MakeQdPolicy(const std::string& base_name,
       });
 }
 
-// Every name MakeIndexedBase builds has a dense variant, and so does
-// qd-<base> over each of them (QD composes over plain bases only). None of
-// these policies reads an id's value or hash, or iterates a hash table:
-// their decisions depend on ids only through index lookups and their own
-// lists' order (LHD samples its object vector by position, which the
-// access sequence alone determines), so a bijective remap to dense ids
-// cannot change any eviction decision. Policies that sample the index
-// (random, hyperbolic) or hash ids into sketches (wtinylfu) have none.
+// A row with a dense builder has a dense variant, and so does qd-<base>
+// over each such row (QD composes over plain bases only).
 bool HasDenseVariant(const std::string& name) {
   if (IsQdComposition(name)) {
     const std::string base = name.substr(3);
-    return base.rfind("qd-", 0) != 0 && IsIndexedBase(base);
+    return base.rfind("qd-", 0) != 0 && DenseBuilder(base) != nullptr;
   }
-  return IsIndexedBase(name);
+  return DenseBuilder(name) != nullptr;
 }
 
 std::unique_ptr<EvictionPolicy> MakeDensePolicy(const std::string& name,
@@ -236,11 +261,11 @@ std::unique_ptr<EvictionPolicy> MakeDensePolicy(const std::string& name,
   if (IsQdComposition(name)) {
     return MakeQdCache(capacity, QdOptions{}, factory,
                        [&](size_t main_capacity) {
-                         return MakeIndexedBase(name.substr(3), main_capacity,
-                                                factory);
+                         return DenseBuilder(name.substr(3))(main_capacity,
+                                                             factory);
                        });
   }
-  return MakeIndexedBase(name, capacity, factory);
+  return DenseBuilder(name)(capacity, factory);
 }
 
 std::unique_ptr<EvictionPolicy> MakePolicy(const std::string& name,
@@ -256,15 +281,18 @@ std::unique_ptr<EvictionPolicy> MakePolicy(const std::string& name,
 }
 
 std::vector<std::string> KnownPolicyNames() {
-  return {
-      "fifo",        "lru",        "lfu",        "random",     "slru",
-      "2q",          "arc",        "arc-slow",   "arc-fixed",  "car",
-      "mq",          "lru2",       "wtinylfu",   "lru-batched",
-      "lru-promote-old",           "lirs",       "lecar",      "cacheus",
-      "lhd",         "hyperbolic", "belady",     "fifo-reinsertion",
-      "clock2",      "clock3",     "clockpro",   "sieve",      "s3fifo",     "qd-lp-fifo",
-      "qd-arc",      "qd-lirs",    "qd-lecar",   "qd-cacheus", "qd-lhd",
-  };
+  std::vector<std::string> names;
+  for (const PolicyRow& row : kPolicies) {
+    if (row.listing != Listing::kAlias) {
+      names.push_back(row.name);
+    }
+  }
+  for (const PolicyRow& row : kPolicies) {
+    if (row.listing == Listing::kListedWithQd) {
+      names.push_back(std::string("qd-") + row.name);
+    }
+  }
+  return names;
 }
 
 }  // namespace qdlp

@@ -1,7 +1,7 @@
 // CacheObservable — the shared observational interface of both cache
 // hierarchies.
 //
-// EvictionPolicy (sequential) and ConcurrentCache (thread-safe) had drifted
+// EvictionPolicy (sequential) and the thread-safe caches had drifted
 // into incompatible observational APIs: `std::string name()` vs
 // `const char* name()`, listener hooks on one side only, ApproxMetadataBytes
 // duplicated. This interface is the single vocabulary: anything that caches

@@ -4,9 +4,10 @@
 //         --workers=2 --shards=2
 //
 // Runs until SIGINT/SIGTERM, then prints a final stats line. A flag value
-// that is not a decimal count in its range prints the usage and exits 2
-// before anything is allocated. See docs/SERVER.md for the protocol and
-// bench/server_qps for the matching load generator.
+// that is not a decimal count in its range, or an arena that leaves an
+// eviction domain too small for one maximum-size value, prints the usage
+// and exits 2 before anything is allocated. See docs/SERVER.md for the
+// protocol and bench/server_qps for the matching load generator.
 
 #include <signal.h>
 
@@ -20,7 +21,7 @@
 #include <string>
 #include <thread>
 
-#include "src/concurrent/eviction_domains.h"
+#include "src/concurrent/concurrent_qdlp_fifo.h"
 #include "src/obs/cache_stats.h"
 #include "src/server/server.h"
 
@@ -50,6 +51,20 @@ bool ParseCount(const std::string& text, uint64_t min, uint64_t max,
   }
   *out = value;
   return true;
+}
+
+int Usage() {
+  fprintf(stderr,
+          "usage: qdlpd [--port=N] [--capacity=N] [--arena-mb=N]\n"
+          "             [--workers=N] [--shards=N] [--stripes=N]\n"
+          "  each N a decimal count of at least 1, except --port "
+          "(0 = any free port,\n"
+          "  at most 65535); --capacity is at most 2^30 - 1, "
+          "--workers at most 256\n"
+          "  and --arena-mb (the total, split across shards) at most "
+          "32768 and at\n"
+          "  least 8 MiB per shard (--shards rounds up to a power of two)\n");
+  return 2;
 }
 
 }  // namespace
@@ -91,17 +106,18 @@ int main(int argc, char** argv) {
       options.cache.num_stripes = n;
     }
     if (!ok) {
-      fprintf(stderr,
-              "usage: qdlpd [--port=N] [--capacity=N] [--arena-mb=N]\n"
-              "             [--workers=N] [--shards=N] [--stripes=N]\n"
-              "  each N a decimal count of at least 1, except --port "
-              "(0 = any free port,\n"
-              "  at most 65535); --capacity is at most 2^30 - 1, "
-              "--workers at most 256\n"
-              "  and --arena-mb (the total, split across shards) at most "
-              "32768\n");
-      return 2;
+      return Usage();
     }
+  }
+  // The arena is split evenly across the eviction domains the cache will
+  // build, and SlabStore raises a domain's share to two maximum-size
+  // chunks, so a smaller share would allocate more than --arena-mb says.
+  const size_t domains = qdlp::DomainCore::ShardCount(
+      options.cache.capacity, options.cache.num_shards,
+      qdlp::ConcurrentQdLpFifo::kMinCapacityPerShard);
+  if (options.cache.value_arena_bytes / domains <
+      2 * options.cache.max_value_len) {
+    return Usage();
   }
 
   signal(SIGINT, HandleSignal);

@@ -1,7 +1,8 @@
-// Unified Cache API tests: MakeCache routing, adapter fidelity against the
-// raw engines, the uniform Delete() oracle across every concurrent engine,
-// and the value-storing engine over each lock-free design (bytes, TTLs,
-// size limits).
+// Unified Cache API tests: MakeCache routing (the thread-safe names build
+// the engine itself), the serial adapter's and the engines' Cache faces
+// against direct calls, the uniform Delete() oracle across every
+// concurrent engine, and the value-storing engine over each lock-free
+// design (bytes, TTLs, size limits).
 
 #include "src/core/cache_api.h"
 
@@ -11,9 +12,13 @@
 #include <atomic>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include "src/concurrent/concurrent_clock.h"
 #include "src/concurrent/concurrent_qdlp_fifo.h"
+#include "src/concurrent/concurrent_s3fifo.h"
+#include "src/concurrent/sharded_lru.h"
 #include "src/core/policy_factory.h"
 #include "src/policies/eviction_policy.h"
 #include "src/trace/generators.h"
@@ -55,19 +60,28 @@ TEST(CacheApiTest, MakeCacheRoutesSerialPolicies) {
   EXPECT_TRUE(cache->GetOrAdmit(1));
 }
 
+// A thread-safe name builds the engine itself: the pointer MakeCache
+// returns is the engine's, with no wrapper object in between.
+template <typename Engine>
+void ExpectMakeCacheBuildsEngine(const char* name) {
+  CacheConfig config;
+  config.policy = name;
+  config.capacity = 128;
+  config.num_shards = 2;
+  std::unique_ptr<Cache> cache = MakeCache(config);
+  ASSERT_NE(cache, nullptr) << name;
+  EXPECT_NE(dynamic_cast<Engine*>(cache.get()), nullptr) << name;
+  EXPECT_EQ(cache->name(), name);
+  EXPECT_TRUE(cache->thread_safe()) << name;
+  EXPECT_FALSE(cache->stores_values()) << name;
+}
+
 TEST(CacheApiTest, MakeCacheRoutesConcurrentEngines) {
-  for (const char* name :
-       {"concurrent-qdlp-fifo", "concurrent-clock", "concurrent-s3fifo",
-        "global-lock-lru", "sharded-lru"}) {
-    CacheConfig config;
-    config.policy = name;
-    config.capacity = 128;
-    config.num_shards = 2;
-    std::unique_ptr<Cache> cache = MakeCache(config);
-    ASSERT_NE(cache, nullptr) << name;
-    EXPECT_TRUE(cache->thread_safe()) << name;
-    EXPECT_FALSE(cache->stores_values()) << name;
-  }
+  ExpectMakeCacheBuildsEngine<ConcurrentQdLpFifo>("concurrent-qdlp-fifo");
+  ExpectMakeCacheBuildsEngine<ConcurrentClockCache>("concurrent-clock");
+  ExpectMakeCacheBuildsEngine<ConcurrentS3FifoCache>("concurrent-s3fifo");
+  ExpectMakeCacheBuildsEngine<ShardedLruCache>("global-lock-lru");
+  ExpectMakeCacheBuildsEngine<ShardedLruCache>("sharded-lru");
 }
 
 TEST(CacheApiTest, MakeCacheRejectsBadConfigs) {
@@ -160,8 +174,9 @@ TEST(CacheApiTest, SerialAdapterMatchesRawPolicy) {
   }
 }
 
-// Same for the concurrent adapter, against a raw ConcurrentQdLpFifo.
-TEST(CacheApiTest, ConcurrentAdapterMatchesRawEngine) {
+// The engine MakeCache builds, driven through its Cache face, matches a
+// ConcurrentQdLpFifo constructed and called directly.
+TEST(CacheApiTest, CacheFaceMatchesDirectEngineCalls) {
   ZipfTraceConfig trace_config;
   trace_config.num_requests = 20000;
   trace_config.num_objects = 2000;
@@ -177,7 +192,7 @@ TEST(CacheApiTest, ConcurrentAdapterMatchesRawEngine) {
   ConcurrentQdLpFifo raw(200, /*num_stripes=*/4, /*num_shards=*/1);
   uint64_t raw_hits = 0;
   for (const ObjectId id : trace.requests) {
-    raw_hits += raw.Get(id) ? 1 : 0;
+    raw_hits += raw.GetOrAdmit(id) ? 1 : 0;
   }
   EXPECT_EQ(ReplayTrace(*cache, trace.requests), raw_hits);
   EXPECT_EQ(cache->Stats().hits, raw.Stats().hits);
@@ -228,11 +243,16 @@ TEST(CacheApiTest, UniformDeleteOracleAcrossEngines) {
   }
 }
 
-// Metadata adapters route Set through the blocking Admit path, so the key
-// is resident when Set returns — even though the lock-free Get miss path
-// is best-effort under contention. Single-threaded, the stats must be
-// pinned exactly as if Get had run: one miss for the Set, one hit after.
-TEST(CacheApiTest, MetadataAdapterSetIsResidentOnReturn) {
+// A metadata engine's Set takes the blocking admission path, so the key
+// is resident when Set returns — even though the lock-free GetOrAdmit miss
+// path is best-effort under contention. Single-threaded, the stats must be
+// pinned exactly as if GetOrAdmit had run: one miss for the Set, one hit
+// after. Then under contention: three threads keep one domain's lock busy
+// with admissions and removals of their own keys while Sets of fresh keys
+// must each leave the key resident. At most 400 keys are ever resident,
+// fewer than any design's first queue holds, so nothing is evicted and a
+// miss right after a Set can only mean the Set admitted nothing.
+TEST(CacheApiTest, MetadataSetIsResidentOnReturn) {
   for (const char* name :
        {"concurrent-qdlp-fifo", "concurrent-clock", "concurrent-s3fifo",
         "global-lock-lru", "sharded-lru"}) {
@@ -251,6 +271,31 @@ TEST(CacheApiTest, MetadataAdapterSetIsResidentOnReturn) {
     EXPECT_EQ(stats.inserts, 1u) << name;
     EXPECT_EQ(stats.size, 1u) << name;
     cache->CheckInvariants();
+
+    config.capacity = 4096;
+    config.num_shards = 1;
+    std::unique_ptr<Cache> contended = MakeCache(config);
+    std::atomic<bool> stop{false};
+    std::vector<std::thread> churners;
+    for (ObjectId t = 1; t <= 3; ++t) {
+      churners.emplace_back([&, t] {
+        while (!stop.load(std::memory_order_relaxed)) {
+          for (ObjectId key = t * 1000; key < t * 1000 + 100; ++key) {
+            contended->GetOrAdmit(key);
+            contended->Delete(key);
+          }
+        }
+      });
+    }
+    for (ObjectId key = 0; key < 100; ++key) {
+      EXPECT_EQ(contended->Set(key, "", 0), Cache::SetStatus::kOk) << name;
+      EXPECT_TRUE(contended->GetOrAdmit(key)) << name << " key " << key;
+    }
+    stop.store(true, std::memory_order_relaxed);
+    for (std::thread& churner : churners) {
+      churner.join();
+    }
+    contended->CheckInvariants();
   }
 }
 

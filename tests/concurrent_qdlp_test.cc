@@ -33,7 +33,7 @@ TEST_P(QdLpFifoEquivalenceTest, SingleThreadMatchesSequentialPolicy) {
   ConcurrentQdLpFifo concurrent(kCapacity, /*num_stripes=*/4);
   for (size_t i = 0; i < trace.requests.size(); ++i) {
     const ObjectId id = trace.requests[i];
-    ASSERT_EQ(concurrent.Get(id), sequential->Access(id))
+    ASSERT_EQ(concurrent.GetOrAdmit(id), sequential->Access(id))
         << "diverged at request " << i;
     if (i % 997 == 0) {
       concurrent.CheckInvariants();
@@ -68,7 +68,7 @@ TEST(ConcurrentQdLpFifoTest, CapacityBoundedUnderThreads) {
       Rng rng(920 + static_cast<uint64_t>(t));
       ZipfSampler zipf(20000, 1.0);
       for (int i = 0; i < 40000; ++i) {
-        cache.Get(zipf.Sample(rng));
+        cache.GetOrAdmit(zipf.Sample(rng));
       }
     });
   }
@@ -93,7 +93,7 @@ TEST(ConcurrentQdLpFifoTest, HitRatioSaneUnderThreads) {
       ZipfSampler zipf(10000, 1.0);
       uint64_t local = 0;
       for (int i = 0; i < kOps; ++i) {
-        local += cache.Get(zipf.Sample(rng)) ? 1 : 0;
+        local += cache.GetOrAdmit(zipf.Sample(rng)) ? 1 : 0;
       }
       hits.fetch_add(local);
     });
@@ -110,45 +110,45 @@ TEST(ConcurrentQdLpFifoTest, HitRatioSaneUnderThreads) {
 
 TEST(ConcurrentQdLpFifoTest, GhostResurrectionAdmitsIntoMain) {
   ConcurrentQdLpFifo cache(20);  // probation 2, main 18, ghost 18
-  cache.Get(1);
+  cache.GetOrAdmit(1);
   // Flood the probation FIFO so 1 is quick-demoted into the ghost.
   for (ObjectId id = 100; id < 110; ++id) {
-    cache.Get(id);
+    cache.GetOrAdmit(id);
   }
-  EXPECT_FALSE(cache.Get(1));  // ghost hit is still a miss...
-  EXPECT_TRUE(cache.Get(1));   // ...but 1 is now resident in main
+  EXPECT_FALSE(cache.GetOrAdmit(1));  // ghost hit is still a miss...
+  EXPECT_TRUE(cache.GetOrAdmit(1));   // ...but 1 is now resident in main
   cache.CheckInvariants();
 }
 
 TEST(ConcurrentQdLpFifoTest, LazyPromotionKeepsReaccessedObjects) {
   ConcurrentQdLpFifo cache(20);  // probation 2
-  cache.Get(1);
-  EXPECT_TRUE(cache.Get(1));  // sets the probation accessed bit
+  cache.GetOrAdmit(1);
+  EXPECT_TRUE(cache.GetOrAdmit(1));  // sets the probation accessed bit
   // Push 1 out of probation; the accessed bit promotes it into main.
-  cache.Get(2);
-  cache.Get(3);
-  EXPECT_TRUE(cache.Get(1));
+  cache.GetOrAdmit(2);
+  cache.GetOrAdmit(3);
+  EXPECT_TRUE(cache.GetOrAdmit(1));
   cache.CheckInvariants();
 }
 
-// A slot freed by Remove() in the main CLOCK is the next main admission's,
+// A slot freed by Delete() in the main CLOCK is the next main admission's,
 // as in the sequential QdCache's CLOCK: nothing live is evicted while it
 // is free.
 TEST(ConcurrentQdLpFifoTest, RemovedMainSlotIsReusedBeforeEvicting) {
   ConcurrentQdLpFifo cache(20);  // probation 2, main 18, ghost 18
   for (ObjectId id = 0; id < 40; ++id) {
-    cache.Get(id);  // 20..37 end up in the ghost, 38 and 39 on probation
+    cache.GetOrAdmit(id);  // 20..37 end up in the ghost, 38 and 39 on probation
   }
   for (ObjectId id = 20; id < 38; ++id) {
-    cache.Get(id);  // ghost hits: main fills with 20..37
+    cache.GetOrAdmit(id);  // ghost hits: main fills with 20..37
   }
-  ASSERT_TRUE(cache.Remove(30));
+  ASSERT_TRUE(cache.Delete(30));
   for (ObjectId id = 100; id < 104; ++id) {
-    cache.Get(id);  // quick-demotes 38, 39, 100 and 101 into the ghost
+    cache.GetOrAdmit(id);  // quick-demotes 38, 39, 100 and 101 into the ghost
   }
-  EXPECT_FALSE(cache.Get(38));  // ghost hit: admitted into main
+  EXPECT_FALSE(cache.GetOrAdmit(38));  // ghost hit: admitted into main
   EXPECT_EQ(cache.Stats().size, 20u);
-  EXPECT_TRUE(cache.Get(20));
+  EXPECT_TRUE(cache.GetOrAdmit(20));
   cache.CheckInvariants();
 }
 
@@ -164,11 +164,11 @@ TEST(ConcurrentQdLpFifoTest, ProbationRemovalMovesNoOtherValueCell) {
   // 0..9 are re-read on probation, so 10..19 promote them into main and
   // then fill probation, oldest first.
   for (ObjectId id = 0; id < 20; ++id) {
-    ASSERT_EQ(cache.SetValue(id, std::string("v").append(std::to_string(id)),
-                             /*expiry_s=*/0),
+    ASSERT_EQ(cache.Set(id, std::string("v").append(std::to_string(id)),
+                        /*ttl_seconds=*/0),
               SetStatus::kOk);
     if (id < 10) {
-      ASSERT_TRUE(cache.Get(id));
+      ASSERT_TRUE(cache.GetOrAdmit(id));
     }
   }
   ASSERT_EQ(cache.Stats().probation_size, 10u);
@@ -185,7 +185,7 @@ TEST(ConcurrentQdLpFifoTest, ProbationRemovalMovesNoOtherValueCell) {
   }
   ASSERT_EQ(cells.size(), 20u);
 
-  ASSERT_TRUE(cache.Remove(15));  // the middle of probation's 10..19
+  ASSERT_TRUE(cache.Delete(15));  // the middle of probation's 10..19
   for (const auto& [id, cell] : cells) {
     if (id == 15) {
       continue;
@@ -206,7 +206,7 @@ TEST(ConcurrentQdLpFifoTest, GhostMemoryStaysBounded) {
   Rng rng(0x6405);
   size_t bytes_at_100k = 0;
   for (int i = 1; i <= 1000000; ++i) {
-    cache.Get(rng.NextBounded(150));
+    cache.GetOrAdmit(rng.NextBounded(150));
     if (i == 100000) {
       bytes_at_100k = cache.ApproxMetadataBytes();
     }

@@ -29,7 +29,7 @@ TEST_P(S3FifoEquivalenceTest, SingleThreadMatchesSequentialPolicy) {
   ConcurrentS3FifoCache concurrent(kCapacity, 4);
   for (size_t i = 0; i < trace.requests.size(); ++i) {
     const ObjectId id = trace.requests[i];
-    ASSERT_EQ(concurrent.Get(id), sequential->Access(id))
+    ASSERT_EQ(concurrent.GetOrAdmit(id), sequential->Access(id))
         << "diverged at request " << i;
   }
 }
@@ -46,7 +46,7 @@ TEST(ConcurrentS3FifoTest, CapacityBoundedUnderThreads) {
       Rng rng(900 + static_cast<uint64_t>(t));
       ZipfSampler zipf(20000, 1.0);
       for (int i = 0; i < 40000; ++i) {
-        cache.Get(zipf.Sample(rng));
+        cache.GetOrAdmit(zipf.Sample(rng));
       }
     });
   }
@@ -70,7 +70,7 @@ TEST(ConcurrentS3FifoTest, HitRatioSaneUnderThreads) {
       ZipfSampler zipf(10000, 1.0);
       uint64_t local = 0;
       for (int i = 0; i < kOps; ++i) {
-        local += cache.Get(zipf.Sample(rng)) ? 1 : 0;
+        local += cache.GetOrAdmit(zipf.Sample(rng)) ? 1 : 0;
       }
       hits.fetch_add(local);
     });
@@ -91,7 +91,7 @@ TEST(ConcurrentS3FifoTest, GhostMemoryStaysBounded) {
   ConcurrentS3FifoCache cache(100);
   size_t bytes_at_100k = 0;
   for (int i = 1; i <= 1000000; ++i) {
-    cache.Get(static_cast<ObjectId>(i % 105));
+    cache.GetOrAdmit(static_cast<ObjectId>(i % 105));
     if (i == 100000) {
       bytes_at_100k = cache.ApproxMetadataBytes();
     }
@@ -103,13 +103,13 @@ TEST(ConcurrentS3FifoTest, GhostMemoryStaysBounded) {
 
 TEST(ConcurrentS3FifoTest, GhostPathWorks) {
   ConcurrentS3FifoCache cache(20, 2);
-  cache.Get(1);
+  cache.GetOrAdmit(1);
   // Flood so 1 is quick-demoted to the ghost, then returns via main.
   for (ObjectId id = 100; id < 140; ++id) {
-    cache.Get(id);
+    cache.GetOrAdmit(id);
   }
-  EXPECT_FALSE(cache.Get(1));  // ghost hit is still a miss
-  EXPECT_TRUE(cache.Get(1));   // but now resident (admitted into main)
+  EXPECT_FALSE(cache.GetOrAdmit(1));  // ghost hit is still a miss
+  EXPECT_TRUE(cache.GetOrAdmit(1));   // but now resident (admitted into main)
 }
 
 }  // namespace

@@ -9,6 +9,8 @@
 #include <vector>
 
 #include "src/concurrent/concurrent_clock.h"
+#include "src/concurrent/concurrent_qdlp_fifo.h"
+#include "src/concurrent/concurrent_s3fifo.h"
 #include "src/concurrent/sharded_lru.h"
 #include "src/policies/lru.h"
 #include "src/trace/generators.h"
@@ -27,20 +29,26 @@ TEST(GlobalLockLruTest, MatchesSequentialLruSingleThreaded) {
   ShardedLruCache concurrent(100, 1);
   LruPolicy sequential(100);
   for (const ObjectId id : trace.requests) {
-    ASSERT_EQ(concurrent.Get(id), sequential.Access(id));
+    ASSERT_EQ(concurrent.GetOrAdmit(id), sequential.Access(id));
   }
 }
 
 class ConcurrentStressTest
     : public ::testing::TestWithParam<std::string> {
  protected:
-  std::unique_ptr<ConcurrentCache> MakeCache(size_t capacity) {
+  std::unique_ptr<Cache> MakeCache(size_t capacity) {
     const std::string& kind = GetParam();
     if (kind == "global-lru") {
       return std::make_unique<ShardedLruCache>(capacity, 1);
     }
     if (kind == "sharded-lru") {
       return std::make_unique<ShardedLruCache>(capacity, 8);
+    }
+    if (kind == "qdlp") {
+      return std::make_unique<ConcurrentQdLpFifo>(capacity, 8);
+    }
+    if (kind == "s3fifo") {
+      return std::make_unique<ConcurrentS3FifoCache>(capacity, 8);
     }
     return std::make_unique<ConcurrentClockCache>(capacity, 1, 8);
   }
@@ -60,7 +68,7 @@ TEST_P(ConcurrentStressTest, ParallelHammerProducesSaneHitCounts) {
       ZipfSampler zipf(10000, 1.0);
       uint64_t local_hits = 0;
       for (int i = 0; i < kOpsPerThread; ++i) {
-        local_hits += cache->Get(zipf.Sample(rng)) ? 1 : 0;
+        local_hits += cache->GetOrAdmit(zipf.Sample(rng)) ? 1 : 0;
       }
       hits.fetch_add(local_hits);
     });
@@ -90,7 +98,7 @@ TEST_P(ConcurrentStressTest, DisjointKeySpacesDoNotInterfere) {
       constexpr int kSetSize = 200;
       for (int round = 0; round < 50; ++round) {
         for (int k = 0; k < kSetSize; ++k) {
-          const bool hit = cache->Get(base + static_cast<ObjectId>(k));
+          const bool hit = cache->GetOrAdmit(base + static_cast<ObjectId>(k));
           if (round > 10 && !hit) {
             // A miss after warmup means another thread's keys displaced ours
             // (possible under global eviction, but should be rare with
@@ -109,20 +117,20 @@ TEST_P(ConcurrentStressTest, DisjointKeySpacesDoNotInterfere) {
 
 INSTANTIATE_TEST_SUITE_P(Kinds, ConcurrentStressTest,
                          ::testing::Values("global-lru", "sharded-lru",
-                                           "clock"));
+                                           "clock", "qdlp", "s3fifo"));
 
 TEST(ConcurrentClockTest, SingleThreadBehavesLikeClock) {
   // With one shard and one thread the concurrent clock is a plain CLOCK; we
   // check the second-chance property rather than exact slot equivalence.
   ConcurrentClockCache cache(3, 1, 1);
-  cache.Get(1);
-  cache.Get(2);
-  cache.Get(3);
-  EXPECT_TRUE(cache.Get(1));   // protect 1
-  EXPECT_FALSE(cache.Get(4));  // evicts 2 (first zero-counter after 1)
-  EXPECT_TRUE(cache.Get(1));
-  EXPECT_TRUE(cache.Get(3));
-  EXPECT_TRUE(cache.Get(4));
+  cache.GetOrAdmit(1);
+  cache.GetOrAdmit(2);
+  cache.GetOrAdmit(3);
+  EXPECT_TRUE(cache.GetOrAdmit(1));   // protect 1
+  EXPECT_FALSE(cache.GetOrAdmit(4));  // evicts 2 (first zero-counter after 1)
+  EXPECT_TRUE(cache.GetOrAdmit(1));
+  EXPECT_TRUE(cache.GetOrAdmit(3));
+  EXPECT_TRUE(cache.GetOrAdmit(4));
 }
 
 // A removed object's slot is the next admission's (RefClock's holes, pinned
@@ -131,12 +139,12 @@ TEST(ConcurrentClockTest, SingleThreadBehavesLikeClock) {
 TEST(ConcurrentClockTest, RemovedSlotIsReusedBeforeEvicting) {
   ConcurrentClockCache cache(4, /*bits=*/1, /*num_stripes=*/1);
   for (ObjectId id = 1; id <= 4; ++id) {
-    cache.Get(id);
+    cache.GetOrAdmit(id);
   }
-  ASSERT_TRUE(cache.Remove(2));
-  EXPECT_FALSE(cache.Get(5));
+  ASSERT_TRUE(cache.Delete(2));
+  EXPECT_FALSE(cache.GetOrAdmit(5));
   EXPECT_EQ(cache.Stats().size, 4u);
-  EXPECT_TRUE(cache.Get(1));
+  EXPECT_TRUE(cache.GetOrAdmit(1));
   cache.CheckInvariants();
 }
 
@@ -148,7 +156,7 @@ TEST(ConcurrentClockTest, CapacityEnforcedUnderThreads) {
     threads.emplace_back([&, t] {
       Rng rng(2000 + static_cast<uint64_t>(t));
       for (int i = 0; i < 30000; ++i) {
-        cache.Get(rng.NextBounded(5000));
+        cache.GetOrAdmit(rng.NextBounded(5000));
       }
     });
   }
@@ -157,7 +165,7 @@ TEST(ConcurrentClockTest, CapacityEnforcedUnderThreads) {
   }
   // Every key must still be resolvable without crashes; spot-check gets.
   for (ObjectId id = 0; id < 100; ++id) {
-    cache.Get(id);
+    cache.GetOrAdmit(id);
   }
   SUCCEED();
 }
@@ -166,9 +174,9 @@ TEST(ShardedLruTest, CapacityDistributedAcrossShards) {
   ShardedLruCache cache(10, 3);  // 4+3+3
   // Insert many keys; no crash, and hits work.
   for (ObjectId id = 0; id < 1000; ++id) {
-    cache.Get(id);
+    cache.GetOrAdmit(id);
   }
-  cache.Get(999);
+  cache.GetOrAdmit(999);
   SUCCEED();
 }
 
@@ -178,8 +186,8 @@ TEST(ShardedLruTest, CapacityDistributedAcrossShards) {
 // cacheable) and capacity 10 over 3 shards summed to 9.
 TEST(ShardedLruTest, CapacityNotTruncatedWithMoreShardsThanObjects) {
   ShardedLruCache cache(10, 16);  // shards clamp to 10, one slot each
-  EXPECT_FALSE(cache.Get(42));
-  EXPECT_TRUE(cache.Get(42)) << "a just-admitted key must hit";
+  EXPECT_FALSE(cache.GetOrAdmit(42));
+  EXPECT_TRUE(cache.GetOrAdmit(42)) << "a just-admitted key must hit";
   cache.CheckInvariants();  // asserts sum(shard capacities) == 10
 }
 
@@ -188,7 +196,7 @@ TEST(ShardedLruTest, RemainderCapacityIsDistributed) {
   ShardedLruCache cache(7, 3);
   cache.CheckInvariants();
   for (ObjectId id = 0; id < 100; ++id) {
-    cache.Get(id);
+    cache.GetOrAdmit(id);
   }
   cache.CheckInvariants();
   // Sum of shard sizes can reach the full 7 under a spread key set.
@@ -197,7 +205,7 @@ TEST(ShardedLruTest, RemainderCapacityIsDistributed) {
 }
 
 // A zero capacity must be rejected before the shard count is clamped to
-// it: a cache with no shards has nothing for Get() to hash into.
+// it: a cache with no shards has nothing for GetOrAdmit() to hash into.
 TEST(ShardedLruTest, ZeroCapacityIsACheckedError) {
   EXPECT_DEATH(ShardedLruCache(0, 4), "QDLP_CHECK failed");
   EXPECT_DEATH(ShardedLruCache(0, 1), "QDLP_CHECK failed");

@@ -63,19 +63,19 @@ class PolicySubject : public DiffSubject {
   EvictionPolicy& policy_;
 };
 
-// Subject backed by a ConcurrentCache, driven from one thread. Concurrent
-// caches expose neither size nor membership through the base interface;
-// CheckInvariants is non-const there (it takes the cache's locks).
+// Subject backed by a thread-safe engine's Cache face, driven from one
+// thread. Cache exposes neither size nor membership; CheckInvariants is
+// non-const there (it takes the cache's locks).
 class ConcurrentSubject : public DiffSubject {
  public:
-  explicit ConcurrentSubject(ConcurrentCache& cache) : cache_(cache) {}
+  explicit ConcurrentSubject(Cache& cache) : cache_(cache) {}
 
-  bool Access(ObjectId id) override { return cache_.Get(id); }
+  bool Access(ObjectId id) override { return cache_.GetOrAdmit(id); }
   size_t capacity() const override { return cache_.capacity(); }
   void CheckInvariants() const override { cache_.CheckInvariants(); }
 
  private:
-  ConcurrentCache& cache_;
+  Cache& cache_;
 };
 
 struct DiffOptions {

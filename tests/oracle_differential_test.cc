@@ -165,7 +165,7 @@ TEST_P(ConcurrentDifferentialTest, MatchesOracleRequestForRequest) {
       BuildTrace(shape, SeedFor(shape, cache_size));
   ASSERT_FALSE(trace.empty());
 
-  std::unique_ptr<ConcurrentCache> cache;
+  std::unique_ptr<Cache> cache;
   std::unique_ptr<oracle::ReferenceModel> model;
   if (cache_name == "concurrent-s3fifo") {
     cache = std::make_unique<ConcurrentS3FifoCache>(cache_size,
@@ -212,14 +212,14 @@ INSTANTIATE_TEST_SUITE_P(
 // ---------------------------------------------------------------------------
 // Exact lockstep with removals: every lane of each design with one
 // implementation — the lock-free caches' Regions for the FIFO designs,
-// LruPolicy for LRU — takes the same Get/Remove stream as the oracle:
+// LruPolicy for LRU — takes the same access/removal stream as the oracle:
 // MakePolicy's serial policy, MakeDensePolicy's sweep-lane variant and the
 // concurrent cache at one shard.
 
 using RemovalCase = std::tuple<std::string, size_t>;
 
-std::unique_ptr<ConcurrentCache> MakeOneShardCache(const std::string& name,
-                                                   size_t capacity) {
+std::unique_ptr<Cache> MakeOneShardCache(const std::string& name,
+                                         size_t capacity) {
   if (name == "fifo-reinsertion" || name == "clock2") {
     return std::make_unique<ConcurrentClockCache>(
         capacity, /*bits=*/name == "clock2" ? 2 : 1, /*num_stripes=*/4);
@@ -267,7 +267,7 @@ TEST_P(RemovalDifferentialTest, EveryLaneMatchesOracleWithRemovals) {
         << "flat lane, op " << op;
     ASSERT_EQ(remove ? dense->Remove(id) : dense->Access(id), expected)
         << "dense lane, op " << op;
-    ASSERT_EQ(remove ? cache->Remove(id) : cache->Get(id), expected)
+    ASSERT_EQ(remove ? cache->Delete(id) : cache->GetOrAdmit(id), expected)
         << "concurrent lane, op " << op;
     ASSERT_EQ(flat->size(), model->size()) << "op " << op;
     ASSERT_EQ(dense->size(), model->size()) << "op " << op;
@@ -328,7 +328,8 @@ TEST_P(RemovalPositionTest, EveryLaneMatchesOracleAtEachQueuePosition) {
       const bool expected = model->Access(id);
       EXPECT_EQ(flat->Access(id), expected) << "flat lane, step " << step;
       EXPECT_EQ(dense->Access(id), expected) << "dense lane, step " << step;
-      EXPECT_EQ(cache->Get(id), expected) << "concurrent lane, step " << step;
+      EXPECT_EQ(cache->GetOrAdmit(id), expected)
+          << "concurrent lane, step " << step;
     }
   };
   // Removes `id`, which the script placed in `region`, from every lane.
@@ -337,7 +338,7 @@ TEST_P(RemovalPositionTest, EveryLaneMatchesOracleAtEachQueuePosition) {
     EXPECT_TRUE(model->Remove(id)) << id;
     EXPECT_TRUE(flat->Remove(id)) << "flat lane, id " << id;
     EXPECT_TRUE(dense->Remove(id)) << "dense lane, id " << id;
-    EXPECT_TRUE(cache->Remove(id)) << "concurrent lane, id " << id;
+    EXPECT_TRUE(cache->Delete(id)) << "concurrent lane, id " << id;
     EXPECT_EQ(flat->Stats().*region, before - 1) << id;
     for (const CacheStats& stats :
          {flat->Stats(), dense->Stats(), cache->Stats()}) {

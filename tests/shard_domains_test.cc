@@ -73,7 +73,7 @@ void ExpectMatchesPerShardOracles(
   for (size_t i = 0; i < trace.requests.size(); ++i) {
     const ObjectId id = trace.requests[i];
     const size_t s = cache.ShardOf(id);
-    ASSERT_EQ(cache.Get(id), oracles[s]->Access(id))
+    ASSERT_EQ(cache.GetOrAdmit(id), oracles[s]->Access(id))
         << label << ": diverged at request " << i << " (shard " << s << ")";
     if (i % 4999 == 0) {
       cache.CheckInvariants();
@@ -216,7 +216,7 @@ TEST(ShardDomainsTest, BufferedMissWaitsForTheNextHolderOfItsLock) {
   {
     const std::lock_guard<std::mutex> hold(cache.ShardMutex(0));
     bool hit = true;
-    std::thread([&] { hit = cache.Get(a); }).join();
+    std::thread([&] { hit = cache.GetOrAdmit(a); }).join();
     EXPECT_FALSE(hit);
   }
   CacheStats stats = cache.Stats();
@@ -225,15 +225,15 @@ TEST(ShardDomainsTest, BufferedMissWaitsForTheNextHolderOfItsLock) {
   EXPECT_EQ(stats.inserts, 0u);
   EXPECT_EQ(stats.buffer_drops, 0u);
 
-  EXPECT_FALSE(cache.Get(c));
+  EXPECT_FALSE(cache.GetOrAdmit(c));
   stats = cache.Stats();
   EXPECT_EQ(stats.inserts, 1u);  // c only: a waits for shard 0's lock
 
-  EXPECT_FALSE(cache.Get(b));
+  EXPECT_FALSE(cache.GetOrAdmit(b));
   stats = cache.Stats();
   EXPECT_EQ(stats.inserts, 3u);  // a drained, then b admitted
   EXPECT_EQ(stats.drain_batch_le8, 1u);
-  EXPECT_TRUE(cache.Get(a));
+  EXPECT_TRUE(cache.GetOrAdmit(a));
   cache.CheckInvariants();
 }
 

@@ -334,7 +334,7 @@ void ExpectConcurrentCountsExact(const char* label, MakeCache make,
   auto cache = make();
   uint64_t external_hits = 0;
   for (const ObjectId id : trace) {
-    external_hits += cache->Get(id) ? 1 : 0;
+    external_hits += cache->GetOrAdmit(id) ? 1 : 0;
   }
   const CacheStats stats = cache->Stats();
   EXPECT_EQ(stats.requests, trace.size()) << label;
@@ -401,7 +401,7 @@ TEST(ConcurrentStatsTest, QdLpOccupancyAddsUp) {
   const std::vector<ObjectId> trace = BuildTrace("zipf", 0x77u);
   ConcurrentQdLpFifo cache(101, 4);
   for (const ObjectId id : trace) {
-    cache.Get(id);
+    cache.GetOrAdmit(id);
   }
   const CacheStats stats = cache.Stats();
   EXPECT_EQ(stats.probation_size + stats.main_size, stats.size);
@@ -440,26 +440,26 @@ TEST(RemovalStatsTest, PoliciesWithoutRemovalSaySo) {
 
 TEST(RemovalStatsTest, ShardedLruRemoveWorks) {
   ShardedLruCache cache(64, 4);
-  cache.Get(5);
-  ASSERT_TRUE(cache.Get(5));  // now resident
+  cache.GetOrAdmit(5);
+  ASSERT_TRUE(cache.GetOrAdmit(5));  // now resident
   const uint64_t evictions_before = cache.Stats().evictions;
-  EXPECT_TRUE(cache.Remove(5));
+  EXPECT_TRUE(cache.Delete(5));
   EXPECT_EQ(cache.Stats().evictions, evictions_before + 1);
-  EXPECT_FALSE(cache.Remove(5));
-  EXPECT_FALSE(cache.Get(5));  // miss: readmitted fresh
+  EXPECT_FALSE(cache.Delete(5));
+  EXPECT_FALSE(cache.GetOrAdmit(5));  // miss: readmitted fresh
   cache.CheckInvariants();
 }
 
 TEST(RemovalStatsTest, ConcurrentRemoveCountsAsEviction) {
-  // Removal is part of the ConcurrentCache interface proper — every
+  // Removal is part of the Cache interface proper — every thread-safe
   // engine, not just the LRU ones, unlinks and counts an eviction.
   ConcurrentClockCache clock(16, 1, 4);
-  clock.Get(3);
+  clock.GetOrAdmit(3);
   const uint64_t evictions_before = clock.Stats().evictions;
-  EXPECT_TRUE(clock.Remove(3));
+  EXPECT_TRUE(clock.Delete(3));
   EXPECT_EQ(clock.Stats().evictions, evictions_before + 1);
-  EXPECT_FALSE(clock.Remove(3));
-  EXPECT_FALSE(clock.Get(3));  // miss: readmitted fresh
+  EXPECT_FALSE(clock.Delete(3));
+  EXPECT_FALSE(clock.GetOrAdmit(3));  // miss: readmitted fresh
   clock.CheckInvariants();
 }
 

@@ -33,7 +33,7 @@ constexpr int kThreads = 4;
 constexpr int kOpsPerThread = 25000;
 constexpr uint64_t kUniverse = 4096;  // ids overlap heavily across threads
 
-void HammerFromManyThreads(ConcurrentCache& cache) {
+void HammerFromManyThreads(Cache& cache) {
   std::atomic<uint64_t> total_hits{0};
   std::atomic<uint64_t> total_ops{0};
   std::atomic<bool> stop_stats{false};
@@ -45,7 +45,7 @@ void HammerFromManyThreads(ConcurrentCache& cache) {
     uint64_t snapshots = 0;
     while (!stop_stats.load(std::memory_order_acquire)) {
       const CacheStats stats = cache.Stats();
-      // Each Get() counts exactly one of hit/miss, so even a torn-free
+      // Each access counts exactly one of hit/miss, so even a torn-free
       // relaxed snapshot can never conjure more of one than of both.
       EXPECT_LE(stats.hits, stats.requests);
       EXPECT_LE(stats.misses, stats.requests);
@@ -66,7 +66,7 @@ void HammerFromManyThreads(ConcurrentCache& cache) {
       } else {
         id = rng.NextBounded(kUniverse);  // cold tail
       }
-      hits += cache.Get(id) ? 1 : 0;
+      hits += cache.GetOrAdmit(id) ? 1 : 0;
     }
     total_hits.fetch_add(hits, std::memory_order_relaxed);
     total_ops.fetch_add(kOpsPerThread, std::memory_order_relaxed);
@@ -91,10 +91,11 @@ void HammerFromManyThreads(ConcurrentCache& cache) {
 
   EXPECT_EQ(total_ops.load(), 2ull * kThreads * kOpsPerThread);
   // A cache of this size over this stream must produce plenty of hits; a
-  // near-zero count means Get() stopped admitting or finding anything.
+  // near-zero count means GetOrAdmit() stopped admitting or finding
+  // anything.
   EXPECT_GT(total_hits.load(), total_ops.load() / 10) << cache.name();
 
-  // Quiescent: the counters must have counted every Get() exactly once.
+  // Quiescent: the counters must have counted every access exactly once.
   const CacheStats stats = cache.Stats();
   EXPECT_EQ(stats.requests, total_ops.load()) << cache.name();
   EXPECT_EQ(stats.hits, total_hits.load()) << cache.name();
@@ -181,7 +182,7 @@ TEST(TsanStressTest, TwoHotShardsContention) {
       Rng rng(0x2507a000u + static_cast<uint64_t>(t));
       uint64_t hits = 0;
       for (int op = 0; op < kOpsPerThread; ++op) {
-        hits += cache.Get(pool[rng.NextBounded(pool.size())]) ? 1 : 0;
+        hits += cache.GetOrAdmit(pool[rng.NextBounded(pool.size())]) ? 1 : 0;
       }
       total_hits.fetch_add(hits, std::memory_order_relaxed);
     });
@@ -206,14 +207,14 @@ TEST(TsanStressTest, TwoHotShardsContention) {
   EXPECT_LE(stats.buffer_drops, stats.lock_failures);
 }
 
-// The blocking-admission path (Admit, which backs the adapter's Set)
-// racing the best-effort Get miss path and Remove across four eviction
-// domains: Admit's blocking lock must interleave safely with try_lock
-// misses, MPSC-buffer drains, and removals, and both access kinds must
-// still count exactly one hit-or-miss each at quiescence. Remove and the
-// slot reuse after it run in the shared DomainCache and CLOCK ring, so the
-// storm covers every engine built on them.
-void AdmitGetRemoveStorm(ConcurrentCache& cache) {
+// The blocking-admission path (a metadata Set) racing the best-effort
+// GetOrAdmit miss path and Delete across four eviction domains: Set's
+// blocking lock must interleave safely with try_lock misses, MPSC-buffer
+// drains, and removals, and both access kinds must still count exactly
+// one hit-or-miss each at quiescence. Delete and the slot reuse after it
+// run in the shared DomainCache and CLOCK ring, so the storm covers every
+// engine built on them.
+void AdmitGetRemoveStorm(Cache& cache) {
   std::atomic<uint64_t> total_accesses{0};
   std::atomic<bool> stop_stats{false};
   std::thread stats_reader([&] {
@@ -235,13 +236,13 @@ void AdmitGetRemoveStorm(ConcurrentCache& cache) {
           const ObjectId id = rng.NextBounded(kUniverse / 4);
           const int kind = static_cast<int>(rng.NextBounded(10));
           if (kind < 5) {
-            cache.Get(id);
+            cache.GetOrAdmit(id);
             ++accesses;
           } else if (kind < 9) {
-            cache.Admit(id);
+            cache.Set(id, {}, /*ttl_seconds=*/0);
             ++accesses;
           } else {
-            cache.Remove(id);
+            cache.Delete(id);
           }
         }
         total_accesses.fetch_add(accesses, std::memory_order_relaxed);
@@ -275,7 +276,7 @@ TEST(TsanStressTest, AdmitVsGetVsRemoveStorm) {
 // thread takes over an exited thread's ordinal, and with it that thread's
 // exclusive counter cell, which it keeps updating with plain load+store
 // while a Stats() reader sums the cells. A last generation holds 72 threads
-// alive at once (each counts its first Get, then waits for the rest), so 8
+// alive at once (each counts its first access, then waits for the rest), so 8
 // of them count in the shared overflow cell. At quiescence the counters
 // must hold every increment of every generation.
 TEST(TsanStressTest, CountersStayExactAcrossThreadGenerations) {
@@ -304,7 +305,7 @@ TEST(TsanStressTest, CountersStayExactAcrossThreadGenerations) {
           // Hot ids hit, the 4x-capacity tail misses and evicts.
           const ObjectId id = rng.NextBool(0.7) ? rng.NextBounded(1024)
                                                 : rng.NextBounded(16384);
-          hits += cache.Get(id) ? 1 : 0;
+          hits += cache.GetOrAdmit(id) ? 1 : 0;
           if (op == 0) {
             all_counting.arrive_and_wait();  // every thread holds an ordinal
           }
@@ -331,15 +332,14 @@ TEST(TsanStressTest, CountersStayExactAcrossThreadGenerations) {
   EXPECT_EQ(stats.hits, total_hits.load());
 }
 
-// The value-serving storm: threads mix GetValue / SetValue / Remove on a
+// The value-serving storm: threads mix Get / Set / Delete on a
 // value-storing cache of each lock-free design while a reader storms
 // Stats(). Under TSan this races the lock-free seqlock value reads against
 // commits, moves (QD-LP-FIFO's probation -> main promotion), and frees on
 // the eviction path. Any value that reads as a hit must be a value some
 // thread actually stored for that id — never torn, never another id's
 // bytes.
-template <typename Design>
-void ValueStorm(Design& cache) {
+void ValueStorm(Cache& cache) {
   std::atomic<bool> stop_stats{false};
   std::thread stats_reader([&] {
     while (!stop_stats.load(std::memory_order_acquire)) {
@@ -367,13 +367,13 @@ void ValueStorm(Design& cache) {
           const ObjectId id = rng.NextBounded(kUniverse / 4);
           const int kind = static_cast<int>(rng.NextBounded(10));
           if (kind < 6) {
-            if (cache.GetValue(id, /*now_s=*/0, &value)) {
+            if (cache.Get(id, &value)) {
               EXPECT_EQ(value, value_for(id)) << id;
             }
           } else if (kind < 9) {
-            cache.SetValue(id, value_for(id), /*expiry_s=*/0);
+            cache.Set(id, value_for(id), /*ttl_seconds=*/0);
           } else {
-            cache.Remove(id);
+            cache.Delete(id);
           }
         }
       });

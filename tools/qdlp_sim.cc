@@ -8,7 +8,8 @@
 //   qdlp_sim --trace prod.oracleGeneral --policies lru,sieve --sizes 0.05
 //
 // Options:
-//   --trace FILE          .bin (qdlp), .csv, or .oracleGeneral by extension
+//   --trace FILE          .bin (qdlp), .csv, or .oracleGeneral by extension,
+//                         optionally .zst-compressed
 //   --workload SPEC       zipf | web | block | kv | phase, with key=value
 //                         parameters (see --help output for keys)
 //   --policies LIST       comma-separated policy names (see --list-policies)
@@ -34,9 +35,9 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <iostream>
+#include <memory>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -53,7 +54,6 @@
 #include "src/sized/sized_trace.h"
 #include "src/trace/generators.h"
 #include "src/trace/trace.h"
-#include "src/trace/trace_io.h"
 #include "src/trace/trace_source.h"
 #include "src/trace/workload_spec.h"
 #include "src/util/rss.h"
@@ -90,18 +90,20 @@ uint64_t ParamInt(const ParamMap& params, const std::string& key,
              : static_cast<uint64_t>(std::strtoull(it->second.c_str(), nullptr, 10));
 }
 
-std::optional<Trace> LoadTrace(const std::string& path) {
-  const auto ends_with = [&](const char* suffix) {
-    const size_t len = std::strlen(suffix);
-    return path.size() >= len && path.compare(path.size() - len, len, suffix) == 0;
-  };
-  if (ends_with(".bin")) {
-    return ReadTraceBinary(path);
+// Materializes --trace through the reader --stream uses, so every format
+// it accepts, a trailing .zst included, loads here too.
+std::optional<Trace> LoadTrace(const std::string& path, std::string* error) {
+  std::unique_ptr<TraceSource> source = OpenTraceSource(path, error);
+  if (source == nullptr) {
+    return std::nullopt;
   }
-  if (ends_with(".oracleGeneral")) {
-    return ReadTraceOracleGeneral(path);
+  std::optional<Trace> trace = DrainTraceSource(*source);
+  if (!trace.has_value()) {
+    *error = source->error();
+    return std::nullopt;
   }
-  return ReadTraceCsv(path);
+  trace->name = path;
+  return trace;
 }
 
 // Variable-size mode: its own generator, factory, and (object + byte) grid.
@@ -438,13 +440,13 @@ int Run(int argc, char** argv) {
     return Usage(argv[0]);
   }
 
-  std::string workload_error;
+  std::string load_error;
   std::optional<Trace> trace =
-      trace_path.empty() ? BuildWorkload(workload_spec, &workload_error)
-                         : LoadTrace(trace_path);
+      trace_path.empty() ? BuildWorkload(workload_spec, &load_error)
+                         : LoadTrace(trace_path, &load_error);
   if (!trace.has_value() || trace->requests.empty()) {
-    if (!workload_error.empty()) {
-      std::fprintf(stderr, "error: %s\n", workload_error.c_str());
+    if (!load_error.empty()) {
+      std::fprintf(stderr, "error: %s\n", load_error.c_str());
     }
     std::fprintf(stderr, "error: could not obtain a non-empty trace\n");
     return 1;
