@@ -67,7 +67,7 @@ class ClockRing {
   // must not be full.
   uint32_t Take(size_t r, ObjectId id) {
     Region& region = regions_[r];
-    QDLP_DCHECK(region.count < region.capacity);
+    QDLP_CHECK(region.count < region.capacity);
     uint32_t slot = region.free_head;
     if (slot != kNoSlot) {
       region.free_head = slots_[slot].next_free;
@@ -89,7 +89,7 @@ class ClockRing {
   template <typename OnLap>
   uint32_t NextVictim(size_t r, OnLap&& on_lap) {
     Region& region = regions_[r];
-    QDLP_DCHECK(region.count > 0);
+    QDLP_CHECK(region.count > 0);
     while (true) {
       Slot& slot = slots_[region.base + region.hand];
       const uint32_t current = static_cast<uint32_t>(region.base + region.hand);

@@ -94,8 +94,7 @@ class ClockRegions {
 
 template <typename Core>
 void ClockRegions<Core>::AdmitLocked(size_t s, ObjectId id, uint32_t entry) {
-  QDLP_DCHECK(entry == StripedAtomicIndex::kNoEntry);
-  (void)entry;
+  QDLP_CHECK(entry == StripedAtomicIndex::kNoEntry);
   if (!ring_.full(s)) {
     core_.index.Insert(id, ring_.Take(s, id));
     return;

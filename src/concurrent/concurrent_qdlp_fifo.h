@@ -262,7 +262,7 @@ void QdLpRegions<Core>::AdmitToProbation(size_t s, ObjectId id) {
 template <typename Core>
 void QdLpRegions<Core>::EvictFromProbation(size_t s) {
   Shard& shard = shards_[s];
-  QDLP_DCHECK(!shard.probation.empty());
+  QDLP_CHECK(!shard.probation.empty());
   const uint32_t slot = shard.probation.front();
   const uint32_t pos = static_cast<uint32_t>(shard.probation_base + slot);
   const ObjectId victim = shard.probation[slot];

@@ -219,7 +219,7 @@ void S3FifoRegions<Core>::PushBack(Fifo& fifo, uint32_t slot) {
 
 template <typename Core>
 uint32_t S3FifoRegions<Core>::PopFront(Fifo& fifo) {
-  QDLP_DCHECK(fifo.head != kNil);
+  QDLP_CHECK(fifo.head != kNil);
   const uint32_t slot = fifo.head;
   Unlink(fifo, slot);
   return slot;
@@ -250,7 +250,7 @@ uint32_t S3FifoRegions<Core>::AllocSlot(size_t s) {
     shard.free_head = slab_[slot].next;
     return slot;
   }
-  QDLP_DCHECK(shard.slab_used < core_.shard_capacity(s));
+  QDLP_CHECK(shard.slab_used < core_.shard_capacity(s));
   return static_cast<uint32_t>(core_.shard_base(s) + shard.slab_used++);
 }
 

@@ -29,25 +29,35 @@
 //
 // Drain protocol (implemented by DomainCache below), BP-Wrapper's: a
 // domain's buffered misses are admitted by the next thread that takes its
-// lock, and by nothing else.
-//   * A missing thread try-locks its id's home domain; on success it
-//     drains that domain's buffers and admits inline.
-//   * On failure it buffers the id in the home domain's rings and returns
-//     — GetOrAdmit() never blocks. A full ring drops the admission
-//     (counted as a buffer_drop).
-//   * Every other holder of the lock (a blocking Set or Delete, and
-//     CheckInvariants) drains the buffers first too, so no buffered miss
-//     lands after the holder's operation. When a domain's misses stop,
-//     its buffered ids wait for that next holder.
+// lock, and by nothing else; a miss takes the lock only to admit, and once
+// a domain has a backlog, only to admit a batch.
+//   * A missing thread whose domain has no backlog try-locks it; on
+//     success it drains that domain's buffers and admits inline.
+//   * On failure it buffers the id in the home domain's rings, marks the
+//     domain backlogged, and returns — GetOrAdmit() never blocks.
+//   * While the domain is backlogged, a miss buffers without trying the
+//     lock. The miss that fills its thread's ring to kDrainBatch ids
+//     try-locks and drains every ring, its own id included, in one hold;
+//     if that try_lock fails, the batch waits for the next holder.
+//   * A miss that finds its thread's ring full admits inline if its
+//     try_lock succeeds, and otherwise drops the admission (counted as a
+//     buffer_drop).
+//   * Every drain clears the backlog mark first, and every other holder of
+//     the lock (a blocking Set or Delete, and CheckInvariants) drains the
+//     buffers first too, so no buffered miss lands after the holder's
+//     operation. When a domain's misses stop, its buffered ids wait for
+//     that next holder.
 //
 // With S == 1 (the default everywhere) there is exactly one domain, and a
-// single-threaded caller's try_lock always succeeds — behavior is
-// bit-identical to the pre-sharded single-mutex caches.
+// single-threaded caller's try_lock always succeeds, so it never buffers
+// and no domain is ever backlogged — behavior is bit-identical to the
+// pre-sharded single-mutex caches.
 
 #ifndef QDLP_SRC_CONCURRENT_EVICTION_DOMAINS_H_
 #define QDLP_SRC_CONCURRENT_EVICTION_DOMAINS_H_
 
 #include <algorithm>
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <ctime>
@@ -85,6 +95,11 @@ struct QdlpValueOptions {
 struct EvictionDomain {
   // Mutable so const observers (Stats) can lock for a coherent snapshot.
   alignas(64) mutable std::mutex mu;
+  // Set by a miss that buffers, cleared by the next drain: while it is set,
+  // misses buffer without trying the lock. A hint, not a count: the rings
+  // hold what is buffered. On the mutex's line, which every miss into the
+  // domain reads anyway.
+  std::atomic<bool> backlog{false};
   // This shard's capacity share and the first slot of its slab region.
   size_t capacity = 0;
   size_t base = 0;
@@ -169,6 +184,11 @@ class CellIndex : public StripedAtomicIndex {
 // this core ignores them, and its Lap is empty.
 class DomainCore {
  public:
+  // The ids one thread buffers into a backlogged domain before its miss
+  // takes the lock and admits the domain's whole backlog. Measured among 8,
+  // 16 and 32 (docs/PERFORMANCE.md, "Batched admission").
+  static constexpr size_t kDrainBatch = 32;
+
   // Index values are locations in [0, capacity) and ghost positions, both
   // below the index's ghost tag (bit 30).
   static constexpr size_t kMaxCapacity = StripedAtomicIndex::kGhostTag - 1;
@@ -271,7 +291,9 @@ class DomainCore {
         ShardCount(capacity, num_shards, min_capacity_per_shard);
     // One domain keeps the historical 8x256 buffer bank; with many domains
     // each keeps its own (smaller) bank so aggregate buffer space grows
-    // sub-linearly with the shard count.
+    // sub-linearly with the shard count. A batch leaves three quarters of
+    // either ring free for the misses that arrive while it drains.
+    static_assert(4 * kDrainBatch <= 128);
     const size_t rings = shards == 1 ? 8 : 4;
     const size_t ring_capacity = shards == 1 ? 256 : 128;
     std::vector<std::unique_ptr<EvictionDomain>> domains;
@@ -425,30 +447,44 @@ class DomainCache : public Cache {
       return true;
     }
     // Miss path. Uncontended (and always, single-threaded): take the home
-    // domain's lock, drain its buffered misses, admit. Contended: buffer the
-    // id for the next holder of the lock to admit and return without
-    // blocking.
+    // domain's lock, drain its buffered misses, admit. Contended: buffer
+    // the id for the next holder of the lock to admit, mark the domain
+    // backlogged and return without blocking. Backlogged: buffer first,
+    // and take the lock only when this thread's ring holds a batch (or is
+    // full), to admit the whole backlog, this id included, in one hold.
     // Hit/miss is counted where the outcome is known: the locked re-probe
     // can discover the object was admitted by another thread (or an earlier
     // buffered copy of this miss) after the lock-free probe above failed,
     // and that call is a hit to its caller. The same re-probe absorbs the
     // index's false misses (a probe that raced a backward shift,
     // striped_index.h): under the home-domain lock no shift of the id's
-    // stripe can run. If the try-lock fails instead, the miss is counted
-    // and the buffered admission finds the id resident and admits nothing.
+    // stripe can run. A buffered miss is counted as a miss; if the id is
+    // admitted meanwhile, its buffered admission admits nothing.
     const size_t s = ShardOf(id);
     EvictionDomain& domain = core_.shard(s);
+    const bool backlogged = domain.backlog.load(std::memory_order_relaxed);
+    MpscRing::Push pushed = MpscRing::Push::kFull;  // not buffered (yet)
+    if (backlogged) {
+      pushed = domain.buffers.TryPush(id, DomainCore::kDrainBatch);
+      if (pushed == MpscRing::Push::kPushed) {
+        CountAccess(false);
+        return false;
+      }
+    }
     if (domain.mu.try_lock()) {
       std::lock_guard<std::mutex> lock(domain.mu, std::adopt_lock);
       core_.counters.Add(ConcurrentStatsCounters::kLockAcquisitions);
-      DrainShardLocked(s);
-      const bool hit = MissLocked(s, id);
+      DrainShardLocked(s);  // admits this id too if it is buffered
+      const bool hit = pushed != MpscRing::Push::kBatch && MissLocked(s, id);
       CountAccess(hit);
       return hit;
     }
     core_.counters.Add(ConcurrentStatsCounters::kLockFailures);
-    core_.counters.Add(ConcurrentStatsCounters::kMisses);
-    if (!domain.buffers.TryPush(id)) {
+    CountAccess(false);
+    if (!backlogged) {
+      pushed = domain.buffers.TryPush(id, DomainCore::kDrainBatch);
+    }
+    if (pushed == MpscRing::Push::kFull) {
       // Buffers full while the lock is held elsewhere — on an
       // oversubscribed machine that usually means the lock holder was
       // preempted mid-drain. Blocking here would convoy every missing
@@ -456,6 +492,9 @@ class DomainCache : public Cache {
       // instead: drop this one (the object is buffered or admitted on its
       // next miss) and keep GetOrAdmit() non-blocking.
       core_.counters.Add(ConcurrentStatsCounters::kBufferDrops);
+    }
+    if (!domain.backlog.load(std::memory_order_relaxed)) {
+      domain.backlog.store(true, std::memory_order_relaxed);
     }
     return false;
   }
@@ -700,10 +739,15 @@ class DomainCache : public Cache {
     return static_cast<uint64_t>(std::time(nullptr));
   }
 
-  // Admits shard s's buffered misses.
+  // Admits shard s's buffered misses, clearing its backlog mark first: a
+  // miss that buffers after this drain marks the domain again.
   void DrainShardLocked(size_t s) {
-    core_.counters.AddDrainBatch(core_.shard(s).buffers.Drain(
-        [&](uint64_t id) { MissLocked(s, id); }));
+    EvictionDomain& domain = core_.shard(s);
+    if (domain.backlog.load(std::memory_order_relaxed)) {
+      domain.backlog.store(false, std::memory_order_relaxed);
+    }
+    core_.counters.AddDrainBatch(
+        domain.buffers.Drain([&](uint64_t id) { MissLocked(s, id); }));
   }
 
   uint64_t (*const now_fn_)();  // the TTL clock, in absolute seconds

@@ -4,15 +4,19 @@
 // The lock-free caches serialize all structural mutation behind the
 // mutex of the id's eviction domain (eviction_domains.h). Without
 // buffering, every missing thread queues on that mutex and the miss path
-// convoys. With buffering, a thread that fails a try_lock instead pushes
-// the missed id into a small per-thread-striped MPSC ring and returns
-// immediately; whichever thread next holds the mutex drains all rings and
-// performs the batched admissions/evictions under the single
-// acquisition. Lock hold time is amortized over the whole batch and
-// Get() never blocks: when the rings are full AND the lock is held (which
-// on an oversubscribed machine means the holder was preempted mid-drain),
-// the admission is dropped rather than queued behind the sleeping holder —
-// admission is best-effort under overload. Every such drop is counted in
+// convoys. With buffering, a missing thread pushes the missed id into a
+// small per-thread-striped MPSC ring and returns immediately; whichever
+// thread next holds the mutex drains all rings and performs the batched
+// admissions/evictions under the single acquisition. A thread buffers when
+// its try_lock fails, and also, without trying the lock, while its domain
+// has a backlog; the push that fills the thread's ring to a batch
+// (TryPush(value, batch) reports kBatch) takes the lock and admits the
+// whole backlog in one hold. Lock hold time and the lock's cache-line
+// traffic are amortized over the batch, and GetOrAdmit() never blocks:
+// when a ring is full AND the lock is held (which on an oversubscribed
+// machine means the holder was preempted mid-drain), the admission is
+// dropped rather than queued behind the sleeping holder — admission is
+// best-effort under overload. Every such drop is counted in
 // CacheStats::buffer_drops (quiescent single-threaded runs must report 0).
 //
 // MpscRing is the classic bounded sequence-number queue (Vyukov): each
@@ -52,8 +56,25 @@ class MpscRing {
     }
   }
 
+  // What TryPush(value, batch) did.
+  enum class Push {
+    kFull,    // the ring was full: nothing was pushed
+    kPushed,  // pushed; the ring holds fewer than `batch` ids
+    kBatch,   // pushed; the ring holds at least `batch` ids
+  };
+
   // Multi-producer. Returns false when the ring is full.
-  bool TryPush(uint64_t value) {
+  bool TryPush(uint64_t value) { return TryPush(value, 1) != Push::kFull; }
+
+  // Multi-producer push that also tests the ring's occupancy
+  // (1 <= batch <= slot_count()): the consumer pops in order, so the ring
+  // holds at least `batch` ids when the id pushed `batch - 1` places
+  // before this one is not consumed yet. When one thread owns the ring,
+  // that cell is one it wrote itself, so the test stays on lines the
+  // producer already holds, where comparing tail_ with head_ would pull in
+  // the consumer's line. A cell another producer has claimed but not yet
+  // published does not count, so a shared ring may report kPushed early.
+  Push TryPush(uint64_t value, size_t batch) {
     uint64_t pos = tail_.load(std::memory_order_relaxed);
     while (true) {
       Cell& cell = cells_[pos & mask_];
@@ -64,15 +85,22 @@ class MpscRing {
                                         std::memory_order_relaxed)) {
           cell.value = value;
           cell.seq.store(pos + 1, std::memory_order_release);
-          return true;
+          break;
         }
         // pos was refreshed by the failed CAS; retry.
       } else if (dif < 0) {
-        return false;  // full (consumer has not freed this lap yet)
+        return Push::kFull;  // the consumer has not freed this lap yet
       } else {
         pos = tail_.load(std::memory_order_relaxed);
       }
     }
+    // Before the first lap fills, `first` wraps to a position no cell's
+    // sequence matches.
+    const uint64_t first = pos - (batch - 1);
+    return cells_[first & mask_].seq.load(std::memory_order_relaxed) ==
+                   first + 1
+               ? Push::kBatch
+               : Push::kPushed;
   }
 
   // Single-consumer (callers must serialize, e.g. under the eviction
@@ -119,10 +147,15 @@ class InsertBuffers {
     }
   }
 
-  // Producer side: buffer a missed id. False when the stripe ring is full;
-  // the caller then drops the admission rather than block.
-  bool TryPush(uint64_t id) {
-    return rings_[ThreadOrdinal() % rings_.size()]->TryPush(id);
+  // Producer side: buffer a missed id in this thread's stripe ring. False
+  // when that ring is full; the caller then drops the admission rather
+  // than block.
+  bool TryPush(uint64_t id) { return Ring().TryPush(id); }
+
+  // The same push, reporting whether the stripe ring now holds a batch
+  // (MpscRing::TryPush(value, batch)).
+  MpscRing::Push TryPush(uint64_t id, size_t batch) {
+    return Ring().TryPush(id, batch);
   }
 
   // Consumer side (under the eviction mutex): drain every ring, invoking
@@ -149,6 +182,8 @@ class InsertBuffers {
   }
 
  private:
+  MpscRing& Ring() { return *rings_[ThreadOrdinal() % rings_.size()]; }
+
   std::vector<std::unique_ptr<MpscRing>> rings_;
 };
 

@@ -235,7 +235,7 @@ class StripedAtomicIndex {
     while (true) {
       const uint64_t slot_key =
           slots[index].key.load(std::memory_order_relaxed);
-      QDLP_DCHECK(slot_key != key);
+      QDLP_CHECK(slot_key != key);
       if (slot_key == kEmptyKey) {
         break;
       }

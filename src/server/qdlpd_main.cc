@@ -59,11 +59,12 @@ int Usage() {
           "             [--workers=N] [--shards=N] [--stripes=N]\n"
           "  each N a decimal count of at least 1, except --port "
           "(0 = any free port,\n"
-          "  at most 65535); --capacity is at most 2^30 - 1, "
-          "--workers at most 256\n"
-          "  and --arena-mb (the total, split across shards) at most "
-          "32768 and at\n"
-          "  least 8 MiB per shard (--shards rounds up to a power of two)\n");
+          "  at most 65535) and --capacity (at least 2, at most "
+          "2^30 - 1); --workers\n"
+          "  is at most 256 and --arena-mb (the total, split across "
+          "shards) at most\n"
+          "  32768 and at least 8 MiB per shard (--shards rounds up to a "
+          "power of two)\n");
   return 2;
 }
 
@@ -90,7 +91,9 @@ int main(int argc, char** argv) {
       ok = ParseCount(value, 0, 65535, &n);
       options.port = static_cast<uint16_t>(n);
     } else if (ParseFlag(argv[i], "--capacity", &value)) {
-      ok = ParseCount(value, 1, qdlp::DomainCore::kMaxCapacity, &n);
+      // The smallest share QD-LP-FIFO splits into probation and main.
+      ok = ParseCount(value, qdlp::ConcurrentQdLpFifo::kMinCapacityPerShard,
+                      qdlp::DomainCore::kMaxCapacity, &n);
       options.cache.capacity = n;
     } else if (ParseFlag(argv[i], "--arena-mb", &value)) {
       ok = ParseCount(value, 1, kMaxArenaMb, &n);

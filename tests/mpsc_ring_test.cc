@@ -44,6 +44,39 @@ TEST(MpscRingTest, WrapsAroundManyLaps) {
   EXPECT_FALSE(ring.TryPop(&value));
 }
 
+// TryPush(value, batch) reports kBatch exactly when the ring holds at least
+// `batch` unconsumed ids after the push, on every lap of the ring, and
+// kFull, pushing nothing, once it is full.
+TEST(MpscRingTest, PushReportsWhenTheRingHoldsABatch) {
+  using Push = MpscRing::Push;
+  MpscRing ring(8);
+  constexpr size_t kBatch = 3;
+  uint64_t value = 0;
+  uint64_t next = 0;
+  // Five pushes and five pops a round: six rounds wrap the 8 slots 3 times.
+  for (int round = 0; round < 6; ++round) {
+    EXPECT_EQ(ring.TryPush(next++, kBatch), Push::kPushed) << round;  // 1
+    EXPECT_EQ(ring.TryPush(next++, kBatch), Push::kPushed) << round;  // 2
+    EXPECT_EQ(ring.TryPush(next++, kBatch), Push::kBatch) << round;   // 3
+    ASSERT_TRUE(ring.TryPop(&value));
+    EXPECT_EQ(ring.TryPush(next++, kBatch), Push::kBatch) << round;  // 3
+    ASSERT_TRUE(ring.TryPop(&value));
+    ASSERT_TRUE(ring.TryPop(&value));
+    EXPECT_EQ(ring.TryPush(next++, kBatch), Push::kPushed) << round;  // 2
+    while (ring.TryPop(&value)) {
+    }
+    EXPECT_EQ(value, next - 1);
+  }
+  for (size_t held = 1; held <= ring.slot_count(); ++held) {
+    EXPECT_EQ(ring.TryPush(next++, kBatch),
+              held < kBatch ? Push::kPushed : Push::kBatch)
+        << held;
+  }
+  EXPECT_EQ(ring.TryPush(next, kBatch), Push::kFull);
+  ASSERT_TRUE(ring.TryPop(&value));
+  EXPECT_EQ(value, next - ring.slot_count());
+}
+
 TEST(MpscRingTest, CapacityRoundsUpToPowerOfTwo) {
   EXPECT_EQ(MpscRing(1).slot_count(), 4u);
   EXPECT_EQ(MpscRing(5).slot_count(), 8u);

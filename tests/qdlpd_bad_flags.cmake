@@ -7,6 +7,7 @@
 #   cmake -DQDLPD_BIN=<path to qdlpd> -P qdlpd_bad_flags.cmake
 foreach(flags IN ITEMS
     --capacity=abc --capacity= --capacity=12k --capacity=-1 --capacity=0
+    --capacity=1
     --capacity=1073741824 --capacity=99999999999999999999999
     --port=abc --port=70000 --port=-1
     --arena-mb=0 --arena-mb=abc --arena-mb=32769 --arena-mb=17592186044416
