@@ -184,10 +184,21 @@ class CellIndex : public StripedAtomicIndex {
 // this core ignores them, and its Lap is empty.
 class DomainCore {
  public:
+  // Each domain's buffer rings hold this many ids: one domain keeps the
+  // historical 8x256 bank; with many domains each keeps its own smaller
+  // 4x128 bank, so aggregate buffer space grows sub-linearly with the
+  // shard count.
+  static constexpr size_t kOneDomainRingCapacity = 256;
+  static constexpr size_t kRingCapacity = 128;
+
   // The ids one thread buffers into a backlogged domain before its miss
   // takes the lock and admits the domain's whole backlog. Measured among 8,
-  // 16 and 32 (docs/PERFORMANCE.md, "Batched admission").
+  // 16 and 32 (docs/PERFORMANCE.md, "Batched admission"). A batch leaves
+  // three quarters of either ring free for the misses that arrive while it
+  // drains.
   static constexpr size_t kDrainBatch = 32;
+  static_assert(4 * kDrainBatch <=
+                std::min(kOneDomainRingCapacity, kRingCapacity));
 
   // Index values are locations in [0, capacity) and ghost positions, both
   // below the index's ghost tag (bit 30).
@@ -289,13 +300,9 @@ class DomainCore {
     QDLP_CHECK(capacity >= min_capacity_per_shard);
     const size_t shards =
         ShardCount(capacity, num_shards, min_capacity_per_shard);
-    // One domain keeps the historical 8x256 buffer bank; with many domains
-    // each keeps its own (smaller) bank so aggregate buffer space grows
-    // sub-linearly with the shard count. A batch leaves three quarters of
-    // either ring free for the misses that arrive while it drains.
-    static_assert(4 * kDrainBatch <= 128);
     const size_t rings = shards == 1 ? 8 : 4;
-    const size_t ring_capacity = shards == 1 ? 256 : 128;
+    const size_t ring_capacity =
+        shards == 1 ? kOneDomainRingCapacity : kRingCapacity;
     std::vector<std::unique_ptr<EvictionDomain>> domains;
     domains.reserve(shards);
     size_t next_base = 0;
